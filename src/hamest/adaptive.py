@@ -221,8 +221,8 @@ def plan_schedule(
     for its incoming uncertainty; the ceiling can overshoot target_v, in
     which case the full iterations run and v_m reports the overshoot.
     """
-    if not v0 > 0.0:
-        raise DomainError(f"initial variance must be positive, got {v0}")
+    if not 0.0 < v0 < math.inf:
+        raise DomainError(f"initial variance must be positive and finite, got {v0}")
     g = g0()
     if n < 1 or gain(g) / n >= 1.0:
         raise NoContraction(

@@ -95,7 +95,8 @@ def _grid_spec(text: str) -> np.ndarray:
     return np.arange(start, stop + 0.5 * step, step)
 
 
-def _resolve_threads(args) -> int:
+def _check_threads(args) -> None:
+    """Validate --threads / HAMEST_THREADS, kept for compatibility: commands run serially."""
     if args.threads is not None:
         value = args.threads
     else:
@@ -106,7 +107,6 @@ def _resolve_threads(args) -> int:
             raise DomainError(f"HAMEST_THREADS must be an integer, got {raw!r}")
     if value < 1:
         raise DomainError("thread count must be >= 1")
-    return value
 
 
 def _open_out(path):
@@ -221,9 +221,8 @@ def _cmd_robustness_single(args) -> int:
 
 
 def _cmd_robustness_total(args) -> int:
-    summary = robustness.robustness_mc(
-        args.m, args.samples, args.seed, workers=_resolve_threads(args)
-    )
+    _check_threads(args)
+    summary = robustness.robustness_mc(args.m, args.samples, args.seed)
     out = _open_out(args.out)
     try:
         w = _csv_writer(out)
@@ -250,7 +249,8 @@ def _cmd_simulate(args) -> int:
         beta0_bound=args.bound,
         beta0_guess=args.guess,
     )
-    traces = run_repetitions(config, args.reps, workers=_resolve_threads(args))
+    _check_threads(args)
+    traces = run_repetitions(config, args.reps)
     errors = [t.realized_sq_error for t in traces]
     doc = {
         "command": "simulate",
@@ -294,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: HAMEST_THREADS env var, else 1)",
+        help="thread count, validated (an integer >= 1) for compatibility; results "
+        "and speed do not depend on it (default: HAMEST_THREADS env var, else 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -88,6 +88,8 @@ def generator(model: HamiltonianModel, alpha, i: int, t: float) -> np.ndarray:
     """
     if i not in (1, 2, 3):
         raise IndexOutOfRange(f"parameter index must be 1, 2, or 3, got {i}")
+    if not np.isfinite(t):
+        raise DomainError("time must be finite")
     ev = model_evaluate(model, alpha)
     dh = pauli_compose(ev.jac[:, i - 1])
     spec = spectral_decompose(ev.h)

@@ -12,7 +12,6 @@ and the Monte Carlo driver estimates how often the full process comes out
 ahead of the ideal plan.
 """
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,10 @@ import numpy as np
 
 from .adaptive import deviation_weight, g0, gain
 from .errors import DomainError
-from .util import KeyedStream
+from .util import KeyedStream, check_seed
+
+# Samples per block of robustness_mc: bounds its draw buffer for any sample count.
+MC_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -122,47 +124,30 @@ def ratio_total(deviations) -> float:
     return math.exp(log_total)
 
 
-def _mc_chunk(m: int, seed: int, start: int, stop: int, force_unit: bool) -> np.ndarray:
-    p = deviation_params()
-    if force_unit:
-        return np.ones(stop - start)
-    exponents = np.array([1.0 / 2.0 ** (m - k + 1) for k in range(2, m + 1)])
-    draws = KeyedStream()
-    out = np.empty(stop - start)
-    for j in range(start, stop):
-        z = draws.standard_normal(seed, j, (m - 1, 3))
-        d = (z[:, 0] ** 2 + p.a * (z[:, 1] ** 2 + z[:, 2] ** 2)) / p.s
-        out[j - start] = math.exp(float(np.log(d) @ exponents))
-    return out
-
-
-def robustness_mc(
-    m: int, samples: int, seed: int, workers: int = 1, force_unit: bool = False
-) -> RobustnessSummary:
+def robustness_mc(m: int, samples: int, seed: int) -> RobustnessSummary:
     """Monte Carlo over control-error histories of the whole-process penalty.
 
-    Sample j draws its deviations from an independent counter-based stream
-    keyed by (seed, j), so the result is identical for any worker count.
-    force_unit pins every deviation factor to 1 (a debug mode whose output
-    distribution must collapse to a point at ratio 1).
+    Sample j draws its deviations from the counter-based stream keyed by
+    (seed, j), so the summary is reproducible bit for bit. Samples are
+    evaluated serially, MC_BLOCK at a time.
     """
     if m < 2:
         raise DomainError("need m >= 2 iterations for any control error to act")
     if samples < 10000:
         raise DomainError("need at least 1e4 samples for a stable tail estimate")
-    if seed < 0:
-        raise DomainError("seed must be a nonnegative integer")
-    if workers < 1:
-        raise DomainError("worker count must be >= 1")
-    bounds = np.linspace(0, samples, min(workers, samples) * 4 + 1).astype(int)
-    chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if workers == 1:
-        parts = [_mc_chunk(m, seed, a, b, force_unit) for a, b in chunks]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_mc_chunk, m, seed, a, b, force_unit) for a, b in chunks]
-            parts = [f.result() for f in futures]
-    ratios = np.concatenate(parts)
+    check_seed(seed)
+    p = deviation_params()
+    exponents = np.array([1.0 / 2.0 ** (m - k + 1) for k in range(2, m + 1)])
+    draws = KeyedStream()
+    ratios = np.empty(samples)
+    for start in range(0, samples, MC_BLOCK):
+        stop = min(start + MC_BLOCK, samples)
+        z = np.array([draws.standard_normal(seed, j, (m - 1, 3)) for j in range(start, stop)])
+        d = (z[..., 0] ** 2 + p.a * (z[..., 1] ** 2 + z[..., 2] ** 2)) / p.s
+        # vecdot sums each row like a 1-d `@` (a 2-d `@` sums in another order
+        # once m >= 5), and math.exp can differ from np.exp in the last bit.
+        log_ratios = np.vecdot(np.log(d), exponents)
+        ratios[start:stop] = [math.exp(x) for x in log_ratios.tolist()]
     deciles = tuple(float(q) for q in np.quantile(ratios, np.arange(0.1, 0.95, 0.1)))
     return RobustnessSummary(
         m=int(m),

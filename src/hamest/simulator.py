@@ -24,7 +24,6 @@ iteration k is re-derived from a fresh estimate at the previous settings
 while holding that iteration's total time budget n * t_planned fixed.
 """
 
-import concurrent.futures
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ import scipy.optimize
 from .adaptive import g0, gain, iteration_covariance, optimal_time
 from .core import evolve_unitary, pauli_compose
 from .errors import DomainError, MleNonconvergence
-from .util import sample_stream
+from .util import check_seed, sample_stream
 
 PROBABILITY_LOG_FLOOR = 1e-300
 MLE_MAX_ITERATIONS = 200
@@ -77,8 +76,7 @@ class ExperimentConfig:
             raise DomainError("trial count must be >= 1")
         if self.backend == "bell" and self.n < BELL_MIN_TRIALS:
             raise DomainError(f"bell backend needs n >= {BELL_MIN_TRIALS} for a usable fit")
-        if self.seed < 0:
-            raise DomainError("seed must be a nonnegative integer")
+        check_seed(self.seed)
         if self.extra_trials is not None and self.extra_trials < 1:
             raise DomainError("extra_trials must be >= 1")
         if self.beta0_guess is not None:
@@ -399,15 +397,8 @@ def run_adaptive_experiment(
     )
 
 
-def run_repetitions(config: ExperimentConfig, reps: int, workers: int = 1) -> list:
-    """Run independent repetitions on per-rep streams, order-stable for any
-    worker count."""
+def run_repetitions(config: ExperimentConfig, reps: int) -> list:
+    """Run independent repetitions in rep order, rep r on stream (seed, r)."""
     if reps < 1:
         raise DomainError("repetition count must be >= 1")
-    if workers < 1:
-        raise DomainError("worker count must be >= 1")
-    if workers == 1:
-        return [run_adaptive_experiment(config, rep=r) for r in range(reps)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_adaptive_experiment, config, None, r) for r in range(reps)]
-        return [f.result() for f in futures]
+    return [run_adaptive_experiment(config, rep=r) for r in range(reps)]

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .errors import DomainError
+
 # Below this |x| the direct csc^2 evaluation loses digits to cancellation in
 # 1/sin^2(x) - 1/x^2 style combinations; the truncation error of the series
 # is ~x^2/15, under 1e-9 at the threshold.
@@ -21,12 +23,17 @@ def fd_step(value):
     return 1e-6 * max(1.0, abs(value))
 
 
+def check_seed(seed):
+    """Reject a seed that cannot key a Philox stream (one uint64 word)."""
+    if not 0 <= seed < 2**64:
+        raise DomainError("seed must be an integer in [0, 2^64)")
+
+
 def sample_stream(seed, index):
     """Counter-based RNG stream for one sample, keyed by (seed, sample index).
 
     Philox is counter-based, so streams for distinct keys are independent and
-    a reduction over sample indices gives identical results for any worker
-    count or evaluation order.
+    each sample can be redrawn on its own, in any order.
     """
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -24,6 +24,9 @@ from .util import csc_squared, near_pole
 from .qfim import QfimMatrix, _validated_qfim, covariance_from_qfim, qfim_entangled
 
 DEGENERACY_RTOL = 1e-10
+# The xi coefficients are quartic in the overlaps <E0|d_i E1> ~ |d_i H| / dE;
+# past this size they overflow, so the gap is numerically zero.
+OVERLAP_LIMIT = 1e50
 POLE_PHASE_ATOL = 1e-9
 POLE_TIME_ATOL = 1e-6
 TWO_PI = 2.0 * np.pi
@@ -78,6 +81,10 @@ def spectral_sensitivities(model: HamiltonianModel, alpha) -> SpectralSensitivit
         dE[0, i] = (spec.v0.conj() @ dh @ spec.v0).real
         dE[1, i] = (spec.v1.conj() @ dh @ spec.v1).real
         c01[i] = (spec.v0.conj() @ dh @ spec.v1) / (spec.e1 - spec.e0)
+    if np.max(np.abs(c01)) > OVERLAP_LIMIT:
+        raise DegenerateSpectrum(
+            f"spectral gap {spec.gap:.3e} too small: perturbative overlaps exceed {OVERLAP_LIMIT:.0e}"
+        )
     return SpectralSensitivities(
         dE=dE,
         dgap=dE[0] - dE[1],
@@ -172,9 +179,10 @@ def variance_infimum(xi: XiCoefficients, n: int) -> np.ndarray:
 def variance_curve(model: HamiltonianModel, alpha, t_grid, n: int) -> list:
     """Evaluate the three variances plus envelope/infimum on a time grid.
 
-    Grid points within 1e-6 of a divergence time 2 pi k / dE are kept in the
-    output with NaN variances and flag "pole" instead of being dropped.
-    The envelope and infimum columns refer to the first parameter.
+    The model is evaluated once. Grid points near a divergence time
+    2 pi k / dE (POLE_TIME_ATOL in t or POLE_PHASE_ATOL in dE t) are kept
+    with NaN variances and flag "pole". Envelope and infimum refer to the
+    first parameter.
     """
     sens = spectral_sensitivities(model, alpha)
     xi = xi_coefficients(sens)
@@ -182,19 +190,15 @@ def variance_curve(model: HamiltonianModel, alpha, t_grid, n: int) -> list:
         raise SingularQfim("xi3 vanishes; the three parameters are not jointly identifiable")
     inf1 = float(variance_infimum(xi, n)[0])
     rows = []
-    for t in np.asarray(t_grid, dtype=float):
-        _check_time(float(t))
-        env1 = float(variance_envelope(xi, 1.0, float(t), n)[0])
+    for t in np.asarray(t_grid, dtype=float).tolist():
+        env1 = float(variance_envelope(xi, 1.0, t, n)[0])
         k = round(t * sens.gap / TWO_PI)
-        if k >= 1 and abs(t - TWO_PI * k / sens.gap) < POLE_TIME_ATOL:
-            rows.append(VarianceCurveRow(float(t), np.nan, np.nan, np.nan, env1, inf1, "pole"))
+        if (k >= 1 and abs(t - TWO_PI * k / sens.gap) < POLE_TIME_ATOL) or near_pole(
+            sens.gap * t, TWO_PI, POLE_PHASE_ATOL
+        ):
+            rows.append(VarianceCurveRow(t, np.nan, np.nan, np.nan, env1, inf1, "pole"))
             continue
-        try:
-            v = estimator_variances(model, alpha, float(t), n)
-        except DivergentTime:
-            rows.append(VarianceCurveRow(float(t), np.nan, np.nan, np.nan, env1, inf1, "pole"))
-            continue
-        rows.append(
-            VarianceCurveRow(float(t), float(v[0]), float(v[1]), float(v[2]), env1, inf1, "")
-        )
+        csc2 = csc_squared(sens.gap * t / 2.0)
+        v = (csc2 * t * t * xi.xi1 + xi.xi2) / (n * t * t * xi.xi3)
+        rows.append(VarianceCurveRow(t, float(v[0]), float(v[1]), float(v[2]), env1, inf1, ""))
     return rows

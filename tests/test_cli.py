@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hamest
 from hamest import adaptive, cli, robustness, variance
 from hamest.core import get_model
 from hamest.errors import BracketFailure
@@ -265,16 +270,24 @@ def test_robustness_total_deterministic(capsys):
     argv = ["robustness", "total", "--m", "4", "--samples", "10000", "--seed", "42"]
     code, first, _ = run_cli(capsys, *argv)
     assert code == 0
+    assert first == (
+        "statistic,value\n"
+        "mean,0.8199487554977942\n"
+        "p_below_one,0.7095\n"
+        "decile_10,0.3410017772858463\n"
+        "decile_20,0.4591384594971614\n"
+        "decile_30,0.5585594239283654\n"
+        "decile_40,0.6517767535119379\n"
+        "decile_50,0.7525250271408923\n"
+        "decile_60,0.8583428180468352\n"
+        "decile_70,0.9867255104584588\n"
+        "decile_80,1.1407083132164444\n"
+        "decile_90,1.39496067630638\n"
+    )
     _, again, _ = run_cli(capsys, *argv)
     assert again == first
     _, threaded, _ = run_cli(capsys, "--threads", "4", *argv)
     assert threaded == first
-    header, rows = parse_csv(first)
-    assert header == ["statistic", "value"]
-    stats = {r[0]: float(r[1]) for r in rows}
-    assert stats["p_below_one"] > 0.5
-    deciles = [stats[f"decile_{q}"] for q in range(10, 100, 10)]
-    assert all(a <= b for a, b in zip(deciles, deciles[1:]))
 
 
 def test_robustness_total_seed_required():
@@ -364,6 +377,38 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "qfim", "--alpha", "0,0,0", "--t", "2")
     assert code == 3
     assert err.startswith("internal error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qfim", "--alpha", "0.8,-0.4,0.3", "--t", "nan"],
+        ["qfim", "--alpha", "0.8,-0.4,0.3", "--t", "inf"],
+        ["variance-curve", "--alpha", "1e-300,0,0", "--n", "100", "--t-start", "0.1",
+         "--t-stop", "6.0", "--points", "5"],
+        ["schedule", "--v0", "inf", "--n", "1000", "--m", "3"],
+        ["robustness", "total", "--m", "3", "--samples", "10000", "--seed", str(2**64)],
+        ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "1", "--seed", str(2**64)],
+    ],
+)
+def test_invalid_numeric_input_exits_two(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_python_dash_m_runs_cli(capsys):
+    argv = ["schedule", "--v0", "1", "--n", "1000", "--m", "2"]
+    env = dict(os.environ)
+    src = str(Path(hamest.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hamest", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert proc.stdout == out
 
 
 def test_threads_env_override(capsys, monkeypatch):

@@ -241,25 +241,13 @@ def test_mc_summary_shape():
     assert np.all(np.diff(s.deciles) >= 0.0)
 
 
-def test_mc_worker_count_does_not_change_result():
-    runs = [robustness.robustness_mc(3, 20_000, 11, workers=w) for w in (1, 4, 16)]
-    assert runs[0] == runs[1] == runs[2]
-
-
-def test_mc_force_unit_collapses_to_point():
-    s = robustness.robustness_mc(2, 10_000, 0, force_unit=True)
-    assert s.mean == 1.0
-    assert s.p_below_one == 0.0
-    assert set(s.deciles) == {1.0}
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"m": 1, "samples": 10_000, "seed": 0},
         {"m": 2, "samples": 9_999, "seed": 0},
         {"m": 2, "samples": 10_000, "seed": -1},
-        {"m": 2, "samples": 10_000, "seed": 0, "workers": 0},
+        {"m": 2, "samples": 10_000, "seed": 2**64},
     ],
 )
 def test_mc_domain(kwargs):

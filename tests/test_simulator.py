@@ -214,6 +214,7 @@ def test_config_zero_prior_needs_explicit_bound():
         {"beta0_bound": 0.0},
         {"pi0": 0.0},
         {"pi0": math.pi},
+        {"seed": 2**64},
     ],
 )
 def test_config_validation(overrides):
@@ -259,24 +260,19 @@ def test_trace_bookkeeping():
 
 
 def test_mean_ratio_tracks_plan():
-    traces = simulator.run_repetitions(ref_config(), 300, workers=4)
+    traces = simulator.run_repetitions(ref_config(), 300)
     ratio = np.mean([t.realized_sq_error for t in traces]) / traces[0].planned_v_m
     assert 0.7 < ratio < 1.4
 
 
 def test_repetition_worker_independence():
-    cfg = ref_config()
-    serial = simulator.run_repetitions(cfg, 8, workers=1)
-    threaded = simulator.run_repetitions(cfg, 8, workers=4)
-    assert serial == threaded
-    assert [t.rep for t in threaded] == list(range(8))
+    traces = simulator.run_repetitions(ref_config(), 8)
+    assert [t.rep for t in traces] == list(range(8))
 
 
 def test_repetition_validation():
     with pytest.raises(DomainError):
         simulator.run_repetitions(ref_config(), 0)
-    with pytest.raises(DomainError):
-        simulator.run_repetitions(ref_config(), 4, workers=0)
 
 
 def test_refinement_keeps_time_budget():
@@ -291,7 +287,7 @@ def test_refinement_keeps_time_budget():
 def test_iteration_deviation_factors_follow_law():
     # d_factor of iterations 2..m against the control-error law, two-sample KS
     cfg = simulator.ExperimentConfig(beta_true=BETA_REFERENCE, m=3, n=1000, seed=42)
-    traces = simulator.run_repetitions(cfg, 10_000, workers=4)
+    traces = simulator.run_repetitions(cfg, 10_000)
     ref_rng = sample_stream(999, 0)
     reference = np.array([robustness.sample_deviation(ref_rng) for _ in range(200_000)])
     for k in (1, 2):
@@ -310,7 +306,7 @@ def test_refined_process_follows_total_penalty_law():
         time_refinement=True,
         extra_trials=500_000,
     )
-    traces = simulator.run_repetitions(cfg, 10_000, workers=4)
+    traces = simulator.run_repetitions(cfg, 10_000)
     realized = np.array([t.iterations[-1].trace_cov / t.planned_v_m for t in traces])
     reference = np.empty(100_000)
     for j in range(reference.size):
@@ -350,7 +346,7 @@ def test_bell_trace_carries_counts():
 
 def test_bell_mean_ratio_tracks_plan():
     cfg = ref_config(m=1, n=2000, backend="bell", seed=6)
-    traces = simulator.run_repetitions(cfg, 200, workers=4)
+    traces = simulator.run_repetitions(cfg, 200)
     assert not any(t.aborted for t in traces)
     ratio = np.mean([t.realized_sq_error for t in traces]) / traces[0].planned_v_m
     assert 0.8 < ratio < 1.25

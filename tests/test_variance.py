@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hamest import core, qfim, variance
-from hamest.errors import DegenerateSpectrum, DomainError, SingularQfim
+from hamest.errors import DegenerateSpectrum, DivergentTime, DomainError, SingularQfim
 
 HF_RTOL = 1e-6
 CLOSED_FORM_RTOL = 1e-8
@@ -68,6 +68,9 @@ def test_sensitivities_match_eigenvalue_fd():
 def test_sensitivities_degenerate_raises():
     with pytest.raises(DegenerateSpectrum):
         variance.spectral_sensitivities(core.get_model("pauli"), (0.0, 0.0, 0.0))
+    # passes the relative gap test, but the xi coefficients would overflow
+    with pytest.raises(DegenerateSpectrum):
+        variance.spectral_sensitivities(core.get_model("pauli"), (1e-300, 0.0, 0.0))
 
 
 def test_xi_gauge_invariance():
@@ -119,8 +122,9 @@ def test_variances_match_inverse_information():
 
 def test_variances_degenerate_fallback():
     t, n = 1.5, 10
-    v = variance.estimator_variances(core.get_model("pauli"), (0.0, 0.0, 0.0), t, n)
-    assert_allclose(v, np.full(3, 1.0 / (4 * n * t**2)), rtol=1e-12)
+    for alpha in ((0.0, 0.0, 0.0), (1e-300, 0.0, 0.0)):
+        v = variance.estimator_variances(core.get_model("pauli"), alpha, t, n)
+        assert_allclose(v, np.full(3, 1.0 / (4 * n * t**2)), rtol=1e-12)
 
 
 def test_btp_field_variance_heisenberg():
@@ -197,6 +201,47 @@ def test_curve_pole_rows_flagged_not_dropped():
     assert rows[1].flag == "pole"
     assert math.isnan(rows[1].v1) and math.isnan(rows[1].v3)
     assert rows[0].flag == "" and rows[2].flag == ""
+
+
+def test_curve_rows_match_pointwise_variances():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        model, alpha = random_case(rng)
+        gap = variance.spectral_sensitivities(model, alpha).gap
+        pole_times = [2.0 * math.pi * k / gap for k in (1, 2)]
+        grid = sorted(
+            list(rng.uniform(0.05, 3.0 * pole_times[0], 12))
+            + pole_times
+            + [pole_times[0] + 5e-7, pole_times[1] + 1e-12]
+        )
+        for r in variance.variance_curve(model, alpha, grid, 7):
+            near_grid_pole = min(abs(r.t - tp) for tp in pole_times) < variance.POLE_TIME_ATOL
+            try:
+                v = variance.estimator_variances(model, alpha, r.t, 7)
+            except DivergentTime:
+                assert r.flag == "pole"
+                continue
+            if near_grid_pole:
+                assert r.flag == "pole"
+            else:
+                assert r.flag == ""
+                assert (r.v1, r.v2, r.v3) == tuple(v)
+
+
+def test_curve_evaluates_model_once():
+    calls = []
+
+    def pauli_map(alpha):
+        calls.append(1)
+        return np.asarray(alpha, dtype=float) ** 3
+
+    model = core.custom_model(pauli_map)
+    counts = []
+    for points in (2, 60):
+        calls.clear()
+        variance.variance_curve(model, (0.8, -0.7, 0.9), np.linspace(0.1, 6.0, points), 10)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_curve_btp_field_column_heisenberg_scaling():
