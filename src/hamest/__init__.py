@@ -21,7 +21,6 @@ from .errors import (
     DivergentTime,
     DomainError,
     EstimationError,
-    IndexOutOfRange,
     MleNonconvergence,
     NoContraction,
     NonHermitianInput,
@@ -31,10 +30,8 @@ from .errors import (
 from .qfim import (
     Covariance3,
     QfimMatrix,
-    bell_cfi,
     covariance_from_qfim,
     generator,
-    generator_oracle,
     qfim_entangled,
     qfim_weighted_initial,
     reparameterize_covariance,
@@ -46,7 +43,6 @@ from .variance import (
     SpectralSensitivities,
     XiCoefficients,
     estimator_variances,
-    qfim_spectral_form,
     spectral_sensitivities,
     variance_curve,
     variance_envelope,

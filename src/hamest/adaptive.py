@@ -221,8 +221,9 @@ def plan_schedule(
     for its incoming uncertainty; the ceiling can overshoot target_v, in
     which case the full iterations run and v_m reports the overshoot.
     """
-    if not 0.0 < v0 < math.inf:
-        raise DomainError(f"initial variance must be positive and finite, got {v0}")
+    # 4 * v0 is the first gap-squared uncertainty; past ~4.5e307 it overflows.
+    if not 0.0 < 4.0 * v0 < math.inf:
+        raise DomainError(f"initial variance must be positive with 4 * v0 finite, got {v0}")
     g = g0()
     if n < 1 or gain(g) / n >= 1.0:
         raise NoContraction(

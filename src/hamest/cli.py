@@ -41,26 +41,23 @@ from .simulator import ExperimentConfig, run_repetitions
 SCHEMA_VERSION = 1
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """json.dumps hook for the non-JSON types in output documents."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
+        return obj.tolist()
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit_json(doc: dict, stream) -> None:
     payload = {"schema_version": SCHEMA_VERSION}
-    payload.update(_jsonable(doc))
-    stream.write(json.dumps(payload, indent=2))
+    payload.update(doc)
+    stream.write(json.dumps(payload, indent=2, default=_json_default))
     stream.write("\n")
 
 

@@ -19,10 +19,6 @@ class NonHermitianInput(DomainError):
     """A matrix that must be Hermitian is not, beyond tolerance."""
 
 
-class IndexOutOfRange(DomainError):
-    """A parameter index is not in {1, 2, 3}."""
-
-
 class DegenerateSpectrum(DomainError):
     """The Hamiltonian gap is zero (or numerically so) where a gap is required."""
 

@@ -5,9 +5,8 @@ The production QFIM path is the trace formula
     F_ij = 2 Tr(h_i h_j) - Tr(h_i) Tr(h_j)
 
 on the generators h_i(t) of the extended (probe + maximally entangled
-ancilla) scheme. The generators come from the spectral closed form; the
-quadrature oracle `generator_oracle` integrates the defining integral
-directly and exists for tests.
+ancilla) scheme. The generators come from the spectral closed form, all three
+from one evaluation of the model and one spectral decomposition.
 
 Eigenvector derivatives are never taken numerically. Where a derivative of an
 eigenstate is needed it is computed with first-order perturbation theory,
@@ -20,20 +19,13 @@ import numpy as np
 
 from .core import (
     HamiltonianModel,
+    ModelEvaluation,
+    SpectralDecomposition2,
     model_evaluate,
     pauli_compose,
-    pauli_decompose,
     spectral_decompose,
-    evolve_unitary,
 )
-from .errors import (
-    DomainError,
-    EstimationError,
-    IndexOutOfRange,
-    SingularJacobian,
-    SingularQfim,
-)
-from .util import fd_step
+from .errors import DomainError, EstimationError, SingularJacobian, SingularQfim
 
 QFIM_SYMMETRY_ATOL = 1e-10
 # Minimum eigenvalue must satisfy min >= -1e-10 * max(1, max eigenvalue).
@@ -41,17 +33,14 @@ QFIM_PSD_RTOL = 1e-10
 QFIM_INVERTIBLE_RTOL = 1e-12
 # Below |dE|*|t| = 1e-8 the generator takes its degenerate limit t * dH.
 GENERATOR_LIMIT_THRESHOLD = 1e-8
-BELL_PROBABILITY_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
 class QfimMatrix:
-    """3x3 quantum Fisher information matrix with its evaluation context."""
+    """3x3 quantum Fisher information matrix at evolution time t."""
 
     m: np.ndarray
     t: float
-    model: str = ""
-    alpha: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -63,8 +52,10 @@ class Covariance3:
     t: float
 
 
-def _validated_qfim(m, t, model="", alpha=()) -> QfimMatrix:
+def _validated_qfim(m, t) -> QfimMatrix:
     m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise DomainError("QFIM entries are not finite; the evolution time or field is too large")
     asym = np.max(np.abs(m - m.T))
     if asym > QFIM_SYMMETRY_ATOL:
         raise EstimationError(f"QFIM symmetry violated by {asym:.3e}")
@@ -75,82 +66,64 @@ def _validated_qfim(m, t, model="", alpha=()) -> QfimMatrix:
         raise EstimationError(
             f"QFIM positive semi-definiteness violated: min eigenvalue {eigs[0]:.3e}"
         )
-    return QfimMatrix(m=m, t=float(t), model=model, alpha=tuple(np.asarray(alpha).tolist()))
+    return QfimMatrix(m=m, t=float(t))
 
 
-def generator(model: HamiltonianModel, alpha, i: int, t: float) -> np.ndarray:
-    """Generator h_i(t) of the parameter translation, as a Hermitian matrix.
+def _spectral_derivatives(ev: ModelEvaluation, spec: SpectralDecomposition2):
+    """(dE, c01) at a point with a nonzero gap: the Hellmann-Feynman level
+    derivatives dE[l, i] = <E_l|d_i H|E_l>, shape (2, 3), and the perturbative
+    overlaps c01[i] = <E0|d_i H|E1> / (E1 - E0) = <E0|d_i E1>, shape (3,)."""
+    dE = np.empty((2, 3))
+    c01 = np.empty(3, dtype=complex)
+    for i in range(3):
+        dh = pauli_compose(ev.jac[:, i])
+        dE[0, i] = (spec.v0.conj() @ dh @ spec.v0).real
+        dE[1, i] = (spec.v1.conj() @ dh @ spec.v1).real
+        c01[i] = (spec.v0.conj() @ dh @ spec.v1) / (spec.e1 - spec.e0)
+    return dE, c01
+
+
+def generator(model: HamiltonianModel, alpha, t: float) -> np.ndarray:
+    """Generators h_1(t), h_2(t), h_3(t) of the parameter translations, stacked
+    as a (3, 2, 2) array of Hermitian matrices.
 
     Spectral closed form: diagonal terms t * (d_i E_l) |E_l><E_l| plus
     oscillatory off-diagonal terms built from <E0|d_i E1>. When |dE|*|t| is
     below threshold (degenerate or zero Hamiltonian) the limit t * d_i H is
-    returned.
+    returned. The model is evaluated and decomposed once for all three.
     """
-    if i not in (1, 2, 3):
-        raise IndexOutOfRange(f"parameter index must be 1, 2, or 3, got {i}")
     if not np.isfinite(t):
         raise DomainError("time must be finite")
     ev = model_evaluate(model, alpha)
-    dh = pauli_compose(ev.jac[:, i - 1])
     spec = spectral_decompose(ev.h)
     if spec.gap * abs(t) < GENERATOR_LIMIT_THRESHOLD:
-        return t * dh
-    d0 = (spec.v0.conj() @ dh @ spec.v0).real
-    d1 = (spec.v1.conj() @ dh @ spec.v1).real
-    # First-order perturbation theory for <E0|d_i E1>.
-    c01 = (spec.v0.conj() @ dh @ spec.v1) / (spec.e1 - spec.e0)
+        return np.stack([t * pauli_compose(ev.jac[:, i]) for i in range(3)])
+    dE, c01 = _spectral_derivatives(ev, spec)
     p0 = np.outer(spec.v0, spec.v0.conj())
     p1 = np.outer(spec.v1, spec.v1.conj())
-    off = 1j * (np.exp(1j * spec.gap * t) - 1.0) * c01 * np.outer(spec.v0, spec.v1.conj())
-    return t * d0 * p0 + t * d1 * p1 + off + off.conj().T
-
-
-def generator_oracle(
-    model: HamiltonianModel, alpha, i: int, t: float, steps: int = 200
-) -> np.ndarray:
-    """Quadrature oracle for the generator: composite Simpson on the integral
-
-        h_i(t) = int_0^t exp(iH tau) (d_i H) exp(-iH tau) d tau.
-
-    Test-only route, deliberately independent of the spectral closed form.
-    """
-    if i not in (1, 2, 3):
-        raise IndexOutOfRange(f"parameter index must be 1, 2, or 3, got {i}")
-    if steps < 100:
-        raise DomainError("oracle quadrature needs at least 100 panels")
-    ev = model_evaluate(model, alpha)
-    dh = pauli_compose(ev.jac[:, i - 1])
-    if t == 0.0:
-        return np.zeros((2, 2), dtype=complex)
-    panels = steps + (steps % 2)
-    tau = np.linspace(0.0, t, panels + 1)
-    trace_part, b = pauli_decompose(ev.h)
-    theta = np.linalg.norm(b) * tau
-    # sin(|b| tau)/|b| via sinc, exact in the |b| -> 0 limit
-    radial = np.sinc(theta / np.pi) * tau
-    phase = np.exp(-1j * trace_part * tau)
-    u = phase[:, None, None] * (
-        np.cos(theta)[:, None, None] * np.eye(2, dtype=complex)
-        - 1j * radial[:, None, None] * pauli_compose(b)
-    )
-    integrand = np.einsum("sba,bc,scd->sad", u.conj(), dh, u)
-    weights = np.full(panels + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    return np.tensordot(weights, integrand, axes=(0, 0)) * (t / panels / 3.0)
+    p01 = np.outer(spec.v0, spec.v1.conj())
+    phase = 1j * (np.exp(1j * spec.gap * t) - 1.0)
+    hs = np.empty((3, 2, 2), dtype=complex)
+    for i in range(3):
+        # Per-index scalar arithmetic: vectorising over i changes last bits.
+        off = phase * c01[i] * p01
+        hs[i] = t * dE[0, i] * p0 + t * dE[1, i] * p1 + off + off.conj().T
+    return hs
 
 
 def qfim_entangled(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
     """QFIM for the maximally entangled probe+ancilla input, trace formula."""
-    hs = [generator(model, alpha, i, t) for i in (1, 2, 3)]
+    hs = generator(model, alpha, t)
     traces = [np.trace(h).real for h in hs]
     m = np.empty((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            val = 2.0 * np.trace(hs[a] @ hs[b]).real - traces[a] * traces[b]
-            m[a, b] = val
-            m[b, a] = val
-    return _validated_qfim(m, t, model.name, alpha)
+    # An overflow is reported once, as the DomainError of _validated_qfim.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(3):
+            for b in range(a, 3):
+                val = 2.0 * np.trace(hs[a] @ hs[b]).real - traces[a] * traces[b]
+                m[a, b] = val
+                m[b, a] = val
+    return _validated_qfim(m, t)
 
 
 def qfim_weighted_initial(model: HamiltonianModel, alpha, t: float, x: float) -> QfimMatrix:
@@ -160,27 +133,28 @@ def qfim_weighted_initial(model: HamiltonianModel, alpha, t: float, x: float) ->
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"weight x must lie in [0, 1], got {x}")
-    hs = [generator(model, alpha, i, t) for i in (1, 2, 3)]
+    hs = generator(model, alpha, t)
     m = np.empty((3, 3))
-    for a in range(3):
-        ha = hs[a]
-        mean_a = x * ha[0, 0].real + (1.0 - x) * ha[1, 1].real
-        for b in range(a, 3):
-            hb = hs[b]
-            mean_b = x * hb[0, 0].real + (1.0 - x) * hb[1, 1].real
-            second = (
-                x * (ha[0, 0] * hb[0, 0] + ha[0, 1] * hb[1, 0])
-                + (1.0 - x) * (ha[1, 0] * hb[0, 1] + ha[1, 1] * hb[1, 1])
-            ).real
-            val = 4.0 * (second - mean_a * mean_b)
-            m[a, b] = val
-            m[b, a] = val
-    return _validated_qfim(m, t, model.name, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(3):
+            ha = hs[a]
+            mean_a = x * ha[0, 0].real + (1.0 - x) * ha[1, 1].real
+            for b in range(a, 3):
+                hb = hs[b]
+                mean_b = x * hb[0, 0].real + (1.0 - x) * hb[1, 1].real
+                second = (
+                    x * (ha[0, 0] * hb[0, 0] + ha[0, 1] * hb[1, 0])
+                    + (1.0 - x) * (ha[1, 0] * hb[0, 1] + ha[1, 1] * hb[1, 1])
+                ).real
+                val = 4.0 * (second - mean_a * mean_b)
+                m[a, b] = val
+                m[b, a] = val
+    return _validated_qfim(m, t)
 
 
 def weak_commutativity_residual(model: HamiltonianModel, alpha, t: float) -> float:
     """max_ij |Im Tr(h_i h_j) / 2|, the entangled-input commutativity residual."""
-    hs = [generator(model, alpha, i, t) for i in (1, 2, 3)]
+    hs = generator(model, alpha, t)
     worst = 0.0
     for a in range(3):
         for b in range(3):
@@ -236,7 +210,7 @@ def reparameterize_qfim(f: QfimMatrix, jac, direction: str) -> QfimMatrix:
         m = inv.T @ f.m @ inv
     else:
         raise DomainError(f"unknown direction {direction!r}")
-    return _validated_qfim(m, f.t, f.model, f.alpha)
+    return _validated_qfim(m, f.t)
 
 
 def reparameterize_covariance(c: Covariance3, jac, direction: str) -> Covariance3:
@@ -250,65 +224,3 @@ def reparameterize_covariance(c: Covariance3, jac, direction: str) -> Covariance
     else:
         raise DomainError(f"unknown direction {direction!r}")
     return Covariance3(m=m, n=c.n, t=c.t)
-
-
-def bell_cfi(model: HamiltonianModel, alpha, t: float) -> np.ndarray:
-    """Classical Fisher information of the Bell-basis measurement.
-
-    Outcome probabilities are differentiated by central differences in the
-    original parameters.  An outcome whose probability falls below 1e-14
-    vanishes (at least) quadratically in the parameters, so the ratio
-    (d_i p)(d_j p)/p has the removable limit 2 d_i d_j p; that Hessian term,
-    also by central differences, replaces the singular quotient there.
-    """
-    from .simulator import bell_probabilities
-
-    alpha = np.asarray(alpha, dtype=float)
-
-    def probs(a):
-        if model.domain_check is not None:
-            model.domain_check(a)
-        return bell_probabilities(np.asarray(model.pauli_map(a), dtype=float), t)
-
-    p0 = probs(alpha)
-    steps = np.array([fd_step(alpha[i]) for i in range(3)])
-    p_up = np.empty((3, 4))
-    p_dn = np.empty((3, 4))
-    for i in range(3):
-        up = np.array(alpha)
-        dn = np.array(alpha)
-        up[i] += steps[i]
-        dn[i] -= steps[i]
-        p_up[i] = probs(up)
-        p_dn[i] = probs(dn)
-    dp = (p_up - p_dn) / (2.0 * steps[:, None])
-
-    low = p0 < BELL_PROBABILITY_FLOOR
-    cfi = np.zeros((3, 3))
-    for k in range(4):
-        if not low[k]:
-            cfi += np.outer(dp[:, k], dp[:, k]) / p0[k]
-    if not np.any(low):
-        return cfi
-
-    # Limiting contribution of the vanishing outcomes: 2 * Hessian of p_k.
-    hess = np.zeros((4, 3, 3))
-    for i in range(3):
-        hess[:, i, i] = (p_up[i] + p_dn[i] - 2.0 * p0) / steps[i] ** 2
-    for i in range(3):
-        for j in range(i + 1, 3):
-            shifted = []
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                a = np.array(alpha)
-                a[i] += si * steps[i]
-                a[j] += sj * steps[j]
-                shifted.append(probs(a))
-            mixed = (shifted[0] - shifted[1] - shifted[2] + shifted[3]) / (
-                4.0 * steps[i] * steps[j]
-            )
-            hess[:, i, j] = mixed
-            hess[:, j, i] = mixed
-    for k in range(4):
-        if low[k]:
-            cfi += 2.0 * hess[k]
-    return cfi

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HamiltonianModel, model_evaluate, pauli_compose, spectral_decompose
+from .core import HamiltonianModel, model_evaluate, spectral_decompose
 from .errors import DegenerateSpectrum, DivergentTime, DomainError, SingularQfim
 from .util import csc_squared, near_pole
-from .qfim import QfimMatrix, _validated_qfim, covariance_from_qfim, qfim_entangled
+from .qfim import _spectral_derivatives, covariance_from_qfim, qfim_entangled
 
 DEGENERACY_RTOL = 1e-10
 # The xi coefficients are quartic in the overlaps <E0|d_i E1> ~ |d_i H| / dE;
@@ -74,13 +74,7 @@ def spectral_sensitivities(model: HamiltonianModel, alpha) -> SpectralSensitivit
         raise DegenerateSpectrum(
             f"spectral gap {spec.gap:.3e} too small relative to |H| = {scale:.3e}"
         )
-    dE = np.empty((2, 3))
-    c01 = np.empty(3, dtype=complex)
-    for i in range(3):
-        dh = pauli_compose(ev.jac[:, i])
-        dE[0, i] = (spec.v0.conj() @ dh @ spec.v0).real
-        dE[1, i] = (spec.v1.conj() @ dh @ spec.v1).real
-        c01[i] = (spec.v0.conj() @ dh @ spec.v1) / (spec.e1 - spec.e0)
+    dE, c01 = _spectral_derivatives(ev, spec)
     if np.max(np.abs(c01)) > OVERLAP_LIMIT:
         raise DegenerateSpectrum(
             f"spectral gap {spec.gap:.3e} too small: perturbative overlaps exceed {OVERLAP_LIMIT:.0e}"
@@ -105,19 +99,6 @@ def xi_coefficients(sens: SpectralSensitivities) -> XiCoefficients:
         xi2[i] = 16.0 * (mu[k] * nu[j] - mu[j] * nu[k]) ** 2
     xi3 = 16.0 * float(mu @ np.cross(d, nu)) ** 2
     return XiCoefficients(xi1=xi1, xi2=xi2, xi3=xi3)
-
-
-def qfim_spectral_form(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
-    """QFIM assembled from spectral sensitivities:
-
-        F = t^2 d d^T + 16 sin^2(dE t / 2) (mu mu^T + nu nu^T).
-
-    Independent route used to cross-check the generator trace formula.
-    """
-    s = spectral_sensitivities(model, alpha)
-    osc = 16.0 * np.sin(s.gap * t / 2.0) ** 2
-    m = t * t * np.outer(s.dgap, s.dgap) + osc * (np.outer(s.mu, s.mu) + np.outer(s.nu, s.nu))
-    return _validated_qfim(m, t, model.name, alpha)
 
 
 def _check_time(t: float) -> None:

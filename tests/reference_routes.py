@@ -1,0 +1,115 @@
+"""Independent routes to the information quantities: the references that the
+tests compare the library's production routes against."""
+
+import numpy as np
+
+from hamest.core import HamiltonianModel, model_evaluate, pauli_compose, pauli_decompose
+from hamest.errors import DomainError
+from hamest.qfim import QfimMatrix, _validated_qfim
+from hamest.simulator import bell_probabilities
+from hamest.util import fd_step
+from hamest.variance import spectral_sensitivities
+
+BELL_PROBABILITY_FLOOR = 1e-14
+
+
+def generator_oracle(
+    model: HamiltonianModel, alpha, i: int, t: float, steps: int = 200
+) -> np.ndarray:
+    """Quadrature oracle for the generator: composite Simpson on the integral
+
+        h_i(t) = int_0^t exp(iH tau) (d_i H) exp(-iH tau) d tau.
+    """
+    if steps < 100:
+        raise DomainError("oracle quadrature needs at least 100 panels")
+    ev = model_evaluate(model, alpha)
+    dh = pauli_compose(ev.jac[:, i - 1])
+    if t == 0.0:
+        return np.zeros((2, 2), dtype=complex)
+    panels = steps + (steps % 2)
+    tau = np.linspace(0.0, t, panels + 1)
+    trace_part, b = pauli_decompose(ev.h)
+    theta = np.linalg.norm(b) * tau
+    # sin(|b| tau)/|b| via sinc, exact in the |b| -> 0 limit
+    radial = np.sinc(theta / np.pi) * tau
+    phase = np.exp(-1j * trace_part * tau)
+    u = phase[:, None, None] * (
+        np.cos(theta)[:, None, None] * np.eye(2, dtype=complex)
+        - 1j * radial[:, None, None] * pauli_compose(b)
+    )
+    integrand = np.einsum("sba,bc,scd->sad", u.conj(), dh, u)
+    weights = np.full(panels + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    return np.tensordot(weights, integrand, axes=(0, 0)) * (t / panels / 3.0)
+
+
+def qfim_spectral_form(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
+    """QFIM assembled from spectral sensitivities:
+
+        F = t^2 d d^T + 16 sin^2(dE t / 2) (mu mu^T + nu nu^T).
+    """
+    s = spectral_sensitivities(model, alpha)
+    osc = 16.0 * np.sin(s.gap * t / 2.0) ** 2
+    m = t * t * np.outer(s.dgap, s.dgap) + osc * (np.outer(s.mu, s.mu) + np.outer(s.nu, s.nu))
+    return _validated_qfim(m, t)
+
+
+def bell_cfi(model: HamiltonianModel, alpha, t: float) -> np.ndarray:
+    """Classical Fisher information of the Bell-basis measurement.
+
+    Outcome probabilities are differentiated by central differences in the
+    original parameters.  An outcome whose probability falls below 1e-14
+    vanishes (at least) quadratically in the parameters, so the ratio
+    (d_i p)(d_j p)/p has the removable limit 2 d_i d_j p; that Hessian term,
+    also by central differences, replaces the singular quotient there.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+
+    def probs(a):
+        if model.domain_check is not None:
+            model.domain_check(a)
+        return bell_probabilities(np.asarray(model.pauli_map(a), dtype=float), t)
+
+    p0 = probs(alpha)
+    steps = np.array([fd_step(alpha[i]) for i in range(3)])
+    p_up = np.empty((3, 4))
+    p_dn = np.empty((3, 4))
+    for i in range(3):
+        up = np.array(alpha)
+        dn = np.array(alpha)
+        up[i] += steps[i]
+        dn[i] -= steps[i]
+        p_up[i] = probs(up)
+        p_dn[i] = probs(dn)
+    dp = (p_up - p_dn) / (2.0 * steps[:, None])
+
+    low = p0 < BELL_PROBABILITY_FLOOR
+    cfi = np.zeros((3, 3))
+    for k in range(4):
+        if not low[k]:
+            cfi += np.outer(dp[:, k], dp[:, k]) / p0[k]
+    if not np.any(low):
+        return cfi
+
+    # Limiting contribution of the vanishing outcomes: 2 * Hessian of p_k.
+    hess = np.zeros((4, 3, 3))
+    for i in range(3):
+        hess[:, i, i] = (p_up[i] + p_dn[i] - 2.0 * p0) / steps[i] ** 2
+    for i in range(3):
+        for j in range(i + 1, 3):
+            shifted = []
+            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                a = np.array(alpha)
+                a[i] += si * steps[i]
+                a[j] += sj * steps[j]
+                shifted.append(probs(a))
+            mixed = (shifted[0] - shifted[1] - shifted[2] + shifted[3]) / (
+                4.0 * steps[i] * steps[j]
+            )
+            hess[:, i, j] = mixed
+            hess[:, j, i] = mixed
+    for k in range(4):
+        if low[k]:
+            cfi += 2.0 * hess[k]
+    return cfi

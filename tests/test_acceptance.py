@@ -13,8 +13,10 @@ from scipy import integrate
 
 from hamest import adaptive, robustness, simulator, variance
 from hamest.core import btp_model, pauli_model
-from hamest.qfim import generator_oracle, qfim_entangled, qfim_weighted_initial, weak_commutativity_residual
+from hamest.qfim import qfim_entangled, qfim_weighted_initial, weak_commutativity_residual
 from hamest.util import csc_squared, sample_stream
+
+from reference_routes import generator_oracle
 
 PAULI = pauli_model()
 BTP = btp_model()

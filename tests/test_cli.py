@@ -389,6 +389,8 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
         ["schedule", "--v0", "inf", "--n", "1000", "--m", "3"],
         ["robustness", "total", "--m", "3", "--samples", "10000", "--seed", str(2**64)],
         ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "1", "--seed", str(2**64)],
+        ["qfim", "--alpha", "0.8,-0.4,0.3", "--t", "1e200"],
+        ["schedule", "--v0", "1e308", "--n", "1000", "--m", "3"],
     ],
 )
 def test_invalid_numeric_input_exits_two(capsys, argv):
