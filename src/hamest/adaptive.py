@@ -263,6 +263,10 @@ def plan_schedule(
     large_n_v = (g / (rho - 1.0)) ** 2 / (t_par * t_par) if rho > 1.0 else math.inf
     sum_t_sq = sum(r.t * r.t for r in records)
     _, v_oc = optimal_control_baseline(n, math.sqrt(sum_t_sq))
+    # The ratio v_m / v_oc needs both as positive normal floats.
+    for name, v in (("v_m", v_m), ("v_oc", v_oc)):
+        if not np.finfo(float).tiny <= v < math.inf:
+            raise DomainError(f"schedule underflows: {name} = {v} is not a positive normal float")
     asymptotic = 4.0 * g * g * gain(g) / 3.0
     return AdaptiveSchedule(
         v0=float(v0),

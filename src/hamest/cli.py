@@ -18,6 +18,7 @@ internal invariant failures.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -107,7 +108,9 @@ def _check_threads(args) -> None:
 
 
 def _open_out(path):
-    return open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+    if path:
+        return open(path, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _cmd_qfim(args) -> int:
@@ -163,17 +166,13 @@ def _cmd_variance_curve(args) -> int:
         raise DomainError("need 0 < t-start < t-stop")
     grid = np.linspace(args.t_start, args.t_stop, args.points)
     rows = variance.variance_curve(model, args.alpha, grid, args.n)
-    out = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         w = _csv_writer(out)
         w.writerow(["t", "v1", "v2", "v3", "envelope", "infimum", "flag"])
         for r in rows:
             w.writerow(
                 [_fmt(r.t), _fmt(r.v1), _fmt(r.v2), _fmt(r.v3), _fmt(r.envelope), _fmt(r.infimum), r.flag]
             )
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -205,32 +204,24 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_robustness_single(args) -> int:
-    out = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         w = _csv_writer(out)
         w.writerow(["D", "R", "pdf"])
         for d in args.grid:
             w.writerow([_fmt(d), _fmt(robustness.ratio_single(d)), _fmt(robustness.deviation_pdf(d))])
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
 def _cmd_robustness_total(args) -> int:
     _check_threads(args)
     summary = robustness.robustness_mc(args.m, args.samples, args.seed)
-    out = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         w = _csv_writer(out)
         w.writerow(["statistic", "value"])
         w.writerow(["mean", _fmt(summary.mean)])
         w.writerow(["p_below_one", _fmt(summary.p_below_one)])
         for decile, value in zip(range(10, 100, 10), summary.deciles):
             w.writerow([f"decile_{decile}", _fmt(value)])
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 

@@ -185,7 +185,9 @@ def model_evaluate(model: HamiltonianModel, alpha) -> ModelEvaluation:
         jac = np.asarray(model.jacobian(alpha), dtype=float)
     else:
         jac = central_difference_jacobian(model.pauli_map, alpha)
-    singular = bool(abs(np.linalg.det(jac)) < SINGULAR_JACOBIAN_TOL)
+    # An overflowing |det J| is not singular.
+    with np.errstate(over="ignore"):
+        singular = bool(abs(np.linalg.det(jac)) < SINGULAR_JACOBIAN_TOL)
     return ModelEvaluation(h=pauli_compose(f), f=f, jac=jac, jacobian_singular=singular)
 
 

@@ -92,10 +92,10 @@ def generator(model: HamiltonianModel, alpha, t: float) -> np.ndarray:
     below threshold (degenerate or zero Hamiltonian) the limit t * d_i H is
     returned. The model is evaluated and decomposed once for all three.
     """
-    if not np.isfinite(t):
-        raise DomainError("time must be finite")
     ev = model_evaluate(model, alpha)
     spec = spectral_decompose(ev.h)
+    if not np.isfinite(spec.gap * t):
+        raise DomainError(f"phase gap * t must be finite, got t = {t} at gap {spec.gap}")
     if spec.gap * abs(t) < GENERATOR_LIMIT_THRESHOLD:
         return np.stack([t * pauli_compose(ev.jac[:, i]) for i in range(3)])
     dE, c01 = _spectral_derivatives(ev, spec)

@@ -49,7 +49,8 @@ class ExperimentConfig:
     beta0_bound defaults to |beta0_guess| and seeds the planned schedule
     through dE2_1 = 4 bound^2. pi0 is the target phase used by time
     refinement (defaults to the optimal phase g0). extra_trials is the
-    budget of the refinement measurement (defaults to n).
+    budget of the refinement measurement (defaults to n; a Bell fit takes
+    at least BELL_MIN_TRIALS).
     """
 
     beta_true: tuple
@@ -86,6 +87,11 @@ class ExperimentConfig:
             object.__setattr__(self, "beta0_guess", tuple(guess.tolist()))
         if self.beta0_bound is not None and not self.beta0_bound > 0.0:
             raise DomainError("beta0_bound must be positive")
+        # dE2_1 = 4 bound^2 seeds the schedule: the same rule as plan_schedule.
+        with np.errstate(over="ignore"):
+            bound = float(self.beta0_bound or np.linalg.norm(self.resolved_guess()))
+        if not 4.0 * (bound * bound) < math.inf:
+            raise DomainError(f"prior bound must have 4 * bound^2 finite, got {bound}")
         if self.pi0 is not None and not 0.0 < self.pi0 < math.pi:
             raise DomainError("pi0 must lie in (0, pi)")
 
@@ -106,7 +112,8 @@ class ExperimentConfig:
         return float(self.pi0) if self.pi0 is not None else g0()
 
     def resolved_extra(self) -> int:
-        return int(self.extra_trials) if self.extra_trials is not None else int(self.n)
+        extra = int(self.extra_trials) if self.extra_trials is not None else int(self.n)
+        return max(extra, BELL_MIN_TRIALS) if self.backend == "bell" else extra
 
 
 @dataclass(frozen=True)
@@ -185,36 +192,10 @@ def sample_counts(p, n: int, rng: np.random.Generator) -> BellOutcomeCounts:
     return BellOutcomeCounts(counts=tuple(int(c) for c in counts), n=int(n))
 
 
-def _operating_residual(delta_beta_true: np.ndarray, model_magnitude: float | None) -> np.ndarray:
-    if model_magnitude is None:
-        return delta_beta_true
-    if not model_magnitude > 0.0:
-        raise DomainError("model_magnitude must be positive")
-    norm = float(np.linalg.norm(delta_beta_true))
-    if norm == 0.0:
-        raise DomainError("residual direction is undefined at zero residual")
-    return delta_beta_true * (model_magnitude / norm)
-
-
-def estimate_step_gaussian(
-    delta_beta_true,
-    n: int,
-    t: float,
-    rng: np.random.Generator,
-    model_magnitude: float | None = None,
-) -> np.ndarray:
-    """Draw one iteration's estimation error from its asymptotic covariance.
-
-    The error is C^{1/2} z with the symmetric square root from an
-    eigendecomposition, so estimate = delta_beta_true + returned error. The
-    covariance is evaluated along the true residual direction at magnitude
-    model_magnitude (the operating point the caller's schedule assumes);
-    by default it is evaluated at the true residual itself.
-    """
-    delta_beta_true = np.asarray(delta_beta_true, dtype=float)
-    operating = _operating_residual(delta_beta_true, model_magnitude)
-    cov = iteration_covariance(operating, n, t).m
-    w, v = np.linalg.eigh(cov)
+def estimate_step_gaussian(cov, rng: np.random.Generator) -> np.ndarray:
+    """Draw one iteration's estimation error C^{1/2} z from its covariance cov
+    (a Covariance3), with the symmetric square root from an eigendecomposition."""
+    w, v = np.linalg.eigh(cov.m)
     root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
     return root @ rng.standard_normal(3)
 
@@ -291,21 +272,32 @@ def estimate_step_bell(
     return _fit_bell_counts(np.asarray(bc.counts, dtype=float), t, prior)
 
 
-def run_adaptive_experiment(
-    config: ExperimentConfig, rng: np.random.Generator | None = None, rep: int = 0
-) -> ExperimentTrace:
-    """Run one adaptive estimation experiment.
+def _measure(config: ExperimentConfig, residual, n: int, t: float, magnitude: float, prior, rng):
+    """One measurement of the residual with the config's backend: (estimate,
+    trace_cov, counts). Gaussian: a draw from the covariance along the
+    residual direction at the operating magnitude, and its trace. Bell: n
+    sampled outcomes and their fit, degeneracies resolved toward the prior.
+    """
+    if config.backend == "gaussian":
+        norm = float(np.linalg.norm(residual))
+        if norm == 0.0:
+            raise DomainError("residual direction is undefined at zero residual")
+        cov = iteration_covariance(residual * (magnitude / norm), n, t)
+        return residual + estimate_step_gaussian(cov, rng), float(np.trace(cov.m)), None
+    bc = sample_counts(bell_probabilities(residual, t), n, rng)
+    return _fit_bell_counts(np.asarray(bc.counts, dtype=float), t, prior), None, bc.counts
+
+
+def run_adaptive_experiment(config: ExperimentConfig, rep: int = 0) -> ExperimentTrace:
+    """Run one adaptive estimation experiment on the draw stream (config.seed, rep).
 
     Iteration 1 measures the bare field with no control; every later
     iteration applies the control -beta_hat_{k-1} and estimates the residual
     at the planned (or refined) time. A likelihood fit that fails to
     converge aborts the run and returns the trace collected so far with the
     aborted flag set.
-
-    By default the draw stream is (config.seed, rep); pass rng to override.
     """
-    if rng is None:
-        rng = sample_stream(config.seed, rep)
+    rng = sample_stream(config.seed, rep)
     beta_true = np.asarray(config.beta_true, dtype=float)
     bound = config.resolved_bound()
     contraction = gain(g0()) / config.n
@@ -316,55 +308,32 @@ def run_adaptive_experiment(
     dE2_plan = 4.0 * v0
     records = []
     aborted = False
-    prev_estimate = None
-    prev_settings = None  # (residual_true, t, trace_cov, model_magnitude)
+    prev_trace_cov = None
     for k in range(1, config.m + 1):
         control = -beta_hat
-        residual_true = beta_true + control
+        residual = beta_true + control
         t_plan = optimal_time(dE2_plan)
-        t_k = t_plan
-        n_k = config.n
-        model_mag = math.sqrt(dE2_plan) / 2.0
+        t_k, n_k = t_plan, config.n
+        magnitude = math.sqrt(dE2_plan) / 2.0
+        prior = config.resolved_guess() if k == 1 else np.zeros(3)
         try:
-            if k >= 2 and config.time_refinement and prev_settings is not None:
-                budget = config.n * t_plan
-                prev_residual, prev_t, _, prev_mag = prev_settings
-                extra = config.resolved_extra()
-                if config.backend == "gaussian":
-                    second = prev_residual + estimate_step_gaussian(
-                        prev_residual, extra, prev_t, rng, prev_mag
-                    )
-                else:
-                    second = estimate_step_bell(
-                        prev_residual, max(extra, BELL_MIN_TRIALS), prev_t, prev_estimate, rng
-                    )
+            if k >= 2 and config.time_refinement:
+                second, _, _ = _measure(
+                    config, prev_residual, config.resolved_extra(), prev_t,
+                    prev_magnitude, prev_estimate, rng,
+                )
                 omega_tilde = float(np.linalg.norm(prev_estimate - second))
                 if omega_tilde > 0.0:
                     t_k = config.resolved_pi0() / omega_tilde
-                    n_k = max(1, round(budget / t_k))
-                    model_mag = omega_tilde
-
-            counts_out = None
-            if config.backend == "gaussian":
-                err = estimate_step_gaussian(residual_true, n_k, t_k, rng, model_mag)
-                estimate = residual_true + err
-                operating = _operating_residual(residual_true, model_mag)
-                trace_cov = float(np.trace(iteration_covariance(operating, n_k, t_k).m))
-            else:
-                bc = sample_counts(bell_probabilities(residual_true, t_k), n_k, rng)
-                prior = config.resolved_guess() if k == 1 else np.zeros(3)
-                estimate = _fit_bell_counts(np.asarray(bc.counts, dtype=float), t_k, prior)
-                trace_cov = None
-                counts_out = bc.counts
+                    n_k = max(1, round(config.n * t_plan / t_k))
+                    magnitude = omega_tilde
+            estimate, trace_cov, counts = _measure(config, residual, n_k, t_k, magnitude, prior, rng)
         except MleNonconvergence:
             aborted = True
             break
 
-        res_sq = float(residual_true @ residual_true)
-        if k >= 2 and prev_settings is not None and prev_settings[2] is not None:
-            d_factor = res_sq / prev_settings[2]
-        else:
-            d_factor = 4.0 * res_sq / dE2_plan
+        res_sq = float(residual @ residual)
+        d_factor = res_sq / prev_trace_cov if prev_trace_cov is not None else 4.0 * res_sq / dE2_plan
         beta_hat = beta_hat + estimate
         records.append(
             IterationOutcome(
@@ -376,13 +345,13 @@ def run_adaptive_experiment(
                 residual_norm_sq=res_sq,
                 trace_cov=trace_cov,
                 d_factor=float(d_factor),
-                counts=counts_out,
+                counts=counts,
                 beta_hat=tuple(beta_hat.tolist()),
                 error_norm=float(np.linalg.norm(beta_hat - beta_true)),
             )
         )
-        prev_estimate = estimate
-        prev_settings = (residual_true, t_k, trace_cov, model_mag)
+        prev_residual, prev_t, prev_magnitude = residual, t_k, magnitude
+        prev_estimate, prev_trace_cov = estimate, trace_cov
         dE2_plan = dE2_plan * contraction
 
     err = beta_hat - beta_true

@@ -1,6 +1,7 @@
 """CLI surface: output schemas, golden values, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -344,6 +345,20 @@ def test_simulate_bell_below_fit_floor(capsys):
     assert "n >= 100" in err
 
 
+@pytest.mark.parametrize(
+    "extra,digest",
+    [
+        ([], "42a46a6218c54522417abcebd5a92ccaf6ff4942dd38b3ba0d57d55f385a8466"),
+        (["--refine"], "a80b79e2f65c498eb41b781f24de7a5a656116309f6dc440a28aefc8aa131a5b"),
+    ],
+)
+def test_simulate_output_pinned(capsys, extra, digest):
+    argv = ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "3", "--seed", "11", "--reps", "3"]
+    code, out, _ = run_cli(capsys, *argv, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_simulate_seed_required():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "1"])
@@ -391,12 +406,20 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
         ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "1", "--seed", str(2**64)],
         ["qfim", "--alpha", "0.8,-0.4,0.3", "--t", "1e200"],
         ["schedule", "--v0", "1e308", "--n", "1000", "--m", "3"],
+        ["simulate", "--beta0", "0,0,0", "--n", "1000", "--m", "2", "--seed", "1", "--bound", "1"],
+        ["qfim", "--model", "btp", "--alpha", "1e300,0.3,0.2", "--t", "1e10"],
+        ["simulate", "--beta0", "3.0,0.0,1e300", "--n", "2889", "--m", "1", "--seed", "1"],
+        ["simulate", "--beta0", "1e200,0,0", "--n", "2889", "--m", "1", "--seed", "1"],
+        ["simulate", "--beta0", "1e154,0,0", "--n", "2889", "--m", "1", "--seed", "1"],
+        ["schedule", "--v0", "1e-300", "--n", "3211", "--m", "5"],
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_invalid_numeric_input_exits_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+    assert err.count("\n") == 1
 
 
 def test_python_dash_m_runs_cli(capsys):

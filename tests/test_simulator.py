@@ -113,9 +113,10 @@ def test_sample_counts_validation(p, n):
 def test_gaussian_step_reconstruction():
     # same stream, manual C^{1/2} z with the covariance at the operating point
     res = np.array([0.3, -0.2, 0.4])
-    err = simulator.estimate_step_gaussian(res, 200, 1.7, sample_stream(3, 1), model_magnitude=0.9)
     operating = res * (0.9 / np.linalg.norm(res))
-    w, v = np.linalg.eigh(adaptive.iteration_covariance(operating, 200, 1.7).m)
+    cov = adaptive.iteration_covariance(operating, 200, 1.7)
+    err = simulator.estimate_step_gaussian(cov, sample_stream(3, 1))
+    w, v = np.linalg.eigh(cov.m)
     root = v @ np.diag(np.sqrt(w)) @ v.T
     expected = root @ sample_stream(3, 1).standard_normal(3)
     assert_allclose(err, expected, rtol=0.0, atol=0.0)
@@ -124,34 +125,26 @@ def test_gaussian_step_reconstruction():
 def test_gaussian_step_sample_covariance():
     res = np.array([0.3, -0.2, 0.4])
     t = adaptive.g0() / np.linalg.norm(res)
-    cov = adaptive.iteration_covariance(res, 500, t).m
+    cov = adaptive.iteration_covariance(res, 500, t)
     rng = sample_stream(17, 0)
-    errs = np.array([simulator.estimate_step_gaussian(res, 500, t, rng) for _ in range(4000)])
+    errs = np.array([simulator.estimate_step_gaussian(cov, rng) for _ in range(4000)])
     sample = errs.T @ errs / len(errs)
-    assert np.linalg.norm(sample - cov) < 0.15 * np.linalg.norm(cov)
-    assert np.abs(errs.mean(axis=0)).max() < 4.0 * math.sqrt(np.trace(cov) / len(errs))
+    assert np.linalg.norm(sample - cov.m) < 0.15 * np.linalg.norm(cov.m)
+    assert np.abs(errs.mean(axis=0)).max() < 4.0 * math.sqrt(np.trace(cov.m) / len(errs))
 
 
 def test_gaussian_step_deviation_law():
     # |error|^2 / tr(C) at the optimal time follows the control-error law
     res = np.array([0.3, -0.2, 0.4])
     t = adaptive.g0() / np.linalg.norm(res)
-    trace = np.trace(adaptive.iteration_covariance(res, 500, t).m)
+    cov = adaptive.iteration_covariance(res, 500, t)
+    trace = np.trace(cov.m)
     rng = sample_stream(23, 0)
-    factors = np.array(
-        [simulator.estimate_step_gaussian(res, 500, t, rng) for _ in range(4000)]
-    )
+    factors = np.array([simulator.estimate_step_gaussian(cov, rng) for _ in range(4000)])
     factors = np.einsum("ij,ij->i", factors, factors) / trace
     law_rng = sample_stream(24, 0)
     law = np.array([robustness.sample_deviation(law_rng) for _ in range(4000)])
     assert stats.ks_2samp(factors, law).pvalue > 0.01
-
-
-def test_gaussian_step_domain():
-    with pytest.raises(DomainError):
-        simulator.estimate_step_gaussian((0.1, 0.0, 0.0), 100, 1.0, sample_stream(0, 0), -1.0)
-    with pytest.raises(DomainError):
-        simulator.estimate_step_gaussian((0.0, 0.0, 0.0), 100, 1.0, sample_stream(0, 0), 0.5)
 
 
 def test_bell_step_consistency():
@@ -215,6 +208,7 @@ def test_config_zero_prior_needs_explicit_bound():
         {"pi0": 0.0},
         {"pi0": math.pi},
         {"seed": 2**64},
+        {"beta0_bound": 1e200},
     ],
 )
 def test_config_validation(overrides):
@@ -282,6 +276,20 @@ def test_refinement_keeps_time_budget():
         t_plan = adaptive.optimal_time(it.dE2_planned)
         assert it.t != t_plan
         assert it.n_used == max(1, round(cfg.n * t_plan / it.t))
+
+
+@pytest.mark.parametrize("refine,calls", [(False, 3), (True, 5)])
+def test_one_covariance_per_gaussian_measurement(monkeypatch, refine, calls):
+    # m measurements, plus m - 1 refinement measurements with refine
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return adaptive.iteration_covariance(*args)
+
+    monkeypatch.setattr(simulator, "iteration_covariance", counting)
+    simulator.run_adaptive_experiment(ref_config(m=3, time_refinement=refine))
+    assert len(made) == calls
 
 
 def test_iteration_deviation_factors_follow_law():
