@@ -8,6 +8,7 @@ from .core import (
     custom_model,
     evolve_unitary,
     get_model,
+    inverse_jacobian,
     model_evaluate,
     pauli_compose,
     pauli_decompose,

@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BracketFailure,
-    DegenerateInput,
-    DivergentTime,
-    DomainError,
-    NoContraction,
-    SingularJacobian,
-)
+from .core import inverse_jacobian
+from .errors import BracketFailure, DegenerateInput, DivergentTime, DomainError, NoContraction
 from .qfim import Covariance3
 from .util import csc_squared, near_pole
 
@@ -315,11 +309,9 @@ def alpha_variance_bounds(jac, v_m: float, v_oc: float) -> AlphaVarianceBounds:
     jac = np.asarray(jac, dtype=float)
     if jac.shape != (3, 3):
         raise DomainError("Jacobian must be 3x3")
-    if abs(np.linalg.det(jac)) < 1e-12:
-        raise SingularJacobian("Jacobian is singular")
+    k_inv = inverse_jacobian(jac)
     if not v_m > 0.0 or not v_oc > 0.0:
         raise DomainError("variance scales must be positive")
-    k_inv = np.linalg.inv(jac)
     nu_max = np.max(k_inv**2, axis=1)
     mu_max = np.empty(3)
     for i in range(3):

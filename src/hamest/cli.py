@@ -178,26 +178,13 @@ def _cmd_variance_curve(args) -> int:
 
 def _cmd_schedule(args) -> int:
     sched = adaptive.plan_schedule(args.v0, args.n, target_v=args.target, target_m=args.m)
-    scalars = (
-        "v0",
-        "n",
-        "m",
-        "target_v",
-        "g0",
-        "v_m",
-        "t_tot",
-        "t_tot_sequential",
-        "exact_v",
-        "large_n_v",
-        "v_oc",
-        "ratio",
-        "asymptotic_ratio",
-    )
     doc = {
         "command": "schedule",
         "params": {"v0": args.v0, "n": args.n, "target": args.target, "m": args.m},
         "rows": list(sched.records),
-        "schedule": {name: getattr(sched, name) for name in scalars},
+        "schedule": {
+            f.name: getattr(sched, f.name) for f in dataclasses.fields(sched) if f.name != "records"
+        },
     }
     _emit_json(doc, sys.stdout)
     return 0

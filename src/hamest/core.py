@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonHermitianInput
+from .errors import DomainError, NonHermitianInput, SingularJacobian
 from .util import fd_step
 
 HERMITIAN_ATOL = 1e-12
@@ -143,18 +143,13 @@ def central_difference_jacobian(pauli_map: Callable, alpha: np.ndarray) -> np.nd
 class HamiltonianModel:
     """A named parameterization alpha -> f(alpha).sigma with its Jacobian.
 
-    jacobian is None for central-difference models; jacobian_mode records the
-    route ("analytic" or "central-difference"). domain_check may raise
-    DomainError for parameters outside the model's domain.
+    jacobian is the analytic J(alpha), or None for a central-difference
+    Jacobian. pauli_map may raise DomainError outside the model's domain.
     """
 
     name: str
     pauli_map: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    jacobian_mode: str = "central-difference"
-    domain_check: Optional[Callable[[np.ndarray], None]] = None
-
-    param_count = 3
 
 
 @dataclass(frozen=True)
@@ -164,40 +159,39 @@ class ModelEvaluation:
     h: np.ndarray
     f: np.ndarray
     jac: np.ndarray
-    jacobian_singular: bool
 
 
 def model_evaluate(model: HamiltonianModel, alpha) -> ModelEvaluation:
     """Evaluate H = f(alpha).sigma and J[i][j] = d f_i/d alpha_j.
 
-    A Jacobian with |det J| < 1e-12 is flagged (jacobian_singular), not fatal;
-    only operations that need J^{-1} reject it.
+    A singular Jacobian is not fatal here; only operations that need J^{-1}
+    reject it, through inverse_jacobian.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (3,):
         raise DomainError(f"expected 3 parameters, got shape {alpha.shape}")
     if not np.all(np.isfinite(alpha)):
         raise DomainError("parameters must be finite")
-    if model.domain_check is not None:
-        model.domain_check(alpha)
     f = as_pauli_vector(model.pauli_map(alpha))
     if model.jacobian is not None:
         jac = np.asarray(model.jacobian(alpha), dtype=float)
     else:
         jac = central_difference_jacobian(model.pauli_map, alpha)
-    # An overflowing |det J| is not singular.
-    with np.errstate(over="ignore"):
-        singular = bool(abs(np.linalg.det(jac)) < SINGULAR_JACOBIAN_TOL)
-    return ModelEvaluation(h=pauli_compose(f), f=f, jac=jac, jacobian_singular=singular)
+    return ModelEvaluation(h=pauli_compose(f), f=f, jac=jac)
 
 
-def _btp_domain(alpha) -> None:
-    if alpha[0] <= 0.0:
-        raise DomainError("btp model requires B > 0")
+def inverse_jacobian(jac) -> np.ndarray:
+    """J^{-1}, raising SingularJacobian when |det J| < SINGULAR_JACOBIAN_TOL."""
+    jac = np.asarray(jac, dtype=float)
+    if abs(np.linalg.det(jac)) < SINGULAR_JACOBIAN_TOL:
+        raise SingularJacobian("Jacobian is singular")
+    return np.linalg.inv(jac)
 
 
 def _btp_map(alpha):
     b_amp, theta, phi = alpha
+    if b_amp <= 0.0:
+        raise DomainError("btp model requires B > 0")
     return np.array(
         [
             b_amp * np.cos(theta) * np.cos(phi),
@@ -226,7 +220,6 @@ def pauli_model() -> HamiltonianModel:
         name="pauli",
         pauli_map=lambda a: np.asarray(a, dtype=float),
         jacobian=lambda a: np.eye(3),
-        jacobian_mode="analytic",
     )
 
 
@@ -236,8 +229,6 @@ def btp_model() -> HamiltonianModel:
         name="btp",
         pauli_map=_btp_map,
         jacobian=_btp_jacobian,
-        jacobian_mode="analytic",
-        domain_check=_btp_domain,
     )
 
 

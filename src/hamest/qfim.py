@@ -21,11 +21,12 @@ from .core import (
     HamiltonianModel,
     ModelEvaluation,
     SpectralDecomposition2,
+    inverse_jacobian,
     model_evaluate,
     pauli_compose,
     spectral_decompose,
 )
-from .errors import DomainError, EstimationError, SingularJacobian, SingularQfim
+from .errors import DomainError, EstimationError, SingularQfim
 
 QFIM_SYMMETRY_ATOL = 1e-10
 # Minimum eigenvalue must satisfy min >= -1e-10 * max(1, max eigenvalue).
@@ -188,13 +189,6 @@ def scalar_bound(w, f: QfimMatrix, n: int) -> float:
     return float(np.trace(w @ _invert_qfim(f)) / n)
 
 
-def _inverse_jacobian(jac) -> np.ndarray:
-    jac = np.asarray(jac, dtype=float)
-    if abs(np.linalg.det(jac)) < 1e-12:
-        raise SingularJacobian("Jacobian is singular")
-    return np.linalg.inv(jac)
-
-
 def reparameterize_qfim(f: QfimMatrix, jac, direction: str) -> QfimMatrix:
     """Transform a QFIM between the original and Pauli parameterizations.
 
@@ -206,7 +200,7 @@ def reparameterize_qfim(f: QfimMatrix, jac, direction: str) -> QfimMatrix:
     if direction == "beta_to_alpha":
         m = jac.T @ f.m @ jac
     elif direction == "alpha_to_beta":
-        inv = _inverse_jacobian(jac)
+        inv = inverse_jacobian(jac)
         m = inv.T @ f.m @ inv
     else:
         raise DomainError(f"unknown direction {direction!r}")
@@ -217,7 +211,7 @@ def reparameterize_covariance(c: Covariance3, jac, direction: str) -> Covariance
     """Covariances transform contravariantly: C_alpha = J^{-1} C_beta J^{-T}."""
     jac = np.asarray(jac, dtype=float)
     if direction == "beta_to_alpha":
-        inv = _inverse_jacobian(jac)
+        inv = inverse_jacobian(jac)
         m = inv @ c.m @ inv.T
     elif direction == "alpha_to_beta":
         m = jac @ c.m @ jac.T

@@ -88,10 +88,16 @@ class ExperimentConfig:
         if self.beta0_bound is not None and not self.beta0_bound > 0.0:
             raise DomainError("beta0_bound must be positive")
         # dE2_1 = 4 bound^2 seeds the schedule: the same rule as plan_schedule.
+        # The true field and the guess obey it too, so their phases stay finite.
+        fields = {"beta_true": self.beta_true, "beta0_guess": self.beta0_guess}
         with np.errstate(over="ignore"):
             bound = float(self.beta0_bound or np.linalg.norm(self.resolved_guess()))
+            sizes = {name: 4.0 * float(np.dot(v, v)) for name, v in fields.items() if v is not None}
         if not 4.0 * (bound * bound) < math.inf:
             raise DomainError(f"prior bound must have 4 * bound^2 finite, got {bound}")
+        for name, size in sizes.items():
+            if not size < math.inf:
+                raise DomainError(f"{name} must have 4 * |{name}|^2 finite, got {fields[name]}")
         if self.pi0 is not None and not 0.0 < self.pi0 < math.pi:
             raise DomainError("pi0 must lie in (0, pi)")
 
@@ -206,9 +212,15 @@ def _sign_pattern_candidates(x: np.ndarray) -> list:
 
 
 def _phase_candidates(theta0: float, target: float) -> list:
+    """Phases 2 pi j + theta0, 2 pi (j + 1) - theta0 and 2 pi j + pi -/+ theta0
+    that share the Bell probabilities of theta0, for the blocks j next to
+    target. Block j spans [2 pi j, 2 pi (j + 1)], so the candidate nearest
+    target lies in blocks j_c - 1 .. j_c + 1 with j_c = floor(target / 2 pi).
+    """
     top = int(math.ceil((target + math.pi) / (2.0 * math.pi))) + 1
+    j_c = math.floor(target / (2.0 * math.pi))
     cands = []
-    for j in range(top + 1):
+    for j in range(max(0, j_c - 1), min(top, j_c + 1) + 1):
         cands.append(2.0 * math.pi * j + theta0)
         cands.append(2.0 * math.pi * (j + 1) - theta0)
         cands.append(2.0 * math.pi * j + (math.pi - theta0))

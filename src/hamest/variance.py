@@ -106,6 +106,22 @@ def _check_time(t: float) -> None:
         raise DomainError(f"evolution time must be positive, got {t}")
 
 
+def _variances(xi: XiCoefficients, c: float, t: float, n: int) -> np.ndarray:
+    """(c t^2 xi1 + xi2) / (n t^2 xi3) per parameter: the variances at
+    c = csc^2(dE t / 2), their lower envelope at c = 1.
+
+    The caller holds np.errstate(over="ignore", invalid="ignore"); a value
+    that overflows is reported here as one DomainError.
+    """
+    if xi.xi3 == 0.0:
+        raise SingularQfim("xi3 vanishes; the three parameters are not jointly identifiable")
+    den = n * t * t * xi.xi3
+    v = (c * t * t * xi.xi1 + xi.xi2) / den
+    if not (np.isfinite(den) and np.all(np.isfinite(v))):
+        raise DomainError(f"variances overflow at t = {t!r} with n = {n}")
+    return v
+
+
 def estimator_variances(model: HamiltonianModel, alpha, t: float, n: int) -> np.ndarray:
     """Per-parameter variances of the optimal estimator after n trials.
 
@@ -125,27 +141,22 @@ def estimator_variances(model: HamiltonianModel, alpha, t: float, n: int) -> np.
             f"dE * t = {sens.gap * t:.12g} sits on a multiple of 2 pi; variance diverges"
         )
     xi = xi_coefficients(sens)
-    if xi.xi3 == 0.0:
-        raise SingularQfim("xi3 vanishes; the three parameters are not jointly identifiable")
-    csc2 = csc_squared(sens.gap * t / 2.0)
-    return (csc2 * t * t * xi.xi1 + xi.xi2) / (n * t * t * xi.xi3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _variances(xi, csc_squared(sens.gap * t / 2.0), t, n)
 
 
-def variance_envelope(xi: XiCoefficients, c0: float, t: float, n: int) -> np.ndarray:
-    """Lower envelope (c0 t^2 xi1 + xi2) / (n t^2 xi3) of the variance curve,
+def variance_envelope(xi: XiCoefficients, t: float, n: int) -> np.ndarray:
+    """Lower envelope (t^2 xi1 + xi2) / (n t^2 xi3) of the variance curve,
     one value per parameter.
 
-    c0 = 1 touches the curve at the csc^2 minima; larger c0 lifts it. The
-    envelope is non-increasing in t and tends to xi1 / (n xi3).
+    It touches the curve at the csc^2 minima, is non-increasing in t and
+    tends to xi1 / (n xi3).
     """
     _check_time(t)
     if n < 1:
         raise DomainError("trial count must be >= 1")
-    if c0 < 1.0:
-        raise DomainError(f"envelope constant c0 must be >= 1, got {c0}")
-    if xi.xi3 == 0.0:
-        raise SingularQfim("xi3 vanishes; the three parameters are not jointly identifiable")
-    return (c0 * t * t * xi.xi1 + xi.xi2) / (n * t * t * xi.xi3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _variances(xi, 1.0, t, n)
 
 
 def variance_infimum(xi: XiCoefficients, n: int) -> np.ndarray:
@@ -167,19 +178,18 @@ def variance_curve(model: HamiltonianModel, alpha, t_grid, n: int) -> list:
     """
     sens = spectral_sensitivities(model, alpha)
     xi = xi_coefficients(sens)
-    if xi.xi3 == 0.0:
-        raise SingularQfim("xi3 vanishes; the three parameters are not jointly identifiable")
     inf1 = float(variance_infimum(xi, n)[0])
     rows = []
-    for t in np.asarray(t_grid, dtype=float).tolist():
-        env1 = float(variance_envelope(xi, 1.0, t, n)[0])
-        k = round(t * sens.gap / TWO_PI)
-        if (k >= 1 and abs(t - TWO_PI * k / sens.gap) < POLE_TIME_ATOL) or near_pole(
-            sens.gap * t, TWO_PI, POLE_PHASE_ATOL
-        ):
-            rows.append(VarianceCurveRow(t, np.nan, np.nan, np.nan, env1, inf1, "pole"))
-            continue
-        csc2 = csc_squared(sens.gap * t / 2.0)
-        v = (csc2 * t * t * xi.xi1 + xi.xi2) / (n * t * t * xi.xi3)
-        rows.append(VarianceCurveRow(t, float(v[0]), float(v[1]), float(v[2]), env1, inf1, ""))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in np.asarray(t_grid, dtype=float).tolist():
+            _check_time(t)
+            env1 = float(_variances(xi, 1.0, t, n)[0])
+            k = round(t * sens.gap / TWO_PI)
+            if (k >= 1 and abs(t - TWO_PI * k / sens.gap) < POLE_TIME_ATOL) or near_pole(
+                sens.gap * t, TWO_PI, POLE_PHASE_ATOL
+            ):
+                rows.append(VarianceCurveRow(t, np.nan, np.nan, np.nan, env1, inf1, "pole"))
+                continue
+            v = _variances(xi, csc_squared(sens.gap * t / 2.0), t, n)
+            rows.append(VarianceCurveRow(t, float(v[0]), float(v[1]), float(v[2]), env1, inf1, ""))
     return rows

@@ -1,5 +1,8 @@
-"""Independent routes to the information quantities: the references that the
-tests compare the library's production routes against."""
+"""Independent routes to the information quantities, and the full-list Bell
+phase search: the references that the tests compare the library's production
+routes against."""
+
+import math
 
 import numpy as np
 
@@ -67,8 +70,6 @@ def bell_cfi(model: HamiltonianModel, alpha, t: float) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
 
     def probs(a):
-        if model.domain_check is not None:
-            model.domain_check(a)
         return bell_probabilities(np.asarray(model.pauli_map(a), dtype=float), t)
 
     p0 = probs(alpha)
@@ -113,3 +114,19 @@ def bell_cfi(model: HamiltonianModel, alpha, t: float) -> np.ndarray:
         if low[k]:
             cfi += 2.0 * hess[k]
     return cfi
+
+
+def phase_candidates_full(theta0: float, target: float) -> list:
+    """Every Bell-fit phase candidate of blocks j = 0 .. top, in block order.
+
+    The production search builds only the blocks next to target; its nearest
+    candidate (first on ties) must equal the nearest one of this list.
+    """
+    top = int(math.ceil((target + math.pi) / (2.0 * math.pi))) + 1
+    cands = []
+    for j in range(top + 1):
+        cands.append(2.0 * math.pi * j + theta0)
+        cands.append(2.0 * math.pi * (j + 1) - theta0)
+        cands.append(2.0 * math.pi * j + (math.pi - theta0))
+        cands.append(2.0 * math.pi * j + (math.pi + theta0))
+    return [c for c in cands if c >= 0.0]

@@ -359,6 +359,37 @@ def test_simulate_output_pinned(capsys, extra, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["variance-curve", "--model", "pauli", "--alpha", "0.6,0,0.8", "--n", "100",
+             "--t-start", "0.1", "--t-stop", "6.0", "--points", "60"],
+            "afadff4f9c53fb8f75ca5ee47c72aa434c4f4d52daf3c40829cf894d577bfa3b",
+        ),
+        (
+            ["qfim", "--model", "btp", "--alpha", "1.0,0.4,0.3", "--t", "1.0", "--format", "csv"],
+            "a0f425dc796cfeac884b33f086e6d8fcb3208d3bad3c588e15597ebf860629a4",
+        ),
+    ],
+)
+def test_information_output_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_simulate_bell_far_guess_runs(capsys):
+    # The Bell fit searches only the phase branches next to |guess| * t, so a
+    # guess 1e12 from the field neither exhausts memory nor stalls the run.
+    code, out, _ = run_cli(
+        capsys, "simulate", "--backend", "bell", "--beta0", "0.05,0.03,0.04", "--guess", "1e12,0,0",
+        "--bound", "1", "--n", "1000", "--m", "2", "--seed", "1",
+    )
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 1
+
+
 def test_simulate_seed_required():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "1"])
@@ -412,6 +443,13 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
         ["simulate", "--beta0", "1e200,0,0", "--n", "2889", "--m", "1", "--seed", "1"],
         ["simulate", "--beta0", "1e154,0,0", "--n", "2889", "--m", "1", "--seed", "1"],
         ["schedule", "--v0", "1e-300", "--n", "3211", "--m", "5"],
+        ["simulate", "--beta0", "1e200,0,0", "--bound", "1", "--n", "2889", "--m", "1", "--seed", "1"],
+        ["simulate", "--beta0", "1e200,0,0", "--bound", "1", "--n", "2889", "--m", "1", "--seed", "1",
+         "--backend", "bell"],
+        ["simulate", "--beta0", "0.05,0.03,0.04", "--guess", "1e200,0,0", "--bound", "1", "--n", "2889",
+         "--m", "1", "--seed", "1", "--backend", "bell"],
+        ["variance-curve", "--alpha", "0.6,0,0.8", "--n", "100", "--t-start", "1e150",
+         "--t-stop", "1e200", "--points", "60"],
     ],
 )
 @pytest.mark.filterwarnings("error")

@@ -10,6 +10,7 @@ from scipy import stats
 from hamest import adaptive, robustness, simulator
 from hamest.errors import DomainError, MleNonconvergence
 from hamest.util import sample_stream
+from reference_routes import phase_candidates_full
 
 BETA_REFERENCE = (0.8, -0.4, 0.3)
 
@@ -171,6 +172,29 @@ def test_bell_step_domain():
         simulator.estimate_step_bell((0.1, 0.0, 0.0), 200, 0.0, (0.1, 0.0, 0.0), sample_stream(0, 0))
 
 
+def test_phase_window_picks_the_full_list_nearest():
+    # The Bell fit builds only the candidate blocks next to the target phase;
+    # its nearest candidate, ties included, must be that of the full list.
+    def nearest(cands, target):
+        return min(cands, key=lambda c: abs(c - target))
+
+    half_pi = math.pi / 2.0
+    rng = np.random.default_rng(41)
+    cases = [
+        (rng.uniform(0.0, half_pi), math.exp(rng.uniform(math.log(1e-3), math.log(3e3))))
+        for _ in range(2000)
+    ]
+    # Targets on block edges, quarter points and exact midpoints between candidates.
+    for theta0 in (0.0, half_pi / 2.0, half_pi, 0.3):
+        for j in range(6):
+            for frac in (0.0, 0.125, 0.25, 0.5, 0.75, 1.0):
+                cases.append((theta0, 2.0 * math.pi * (j + frac)))
+    cases += [(0.3, 0.0), (0.0, 0.0), (half_pi, 1e-300)]
+    for theta0, target in cases:
+        window = simulator._phase_candidates(theta0, target)
+        assert nearest(window, target) == nearest(phase_candidates_full(theta0, target), target)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -209,6 +233,8 @@ def test_config_zero_prior_needs_explicit_bound():
         {"pi0": math.pi},
         {"seed": 2**64},
         {"beta0_bound": 1e200},
+        {"beta_true": (1e200, 0.0, 0.0), "beta0_bound": 1.0},
+        {"beta0_guess": (1e200, 0.0, 0.0), "beta0_bound": 1.0},
     ],
 )
 def test_config_validation(overrides):

@@ -149,7 +149,7 @@ def test_envelope_monotone_non_increasing():
     xi = xi_for((0.4, -0.6, 0.9))
     prev = None
     for t in np.linspace(0.2, 20.0, 200):
-        env = variance.variance_envelope(xi, 1.0, float(t), 8)
+        env = variance.variance_envelope(xi, float(t), 8)
         if prev is not None:
             assert np.all(env <= prev + 1e-15)
         prev = env
@@ -159,9 +159,9 @@ def test_envelope_constant_when_xi2_vanishes():
     xi = variance.XiCoefficients(
         xi1=np.array([2.0, 1.0, 0.5]), xi2=np.zeros(3), xi3=10.0
     )
-    ref = variance.variance_envelope(xi, 1.0, 0.3, 4)
+    ref = variance.variance_envelope(xi, 0.3, 4)
     for t in (1.0, 5.0, 40.0):
-        assert_allclose(variance.variance_envelope(xi, 1.0, t, 4), ref, rtol=1e-12)
+        assert_allclose(variance.variance_envelope(xi, t, 4), ref, rtol=1e-12)
 
 
 def test_envelope_bounds_variance_below():
@@ -169,24 +169,39 @@ def test_envelope_bounds_variance_below():
     xi = xi_for(alpha)
     for t in np.linspace(0.3, 8.0, 60):
         v = variance.estimator_variances(core.get_model("pauli"), alpha, float(t), 8)
-        env = variance.variance_envelope(xi, 1.0, float(t), 8)
+        env = variance.variance_envelope(xi, float(t), 8)
         assert np.all(v >= env - 1e-12)
 
 
 def test_envelope_domain_errors():
     xi = xi_for((0.4, -0.6, 0.9))
     with pytest.raises(DomainError):
-        variance.variance_envelope(xi, 0.5, 1.0, 8)
+        variance.variance_envelope(xi, 0.0, 8)
+    with pytest.raises(DomainError):
+        variance.variance_envelope(xi, 1.0, 0)
     bad = variance.XiCoefficients(xi1=np.ones(3), xi2=np.ones(3), xi3=0.0)
     with pytest.raises(SingularQfim):
-        variance.variance_envelope(bad, 1.0, 1.0, 8)
+        variance.variance_envelope(bad, 1.0, 8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_variance_raises_domain_error():
+    alpha = (0.4, -0.6, 0.9)
+    model = core.get_model("pauli")
+    with pytest.raises(DomainError, match="overflow"):
+        variance.variance_envelope(xi_for(alpha), 1e200, 8)
+    # A denominator n t^2 xi3 that overflows would otherwise read as variance 0.
+    with pytest.raises(DomainError, match="overflow"):
+        variance.estimator_variances(model, alpha, 1.0, 10**308)
+    with pytest.raises(DomainError, match="overflow"):
+        variance.variance_curve(model, alpha, [1.0, 1e200], 8)
 
 
 def test_infimum_is_large_time_envelope():
     xi = xi_for((0.4, -0.6, 0.9))
     inf = variance.variance_infimum(xi, 8)
     assert_allclose(inf, xi.xi1 / (8 * xi.xi3), rtol=1e-12)
-    env = variance.variance_envelope(xi, 1.0, 1e6, 8)
+    env = variance.variance_envelope(xi, 1e6, 8)
     assert_allclose(env, inf, rtol=1e-9)
 
 
@@ -278,6 +293,6 @@ def test_curve_envelope_and_infimum_columns():
     for r in rows:
         assert r.infimum == pytest.approx(inf, rel=1e-12)
         assert r.envelope == pytest.approx(
-            float(variance.variance_envelope(xi, 1.0, r.t, 8)[0]), rel=1e-12
+            float(variance.variance_envelope(xi, r.t, 8)[0]), rel=1e-12
         )
         assert r.envelope >= r.infimum - 1e-15
