@@ -55,11 +55,14 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit_json(doc: dict, stream) -> None:
+def _json_text(doc: dict) -> str:
+    """The output document as JSON text; JSON has no non-finite numbers."""
     payload = {"schema_version": SCHEMA_VERSION}
     payload.update(doc)
-    stream.write(json.dumps(payload, indent=2, default=_json_default))
-    stream.write("\n")
+    try:
+        return json.dumps(payload, indent=2, default=_json_default, allow_nan=False) + "\n"
+    except ValueError:
+        raise DomainError("result is not finite and cannot be written as JSON") from None
 
 
 def _csv_writer(stream):
@@ -151,7 +154,7 @@ def _cmd_qfim(args) -> int:
             "singular": singular_reason is not None,
             "commutativity_residual": weak_commutativity_residual(model, args.alpha, args.t),
         }
-        _emit_json(doc, sys.stdout)
+        sys.stdout.write(_json_text(doc))
     if singular_reason is not None:
         print(f"error: SingularQfim: {singular_reason}", file=sys.stderr)
         return 2
@@ -186,7 +189,7 @@ def _cmd_schedule(args) -> int:
             f.name: getattr(sched, f.name) for f in dataclasses.fields(sched) if f.name != "records"
         },
     }
-    _emit_json(doc, sys.stdout)
+    sys.stdout.write(_json_text(doc))
     return 0
 
 
@@ -226,7 +229,9 @@ def _cmd_simulate(args) -> int:
     )
     _check_threads(args)
     traces = run_repetitions(config, args.reps)
-    errors = [t.realized_sq_error for t in traces]
+    with np.errstate(over="ignore"):
+        mean_sq_error = float(np.mean([t.realized_sq_error for t in traces]))
+        ratio = float(mean_sq_error / traces[0].planned_v_m)
     doc = {
         "command": "simulate",
         "params": config,
@@ -243,12 +248,13 @@ def _cmd_simulate(args) -> int:
             for t in traces
         ],
         "summary": {
-            "mean_sq_error": float(np.mean(errors)),
+            "mean_sq_error": mean_sq_error,
             "planned_v_m": traces[0].planned_v_m,
-            "ratio": float(np.mean(errors) / traces[0].planned_v_m),
+            "ratio": ratio,
         },
     }
-    _emit_json(doc, sys.stdout)
+    # A rejected document leaves no CSV, and a closed stdout does not cost one.
+    text = _json_text(doc)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             w = _csv_writer(fh)
@@ -257,6 +263,7 @@ def _cmd_simulate(args) -> int:
                 w.writerow(
                     [t.rep, _fmt(t.beta_hat[0]), _fmt(t.beta_hat[1]), _fmt(t.beta_hat[2]), _fmt(t.realized_sq_error)]
                 )
+    sys.stdout.write(text)
     return 0
 
 
@@ -334,7 +341,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early, as `| head` does: a normal end. Devnull keeps
+        # the interpreter's final flush of stdout from failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

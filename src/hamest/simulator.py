@@ -345,7 +345,9 @@ def run_adaptive_experiment(config: ExperimentConfig, rep: int = 0) -> Experimen
             break
 
         res_sq = float(residual @ residual)
-        d_factor = res_sq / prev_trace_cov if prev_trace_cov is not None else 4.0 * res_sq / dE2_plan
+        # A huge residual overflows d_factor to inf, which the CLI rejects.
+        with np.errstate(over="ignore"):
+            d_factor = res_sq / prev_trace_cov if prev_trace_cov is not None else 4.0 * res_sq / dE2_plan
         beta_hat = beta_hat + estimate
         records.append(
             IterationOutcome(

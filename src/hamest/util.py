@@ -24,46 +24,25 @@ def fd_step(value):
 
 
 def check_seed(seed):
-    """Reject a seed that cannot key a Philox stream (one uint64 word)."""
+    """Reject a seed that cannot key a sample_stream (one uint64 word)."""
     if not 0 <= seed < 2**64:
         raise DomainError("seed must be an integer in [0, 2^64)")
 
 
 def sample_stream(seed, index):
-    """Counter-based RNG stream for one sample, keyed by (seed, sample index).
-
-    Philox is counter-based, so streams for distinct keys are independent and
-    each sample can be redrawn on its own, in any order.
-    """
+    """RNG stream keyed by (seed, index); index numbers a simulator rep or a
+    Monte Carlo block. The generator is counter-based, so streams for distinct
+    keys are independent and each can be redrawn on its own, in any order."""
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 class KeyedStream:
-    """Draws from the (seed, index) streams of sample_stream through one
-    reused Philox instance.
-
-    Bit-identical to constructing a fresh stream per index; exists because
-    stream construction dominates tight per-sample Monte Carlo loops, where
-    resetting the generator state is several times cheaper.
-    """
-
-    def __init__(self):
-        self._bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self._gen = np.random.Generator(self._bg)
+    """sample_stream(seed, index).standard_normal(shape) under the span name the
+    benchmark traces for the Monte Carlo draws; the tracer wraps plain methods only."""
 
     def standard_normal(self, seed, index, shape):
-        st = self._bg.state
-        inner = st["state"]
-        inner["counter"][:] = 0
-        inner["key"][0] = seed
-        inner["key"][1] = index
-        st["buffer"][:] = 0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
-        return self._gen.standard_normal(shape)
+        return sample_stream(seed, index).standard_normal(shape)
 
 
 def near_pole(x, period, tol):

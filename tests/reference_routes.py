@@ -1,6 +1,6 @@
-"""Independent routes to the information quantities, and the full-list Bell
-phase search: the references that the tests compare the library's production
-routes against."""
+"""Independent routes to the information quantities, the full-list Bell
+phase search and the per-sample robustness Monte Carlo: the references that
+the tests compare the library's production routes against."""
 
 import math
 
@@ -9,8 +9,9 @@ import numpy as np
 from hamest.core import HamiltonianModel, model_evaluate, pauli_compose, pauli_decompose
 from hamest.errors import DomainError
 from hamest.qfim import QfimMatrix, _validated_qfim
+from hamest.robustness import MC_BLOCK, deviation_params, ratio_total
 from hamest.simulator import bell_probabilities
-from hamest.util import fd_step
+from hamest.util import fd_step, sample_stream
 from hamest.variance import spectral_sensitivities
 
 BELL_PROBABILITY_FLOOR = 1e-14
@@ -130,3 +131,20 @@ def phase_candidates_full(theta0: float, target: float) -> list:
         cands.append(2.0 * math.pi * j + (math.pi - theta0))
         cands.append(2.0 * math.pi * j + (math.pi + theta0))
     return [c for c in cands if c >= 0.0]
+
+
+def robustness_ratios_per_sample(m: int, samples: int, seed: int) -> np.ndarray:
+    """Whole-process penalty of every sample of robustness_mc, one at a time.
+
+    Block b draws a full (MC_BLOCK, m - 1, 3) array from sample_stream(seed, b)
+    and the last block keeps only its first rows. Each sample's deviation
+    factors go through the scalar ratio_total([1, D_2, ..., D_m]).
+    """
+    p = deviation_params()
+    ratios = []
+    for b, start in enumerate(range(0, samples, MC_BLOCK)):
+        z = sample_stream(seed, b).standard_normal((MC_BLOCK, m - 1, 3))
+        for zs in z[: samples - start]:
+            devs = [(z1 * z1 + p.a * (z2 * z2 + z3 * z3)) / p.s for z1, z2, z3 in zs.tolist()]
+            ratios.append(ratio_total([1.0, *devs]))
+    return np.array(ratios)

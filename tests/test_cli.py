@@ -273,17 +273,17 @@ def test_robustness_total_deterministic(capsys):
     assert code == 0
     assert first == (
         "statistic,value\n"
-        "mean,0.8199487554977942\n"
-        "p_below_one,0.7095\n"
-        "decile_10,0.3410017772858463\n"
-        "decile_20,0.4591384594971614\n"
-        "decile_30,0.5585594239283654\n"
-        "decile_40,0.6517767535119379\n"
-        "decile_50,0.7525250271408923\n"
-        "decile_60,0.8583428180468352\n"
-        "decile_70,0.9867255104584588\n"
-        "decile_80,1.1407083132164444\n"
-        "decile_90,1.39496067630638\n"
+        "mean,0.8230264842911312\n"
+        "p_below_one,0.714\n"
+        "decile_10,0.34317133570718283\n"
+        "decile_20,0.4610815549325794\n"
+        "decile_30,0.5587086307058865\n"
+        "decile_40,0.657512054602342\n"
+        "decile_50,0.7544942374713861\n"
+        "decile_60,0.8582338399798891\n"
+        "decile_70,0.9798892415644254\n"
+        "decile_80,1.1466029366820507\n"
+        "decile_90,1.3967581135580796\n"
     )
     _, again, _ = run_cli(capsys, *argv)
     assert again == first
@@ -450,6 +450,8 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
          "--m", "1", "--seed", "1", "--backend", "bell"],
         ["variance-curve", "--alpha", "0.6,0,0.8", "--n", "100", "--t-start", "1e150",
          "--t-stop", "1e200", "--points", "60"],
+        ["simulate", "--beta0", "0.05,0.03,0.04", "--guess", "1e153,0,0", "--bound", "1", "--n", "2889",
+         "--m", "2", "--seed", "1", "--backend", "bell"],
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -460,18 +462,50 @@ def test_invalid_numeric_input_exits_two(capsys, argv):
     assert err.count("\n") == 1
 
 
-def test_python_dash_m_runs_cli(capsys):
-    argv = ["schedule", "--v0", "1", "--n", "1000", "--m", "2"]
+def test_non_finite_result_writes_no_csv(capsys, tmp_path):
+    path = tmp_path / "reps.csv"
+    code, out, _ = run_cli(
+        capsys, "simulate", "--beta0", "0.05,0.03,0.04", "--guess", "1e153,0,0", "--bound", "1",
+        "--n", "2889", "--m", "2", "--seed", "1", "--backend", "bell", "--csv", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert not path.exists()
+
+
+def _module_env():
     env = dict(os.environ)
     src = str(Path(hamest.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_python_dash_m_runs_cli(capsys):
+    argv = ["schedule", "--v0", "1", "--n", "1000", "--m", "2"]
     proc = subprocess.run(
-        [sys.executable, "-m", "hamest", *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", "hamest", *argv], capture_output=True, text=True, env=_module_env(), timeout=60
     )
     assert proc.returncode == 0
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert proc.stdout == out
+
+
+def test_closed_stdout_ends_quietly():
+    # 200 reps print far more than a pipe buffer holds, so the write after
+    # the reader has gone fails, as it does under `| head -2`.
+    argv = ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "4", "--seed", "11", "--reps", "200"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hamest", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_module_env(),
+    )
+    assert proc.stdout.read(40).startswith(b"{")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 def test_threads_env_override(capsys, monkeypatch):

@@ -9,6 +9,8 @@ from scipy import integrate
 
 from hamest import adaptive, robustness
 from hamest.errors import DomainError
+from hamest.util import KeyedStream
+from reference_routes import robustness_ratios_per_sample
 
 DEVIATION_WEIGHT = 1.8177518730791193  # g0^2 csc^2(g0)
 DEVIATION_VARIANCE = 0.7081609204640834  # (2 + 4 a^2) / s^2
@@ -225,7 +227,30 @@ def test_mc_penalty_usually_below_one():
     assert all(q > 0.5 for q in p)
     assert p[0] < p[1] < p[2]
     # counter-based streams make the estimate reproducible to the last bit
-    assert p[1] == 0.67905
+    assert p[1] == 0.67305
+
+
+def test_mc_draws_once_per_block(monkeypatch):
+    keyed = []
+    draw = KeyedStream.standard_normal
+
+    def counting(self, seed, index, shape):
+        keyed.append((seed, index, shape))
+        return draw(self, seed, index, shape)
+
+    monkeypatch.setattr(KeyedStream, "standard_normal", counting)
+    robustness.robustness_mc(3, 10_000, 1)
+    block = robustness.MC_BLOCK
+    assert keyed == [(1, 0, (block, 2, 3)), (1, 1, (block, 2, 3)), (1, 2, (10_000 - 2 * block, 2, 3))]
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_mc_matches_per_sample_reference(m):
+    s = robustness.robustness_mc(m, 10_000, 11)
+    ratios = robustness_ratios_per_sample(m, 10_000, 11)
+    assert s.mean == pytest.approx(ratios.mean(), rel=1e-12)
+    assert_allclose(s.deciles, np.quantile(ratios, np.arange(0.1, 0.95, 0.1)), rtol=1e-12, atol=0.0)
+    assert s.p_below_one == np.mean(ratios < 1.0)
 
 
 def test_mc_median_below_one():
