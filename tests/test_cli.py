@@ -350,6 +350,11 @@ def test_simulate_bell_below_fit_floor(capsys):
     [
         ([], "42a46a6218c54522417abcebd5a92ccaf6ff4942dd38b3ba0d57d55f385a8466"),
         (["--refine"], "a80b79e2f65c498eb41b781f24de7a5a656116309f6dc440a28aefc8aa131a5b"),
+        (["--backend", "bell"], "2c0259efd8e14c3c6774d0b385bd7b77faff9f21e54f1411bee612353b1faa01"),
+        (
+            ["--backend", "bell", "--refine"],
+            "c490a3896bb8014d6e021dd71a83921e65ef195585100537f93e4a5373b2db8a",
+        ),
     ],
 )
 def test_simulate_output_pinned(capsys, extra, digest):
@@ -357,6 +362,29 @@ def test_simulate_output_pinned(capsys, extra, digest):
     code, out, _ = run_cli(capsys, *argv, *extra)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "extra,digest",
+    [
+        ([], "da728630f8d5528eb8730d52b73c83939927b108648a382c57940b9bba71f34a"),
+        (["--refine"], "20c705623667663ce84122f911103d12ecaee74d68b26cba5873d14312a5363b"),
+    ],
+)
+def test_simulate_readme_output_pinned(capsys, extra, digest):
+    argv = ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "4", "--seed", "11", "--reps", "500"]
+    code, out, _ = run_cli(capsys, *argv, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("extra", [[], ["--refine"], ["--backend", "bell"]])
+def test_rows_do_not_depend_on_reps(capsys, extra):
+    # Rep r draws from its own stream (seed, r), so a longer run only appends rows.
+    argv = ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "3", "--seed", "11", *extra]
+    _, short, _ = run_cli(capsys, *argv, "--reps", "2")
+    _, long, _ = run_cli(capsys, *argv, "--reps", "5")
+    assert json.loads(short)["rows"] == json.loads(long)["rows"][:2]
 
 
 @pytest.mark.parametrize(
