@@ -78,7 +78,6 @@ from .robustness import (
     sample_deviation,
 )
 from .simulator import (
-    BellOutcomeCounts,
     ExperimentConfig,
     ExperimentTrace,
     IterationOutcome,

@@ -21,7 +21,7 @@ import numpy as np
 from .core import inverse_jacobian
 from .errors import BracketFailure, DegenerateInput, DivergentTime, DomainError, NoContraction
 from .qfim import Covariance3
-from .util import csc_squared, near_pole
+from .util import CSC2_SERIES_THRESHOLD, csc_squared, near_pole
 
 G0_BRACKET = (0.5, 3.0)
 G0_SCAN_POINTS = 61
@@ -84,31 +84,39 @@ def deviation_weight() -> float:
     return g * g * csc_squared(g)
 
 
-def iteration_covariance(delta_beta, n: int, t: float) -> Covariance3:
+def iteration_covariance(delta_beta, n, t) -> Covariance3:
     """Covariance of one iteration's estimate of the residual field delta_beta.
 
     C = (1 / 4n) [ P_par / t^2 + w^2 csc^2(w t) P_perp ],  w = |delta_beta|,
-    with P_par the projector onto the residual direction.
+    with P_par the projector onto the residual direction. A stack of residuals
+    (..., 3), with n and t scalars or of shape (...), gives C of shape (..., 3, 3).
     """
     delta_beta = np.asarray(delta_beta, dtype=float)
-    if delta_beta.shape != (3,) or not np.all(np.isfinite(delta_beta)):
+    n, t = np.asarray(n)[..., None, None], np.asarray(t, dtype=float)[..., None, None]
+    if delta_beta.shape[-1:] != (3,) or not np.all(np.isfinite(delta_beta)):
         raise DomainError("delta_beta must be a finite 3-vector")
-    if not t > 0.0:
-        raise DomainError(f"evolution time must be positive, got {t}")
-    if n < 1:
+    if not np.all(t > 0.0):
+        raise DomainError(f"evolution time must be positive, got {np.min(t)}")
+    if np.any(n < 1):
         raise DomainError("trial count must be >= 1")
-    w = float(np.linalg.norm(delta_beta))
-    if w == 0.0:
+    # Every entry is computed; a zero residual, a pole or an overflow is rejected after.
+    with np.errstate(all="ignore"):
+        w = np.sqrt(np.vecdot(delta_beta, delta_beta))[..., None, None]
+        x = w * t
+        s = np.sin(x)
+        csc2 = np.where(np.abs(x) < CSC2_SERIES_THRESHOLD, 1.0 / (x * x) + 1.0 / 3.0, 1.0 / (s * s))
+        nhat = delta_beta[..., None, :] / w
+        p_par = np.swapaxes(nhat, -1, -2) * nhat
+        m = (p_par / (t * t) + w * w * csc2 * (np.eye(3) - p_par)) / (4.0 * n)
+        k = np.round(x / math.pi)
+        pole = (k >= 1) & (np.abs(x - k * math.pi) < 1e-9)
+    if np.any(w == 0.0):
         raise DegenerateInput("residual field vanishes; direction is undefined")
-    if near_pole(w * t, math.pi, 1e-9):
-        raise DivergentTime(
-            f"w * t = {w * t:.12g} sits on a multiple of pi; covariance diverges"
-        )
-    nhat = delta_beta / w
-    p_par = np.outer(nhat, nhat)
-    p_perp = np.eye(3) - p_par
-    m = (p_par / (t * t) + w * w * csc_squared(w * t) * p_perp) / (4.0 * n)
-    return Covariance3(m=m, n=int(n), t=float(t))
+    if np.any(pole):
+        raise DivergentTime(f"w * t = {x[pole][0]:.12g} sits on a multiple of pi; covariance diverges")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("iteration covariance is not finite; the field or time is too large")
+    return Covariance3(m=m)
 
 
 def expected_dE2_next(total_time: float, t: float, dE2: float) -> float:
@@ -198,8 +206,7 @@ def optimal_control_baseline(n: int, t: float) -> tuple[Covariance3, float]:
     if not t > 0.0:
         raise DomainError(f"evolution time must be positive, got {t}")
     scale = 1.0 / (4.0 * n * t * t)
-    cov = Covariance3(m=scale * np.eye(3), n=int(n), t=float(t))
-    return cov, 3.0 * scale
+    return Covariance3(m=scale * np.eye(3)), 3.0 * scale
 
 
 def plan_schedule(

@@ -38,22 +38,19 @@ GENERATOR_LIMIT_THRESHOLD = 1e-8
 
 @dataclass(frozen=True)
 class QfimMatrix:
-    """3x3 quantum Fisher information matrix at evolution time t."""
+    """3x3 quantum Fisher information matrix."""
 
     m: np.ndarray
-    t: float
 
 
 @dataclass(frozen=True)
 class Covariance3:
-    """3x3 covariance matrix for n trials at evolution time t."""
+    """3x3 covariance matrix, or a stack of them of shape (..., 3, 3)."""
 
     m: np.ndarray
-    n: int
-    t: float
 
 
-def _validated_qfim(m, t) -> QfimMatrix:
+def _validated_qfim(m) -> QfimMatrix:
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise DomainError("QFIM entries are not finite; the evolution time or field is too large")
@@ -67,7 +64,7 @@ def _validated_qfim(m, t) -> QfimMatrix:
         raise EstimationError(
             f"QFIM positive semi-definiteness violated: min eigenvalue {eigs[0]:.3e}"
         )
-    return QfimMatrix(m=m, t=float(t))
+    return QfimMatrix(m=m)
 
 
 def _spectral_derivatives(ev: ModelEvaluation, spec: SpectralDecomposition2):
@@ -124,7 +121,7 @@ def qfim_entangled(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
                 val = 2.0 * np.trace(hs[a] @ hs[b]).real - traces[a] * traces[b]
                 m[a, b] = val
                 m[b, a] = val
-    return _validated_qfim(m, t)
+    return _validated_qfim(m)
 
 
 def qfim_weighted_initial(model: HamiltonianModel, alpha, t: float, x: float) -> QfimMatrix:
@@ -150,7 +147,7 @@ def qfim_weighted_initial(model: HamiltonianModel, alpha, t: float, x: float) ->
                 val = 4.0 * (second - mean_a * mean_b)
                 m[a, b] = val
                 m[b, a] = val
-    return _validated_qfim(m, t)
+    return _validated_qfim(m)
 
 
 def weak_commutativity_residual(model: HamiltonianModel, alpha, t: float) -> float:
@@ -176,7 +173,7 @@ def covariance_from_qfim(f: QfimMatrix, n: int) -> Covariance3:
     """Cramer-Rao covariance (n F)^{-1} for n trials."""
     if n < 1:
         raise DomainError("trial count must be >= 1")
-    return Covariance3(m=_invert_qfim(f) / n, n=int(n), t=f.t)
+    return Covariance3(m=_invert_qfim(f) / n)
 
 
 def scalar_bound(w, f: QfimMatrix, n: int) -> float:
@@ -204,7 +201,7 @@ def reparameterize_qfim(f: QfimMatrix, jac, direction: str) -> QfimMatrix:
         m = inv.T @ f.m @ inv
     else:
         raise DomainError(f"unknown direction {direction!r}")
-    return _validated_qfim(m, f.t)
+    return _validated_qfim(m)
 
 
 def reparameterize_covariance(c: Covariance3, jac, direction: str) -> Covariance3:
@@ -217,4 +214,4 @@ def reparameterize_covariance(c: Covariance3, jac, direction: str) -> Covariance
         m = jac @ c.m @ jac.T
     else:
         raise DomainError(f"unknown direction {direction!r}")
-    return Covariance3(m=m, n=c.n, t=c.t)
+    return Covariance3(m=m)

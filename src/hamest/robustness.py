@@ -24,6 +24,8 @@ from .util import KeyedStream, check_seed
 # Samples per block of robustness_mc. Each block has its own keyed stream, so
 # this size is part of the seeded output of `robustness total`.
 MC_BLOCK = 4096
+# Largest Monte Carlo size: 800 MB of ratios, 100 times the README's 1e6.
+MC_MAX_SAMPLES = 10**8
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,8 @@ def robustness_mc(m: int, samples: int, seed: int) -> RobustnessSummary:
         raise DomainError("need m >= 2 iterations for any control error to act")
     if samples < 10000:
         raise DomainError("need at least 1e4 samples for a stable tail estimate")
+    if samples > MC_MAX_SAMPLES:
+        raise DomainError(f"at most {MC_MAX_SAMPLES} samples fit in memory, got {samples}")
     check_seed(seed)
     p = deviation_params()
     exponents = np.array([1.0 / 2.0 ** (m - k + 1) for k in range(2, m + 1)])

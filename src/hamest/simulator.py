@@ -10,7 +10,9 @@ Two measurement backends share the same adaptive loop:
   put weight arbitrarily close to the csc^2 divergence and give the realized
   squared error an infinite mean, which the contraction recursion never
   models; with the mean-field operating point the realized deviation factors
-  follow the control-error law exactly, at every iteration.
+  follow the control-error law exactly, at every iteration. Its covariance
+  stays finite up to w t = pi, so this backend hides the phase-branch
+  ambiguity that the Bell backend has to resolve.
 * "bell" samples Bell-basis outcome counts from the exact probabilities and
   estimates the residual field by maximum likelihood. The Bell probabilities
   are even in every component of the residual, so the likelihood has an
@@ -21,10 +23,11 @@ Iteration 1 runs without a control. Iteration k >= 2 applies the control
 -beta_hat_{k-1} and estimates the remaining residual. Evolution times follow
 the planned contraction schedule; with time_refinement enabled, the time for
 iteration k is re-derived from a fresh estimate at the previous settings
-while holding that iteration's total time budget n * t_planned fixed.
+while holding that iteration's total time budget n * t_planned fixed. The
+reps are the batch axis of this loop; rep r draws from its own stream
+(seed, r) as a run of it alone would, so its row does not depend on --reps.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -123,23 +126,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class BellOutcomeCounts:
-    """Outcome totals of n Bell-basis measurements, ordered
-    (Phi+, Psi+, Psi-, Phi-)."""
-
-    counts: tuple
-    n: int
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        object.__setattr__(self, "counts", counts)
-        if len(counts) != 4 or any(c < 0 for c in counts):
-            raise DomainError("counts must be four nonnegative outcome totals")
-        if sum(counts) != self.n:
-            raise DomainError("counts must sum to n")
-
-
-@dataclass(frozen=True)
 class IterationOutcome:
     k: int
     control: tuple
@@ -156,7 +142,6 @@ class IterationOutcome:
 
 @dataclass(frozen=True)
 class ExperimentTrace:
-    config: ExperimentConfig
     rep: int
     iterations: tuple
     beta_hat: tuple
@@ -185,8 +170,8 @@ def bell_probabilities(delta_beta, t: float) -> np.ndarray:
     return p / p.sum()
 
 
-def sample_counts(p, n: int, rng: np.random.Generator) -> BellOutcomeCounts:
-    """Multinomial draw of n Bell-outcome totals from probabilities p."""
+def sample_counts(p, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Multinomial draw of n Bell-outcome totals, shape (4,), from probabilities p."""
     p = np.asarray(p, dtype=float)
     if p.shape != (4,) or np.any(p < 0.0):
         raise DomainError("p must be four nonnegative probabilities")
@@ -194,21 +179,16 @@ def sample_counts(p, n: int, rng: np.random.Generator) -> BellOutcomeCounts:
         raise DomainError(f"probabilities sum to {p.sum():.12g}, not 1")
     if n < 1:
         raise DomainError("trial count must be >= 1")
-    counts = rng.multinomial(n, p / p.sum())
-    return BellOutcomeCounts(counts=tuple(int(c) for c in counts), n=int(n))
+    return rng.multinomial(n, p / p.sum())
 
 
-def estimate_step_gaussian(cov, rng: np.random.Generator) -> np.ndarray:
-    """Draw one iteration's estimation error C^{1/2} z from its covariance cov
-    (a Covariance3), with the symmetric square root from an eigendecomposition."""
+def estimate_step_gaussian(cov, z) -> np.ndarray:
+    """Estimation errors C^{1/2} z from covariances cov (a Covariance3 of
+    shape (..., 3, 3)) and standard normals z of shape (..., 3), with the
+    symmetric square root from an eigendecomposition."""
     w, v = np.linalg.eigh(cov.m)
-    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return root @ rng.standard_normal(3)
-
-
-def _sign_pattern_candidates(x: np.ndarray) -> list:
-    mags = np.abs(x)
-    return [mags * np.array(signs) for signs in itertools.product((1.0, -1.0), repeat=3)]
+    root = v @ (np.sqrt(np.clip(w, 0.0, None))[..., None] * np.eye(3)) @ np.swapaxes(v, -1, -2)
+    return (root @ np.asarray(z)[..., None])[..., 0]
 
 
 def _phase_candidates(theta0: float, target: float) -> list:
@@ -233,8 +213,8 @@ def _fit_bell_counts(counts: np.ndarray, t: float, prior: np.ndarray) -> np.ndar
 
     The likelihood is invariant under per-component sign flips and under
     phase reflections theta -> pi j +/- theta, so the fit is seeded in the
-    branch nearest the prior and the final sign pattern is chosen nearest
-    the prior among the eight equal-likelihood candidates.
+    branch nearest the prior and each component of the result takes the sign
+    of the prior's (+ at zero): the equal-likelihood pattern nearest the prior.
     """
     n = counts.sum()
     prior_norm = float(np.linalg.norm(prior))
@@ -266,8 +246,7 @@ def _fit_bell_counts(counts: np.ndarray, t: float, prior: np.ndarray) -> np.ndar
         raise MleNonconvergence(
             f"likelihood fit did not converge within {MLE_MAX_ITERATIONS} iterations"
         )
-    best = min(_sign_pattern_candidates(res.x), key=lambda c: np.linalg.norm(c - prior))
-    return best
+    return np.abs(res.x) * signs
 
 
 def estimate_step_bell(
@@ -280,108 +259,121 @@ def estimate_step_bell(
     if not t > 0.0:
         raise DomainError(f"evolution time must be positive, got {t}")
     prior = np.asarray(prior, dtype=float)
-    bc = sample_counts(bell_probabilities(delta_beta_true, t), n, rng)
-    return _fit_bell_counts(np.asarray(bc.counts, dtype=float), t, prior)
+    counts = sample_counts(bell_probabilities(delta_beta_true, t), n, rng)
+    return _fit_bell_counts(counts.astype(float), t, prior)
 
 
-def _measure(config: ExperimentConfig, residual, n: int, t: float, magnitude: float, prior, rng):
-    """One measurement of the residual with the config's backend: (estimate,
-    trace_cov, counts). Gaussian: a draw from the covariance along the
-    residual direction at the operating magnitude, and its trace. Bell: n
-    sampled outcomes and their fit, degeneracies resolved toward the prior.
+def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, draws, aborted):
+    """One measurement of every rep's residual: (estimates, trace_cov, counts).
+    Gaussian: residual + C^{1/2} z, with C along each residual direction at the
+    operating magnitude and z the reps' normals in draws; trace_cov is tr C.
+    Bell: each rep not aborted fits n outcomes sampled from its generator in
+    draws, toward its prior; a fit that does not converge flags it in aborted.
+    An aborted rep's estimate is zero, so its beta_hat stays where it was.
     """
     if config.backend == "gaussian":
-        norm = float(np.linalg.norm(residual))
-        if norm == 0.0:
+        norm = np.sqrt(np.vecdot(residual, residual))
+        if np.any(norm == 0.0):
             raise DomainError("residual direction is undefined at zero residual")
-        cov = iteration_covariance(residual * (magnitude / norm), n, t)
-        return residual + estimate_step_gaussian(cov, rng), float(np.trace(cov.m)), None
-    bc = sample_counts(bell_probabilities(residual, t), n, rng)
-    return _fit_bell_counts(np.asarray(bc.counts, dtype=float), t, prior), None, bc.counts
+        cov = iteration_covariance(residual * (magnitude / norm)[:, None], n, t)
+        return residual + estimate_step_gaussian(cov, draws), np.trace(cov.m, axis1=1, axis2=2), None
+    estimates = np.zeros_like(residual)
+    counts = [None] * len(residual)
+    for r in np.flatnonzero(~aborted):
+        sampled = sample_counts(bell_probabilities(residual[r], t[r]), int(n[r]), draws[r])
+        counts[r] = tuple(sampled.tolist())
+        try:
+            estimates[r] = _fit_bell_counts(sampled.astype(float), t[r], prior[r])
+        except MleNonconvergence:
+            aborted[r] = True
+    return estimates, None, counts
 
 
-def run_adaptive_experiment(config: ExperimentConfig, rep: int = 0) -> ExperimentTrace:
-    """Run one adaptive estimation experiment on the draw stream (config.seed, rep).
+def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
+    """Run reps 0..reps-1 of the experiment as one batch, rep r on the stream
+    (config.seed, r), and return their traces in rep order.
 
-    Iteration 1 measures the bare field with no control; every later
-    iteration applies the control -beta_hat_{k-1} and estimates the residual
-    at the planned (or refined) time. A likelihood fit that fails to
-    converge aborts the run and returns the trace collected so far with the
-    aborted flag set.
+    A likelihood fit that fails to converge aborts its rep only: the rep
+    keeps the iterations it completed and its estimate, and its trace is
+    flagged aborted. run_repetitions is the validated entry point; both names
+    stay public because the benchmark traces each as a span of its own.
     """
-    rng = sample_stream(config.seed, rep)
+    measurements = 2 * config.m - 1 if config.time_refinement else config.m
+    streams = [sample_stream(config.seed, r) for r in range(reps)]
+    draws = iter([streams] * measurements)
+    if config.backend == "gaussian":
+        # Rep r draws the normals of all its measurements in one call, in
+        # measurement order: the refinement measurement before the main one.
+        draws = iter(np.stack([g.standard_normal((measurements, 3)) for g in streams], axis=1))
     beta_true = np.asarray(config.beta_true, dtype=float)
     bound = config.resolved_bound()
     contraction = gain(g0()) / config.n
     v0 = bound * bound
     planned_v_m = v0 * contraction**config.m
 
-    beta_hat = np.zeros(3)
+    beta_hat = np.zeros((reps, 3))
+    aborted = np.zeros(reps, dtype=bool)
     dE2_plan = 4.0 * v0
-    records = []
-    aborted = False
+    history = []
     prev_trace_cov = None
     for k in range(1, config.m + 1):
         control = -beta_hat
         residual = beta_true + control
         t_plan = optimal_time(dE2_plan)
-        t_k, n_k = t_plan, config.n
-        magnitude = math.sqrt(dE2_plan) / 2.0
-        prior = config.resolved_guess() if k == 1 else np.zeros(3)
-        try:
-            if k >= 2 and config.time_refinement:
-                second, _, _ = _measure(
-                    config, prev_residual, config.resolved_extra(), prev_t,
-                    prev_magnitude, prev_estimate, rng,
-                )
-                omega_tilde = float(np.linalg.norm(prev_estimate - second))
-                if omega_tilde > 0.0:
-                    t_k = config.resolved_pi0() / omega_tilde
-                    n_k = max(1, round(config.n * t_plan / t_k))
-                    magnitude = omega_tilde
-            estimate, trace_cov, counts = _measure(config, residual, n_k, t_k, magnitude, prior, rng)
-        except MleNonconvergence:
-            aborted = True
-            break
+        t_k, n_k = np.full(reps, t_plan), np.full(reps, float(config.n))
+        magnitude = np.full(reps, math.sqrt(dE2_plan) / 2.0)
+        prior = np.broadcast_to(config.resolved_guess() if k == 1 else np.zeros(3), (reps, 3))
+        if k >= 2 and config.time_refinement:
+            second, _, _ = _measure(
+                config, prev_residual, np.full(reps, float(config.resolved_extra())), prev_t,
+                prev_magnitude, prev_estimate, next(draws), aborted,
+            )
+            omega_tilde = np.sqrt(np.vecdot(prev_estimate - second, prev_estimate - second))
+            refined = omega_tilde > 0.0
+            with np.errstate(divide="ignore"):
+                t_k = np.where(refined, config.resolved_pi0() / omega_tilde, t_plan)
+            n_k = np.where(refined, np.maximum(1.0, np.round(config.n * t_plan / t_k)), n_k)
+            magnitude = np.where(refined, omega_tilde, magnitude)
+        estimate, trace_cov, counts = _measure(
+            config, residual, n_k, t_k, magnitude, prior, next(draws), aborted
+        )
 
-        res_sq = float(residual @ residual)
+        res_sq = np.vecdot(residual, residual)
         # A huge residual overflows d_factor to inf, which the CLI rejects.
         with np.errstate(over="ignore"):
             d_factor = res_sq / prev_trace_cov if prev_trace_cov is not None else 4.0 * res_sq / dE2_plan
         beta_hat = beta_hat + estimate
-        records.append(
-            IterationOutcome(
-                k=k,
-                control=tuple(control.tolist()),
-                t=float(t_k),
-                n_used=int(n_k),
-                dE2_planned=dE2_plan,
-                residual_norm_sq=res_sq,
-                trace_cov=trace_cov,
-                d_factor=float(d_factor),
-                counts=counts,
-                beta_hat=tuple(beta_hat.tolist()),
-                error_norm=float(np.linalg.norm(beta_hat - beta_true)),
-            )
+        err = beta_hat - beta_true
+        columns = zip(
+            aborted.tolist(), control.tolist(), t_k.tolist(), n_k.tolist(), res_sq.tolist(),
+            [None] * reps if trace_cov is None else trace_cov.tolist(), d_factor.tolist(),
+            counts or [None] * reps, beta_hat.tolist(), np.sqrt(np.vecdot(err, err)).tolist(),
         )
+        history.append([
+            None if stopped else IterationOutcome(
+                k=k, control=tuple(c), t=t, n_used=int(n), dE2_planned=dE2_plan,
+                residual_norm_sq=s, trace_cov=tc, d_factor=d, counts=cnt,
+                beta_hat=tuple(b), error_norm=e,
+            )
+            for stopped, c, t, n, s, tc, d, cnt, b, e in columns
+        ])
         prev_residual, prev_t, prev_magnitude = residual, t_k, magnitude
         prev_estimate, prev_trace_cov = estimate, trace_cov
         dE2_plan = dE2_plan * contraction
 
-    err = beta_hat - beta_true
-    return ExperimentTrace(
-        config=config,
-        rep=rep,
-        iterations=tuple(records),
-        beta_hat=tuple(beta_hat.tolist()),
-        planned_v_m=planned_v_m,
-        realized_sq_error=float(err @ err),
-        aborted=aborted,
-    )
+    sq_error = np.vecdot(err, err).tolist()
+    return [
+        ExperimentTrace(
+            rep=r, iterations=tuple(h[r] for h in history if h[r] is not None), beta_hat=tuple(b),
+            planned_v_m=planned_v_m, realized_sq_error=sq_error[r], aborted=stopped,
+        )
+        for r, (b, stopped) in enumerate(zip(beta_hat.tolist(), aborted.tolist()))
+    ]
 
 
 def run_repetitions(config: ExperimentConfig, reps: int) -> list:
-    """Run independent repetitions in rep order, rep r on stream (seed, r)."""
+    """Run reps >= 1 repetitions, rep r on stream (seed, r), and return their
+    traces in rep order: the entry point the CLI calls."""
     if reps < 1:
         raise DomainError("repetition count must be >= 1")
-    return [run_adaptive_experiment(config, rep=r) for r in range(reps)]
+    return run_adaptive_experiment(config, reps)

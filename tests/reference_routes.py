@@ -56,7 +56,7 @@ def qfim_spectral_form(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
     s = spectral_sensitivities(model, alpha)
     osc = 16.0 * np.sin(s.gap * t / 2.0) ** 2
     m = t * t * np.outer(s.dgap, s.dgap) + osc * (np.outer(s.mu, s.mu) + np.outer(s.nu, s.nu))
-    return _validated_qfim(m, t)
+    return _validated_qfim(m)
 
 
 def bell_cfi(model: HamiltonianModel, alpha, t: float) -> np.ndarray:

@@ -140,6 +140,38 @@ def test_iteration_covariance_errors():
         adaptive.iteration_covariance((1.0, 0.0, 0.0), 5, math.pi)
 
 
+def test_iteration_covariance_batch_matches_single_calls():
+    # A stack of residuals with per-entry n and t gives each entry's own matrix, bit for bit.
+    rng = np.random.default_rng(89)
+    delta = rng.uniform(-1.5, 1.5, (40, 3))
+    delta[0] = (2e-5, 0.0, 0.0)  # w t below the csc^2 series threshold
+    n = rng.integers(1, 2000, 40)
+    t = rng.uniform(1e-2, 1.5, 40)
+    batch = adaptive.iteration_covariance(delta, n, t).m
+    assert batch.shape == (40, 3, 3)
+    for i in range(40):
+        assert np.array_equal(batch[i], adaptive.iteration_covariance(delta[i], int(n[i]), float(t[i])).m)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "delta,n,t,error",
+    [
+        ([[0.3, 0.1, 0.2], [0.0, 0.0, 0.0]], 5, 1.0, DegenerateInput),
+        ([[0.3, 0.1, 0.2], [1.0, 0.0, 0.0]], 5, [1.0, math.pi], DivergentTime),
+        ([[0.3, 0.1, 0.2], [math.nan, 0.0, 0.0]], 5, 1.0, DomainError),
+        ([[0.3, 0.1, 0.2], [1.0, 0.0, 0.0]], [5, 0], 1.0, DomainError),
+        ([[0.3, 0.1, 0.2], [1.0, 0.0, 0.0]], 5, [1.0, -1.0], DomainError),
+        ([[0.3, 0.1, 0.2], [1e200, 0.0, 0.0]], 5, 1.0, DomainError),
+        ([[0.3, 0.1, 0.2], [1e-200, 0.0, 0.0]], 5, 1e-200, DomainError),
+    ],
+)
+def test_iteration_covariance_checks_every_entry(delta, n, t, error):
+    # One bad entry rejects the stack, with no numpy warning on the way.
+    with pytest.raises(error):
+        adaptive.iteration_covariance(delta, n, t)
+
+
 # ---------------------------------------------------------------------------
 # expected_dE2_next and optimal_time
 

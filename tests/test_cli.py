@@ -462,6 +462,7 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
          "--t-stop", "6.0", "--points", "5"],
         ["schedule", "--v0", "inf", "--n", "1000", "--m", "3"],
         ["robustness", "total", "--m", "3", "--samples", "10000", "--seed", str(2**64)],
+        ["robustness", "total", "--m", "2", "--samples", "100000000000000000000", "--seed", "0"],
         ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "1", "--seed", str(2**64)],
         ["qfim", "--alpha", "0.8,-0.4,0.3", "--t", "1e200"],
         ["schedule", "--v0", "1e308", "--n", "1000", "--m", "3"],

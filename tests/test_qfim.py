@@ -247,7 +247,6 @@ def test_covariance_is_inverse_information():
             continue
         c = qfim.covariance_from_qfim(f, 12)
         assert_allclose(c.m @ (12 * f.m), np.eye(3), atol=1e-8)
-        assert c.n == 12 and c.t == f.t
 
 
 def test_covariance_singular_information():
@@ -270,7 +269,7 @@ def test_scalar_bound_zero_weight():
 
 
 def test_scalar_bound_single_diagonal():
-    f = qfim.QfimMatrix(m=np.diag([2.0, 3.0, 4.0]), t=1.0)
+    f = qfim.QfimMatrix(m=np.diag([2.0, 3.0, 4.0]))
     w = np.diag([1.0, 0.0, 0.0])
     assert qfim.scalar_bound(w, f, 5) == pytest.approx(1.0 / (5 * 2.0), rel=1e-12)
 

@@ -273,6 +273,7 @@ def test_mc_summary_shape():
         {"m": 2, "samples": 9_999, "seed": 0},
         {"m": 2, "samples": 10_000, "seed": -1},
         {"m": 2, "samples": 10_000, "seed": 2**64},
+        {"m": 2, "samples": 10**8 + 1, "seed": 0},
     ],
 )
 def test_mc_domain(kwargs):

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from hamest import adaptive, robustness, simulator
+from hamest import adaptive, core, qfim, robustness, simulator
 from hamest.errors import DomainError, MleNonconvergence
 from hamest.util import sample_stream
 from reference_routes import phase_candidates_full
@@ -69,28 +69,17 @@ def test_probabilities_normalized():
     assert np.all(p >= 0.0)
 
 
-def test_counts_validation():
-    bc = simulator.BellOutcomeCounts(counts=(3, 1, 0, 6), n=10)
-    assert bc.counts == (3, 1, 0, 6)
-    with pytest.raises(DomainError):
-        simulator.BellOutcomeCounts(counts=(3, 1, 6), n=10)
-    with pytest.raises(DomainError):
-        simulator.BellOutcomeCounts(counts=(3, -1, 2, 6), n=10)
-    with pytest.raises(DomainError):
-        simulator.BellOutcomeCounts(counts=(3, 1, 0, 6), n=11)
-
-
 def test_sample_counts_stream_determinism():
     p = simulator.bell_probabilities((0.5, 0.2, -0.1), 1.4)
     a = simulator.sample_counts(p, 600, sample_stream(3, 0))
     b = simulator.sample_counts(p, 600, sample_stream(3, 0))
-    assert a == b
-    assert sum(a.counts) == 600
+    assert np.array_equal(a, b)
+    assert a.sum() == 600
 
 
 def test_sample_counts_degenerate_distribution():
-    bc = simulator.sample_counts((1.0, 0.0, 0.0, 0.0), 50, sample_stream(0, 0))
-    assert bc.counts == (50, 0, 0, 0)
+    counts = simulator.sample_counts((1.0, 0.0, 0.0, 0.0), 50, sample_stream(0, 0))
+    assert counts.tolist() == [50, 0, 0, 0]
 
 
 @pytest.mark.parametrize(
@@ -116,11 +105,23 @@ def test_gaussian_step_reconstruction():
     res = np.array([0.3, -0.2, 0.4])
     operating = res * (0.9 / np.linalg.norm(res))
     cov = adaptive.iteration_covariance(operating, 200, 1.7)
-    err = simulator.estimate_step_gaussian(cov, sample_stream(3, 1))
+    err = simulator.estimate_step_gaussian(cov, sample_stream(3, 1).standard_normal(3))
     w, v = np.linalg.eigh(cov.m)
     root = v @ np.diag(np.sqrt(w)) @ v.T
     expected = root @ sample_stream(3, 1).standard_normal(3)
     assert_allclose(err, expected, rtol=0.0, atol=0.0)
+
+
+def test_gaussian_step_batch_matches_single_steps():
+    # One batched root per measurement gives each rep's single-matrix draw, bit for bit.
+    rng = np.random.default_rng(7)
+    res = rng.uniform(-1.0, 1.0, (25, 3))
+    cov = adaptive.iteration_covariance(res, 300, rng.uniform(0.2, 1.5, 25))
+    z = rng.standard_normal((25, 3))
+    batch = simulator.estimate_step_gaussian(cov, z)
+    for i in range(25):
+        single = simulator.estimate_step_gaussian(qfim.Covariance3(m=cov.m[i]), z[i])
+        assert np.array_equal(batch[i], single)
 
 
 def test_gaussian_step_sample_covariance():
@@ -128,7 +129,7 @@ def test_gaussian_step_sample_covariance():
     t = adaptive.g0() / np.linalg.norm(res)
     cov = adaptive.iteration_covariance(res, 500, t)
     rng = sample_stream(17, 0)
-    errs = np.array([simulator.estimate_step_gaussian(cov, rng) for _ in range(4000)])
+    errs = np.array([simulator.estimate_step_gaussian(cov, rng.standard_normal(3)) for _ in range(4000)])
     sample = errs.T @ errs / len(errs)
     assert np.linalg.norm(sample - cov.m) < 0.15 * np.linalg.norm(cov.m)
     assert np.abs(errs.mean(axis=0)).max() < 4.0 * math.sqrt(np.trace(cov.m) / len(errs))
@@ -141,7 +142,7 @@ def test_gaussian_step_deviation_law():
     cov = adaptive.iteration_covariance(res, 500, t)
     trace = np.trace(cov.m)
     rng = sample_stream(23, 0)
-    factors = np.array([simulator.estimate_step_gaussian(cov, rng) for _ in range(4000)])
+    factors = np.array([simulator.estimate_step_gaussian(cov, rng.standard_normal(3)) for _ in range(4000)])
     factors = np.einsum("ij,ij->i", factors, factors) / trace
     law_rng = sample_stream(24, 0)
     law = np.array([robustness.sample_deviation(law_rng) for _ in range(4000)])
@@ -248,7 +249,7 @@ def test_config_validation(overrides):
 
 def test_single_iteration_trace():
     cfg = ref_config(m=1, seed=9)
-    trace = simulator.run_adaptive_experiment(cfg)
+    trace = simulator.run_repetitions(cfg, 1)[0]
     assert len(trace.iterations) == 1
     it = trace.iterations[0]
     v0 = float(np.dot(BETA_REFERENCE, BETA_REFERENCE))
@@ -265,7 +266,7 @@ def test_single_iteration_trace():
 
 def test_trace_bookkeeping():
     cfg = ref_config(m=3, seed=2)
-    trace = simulator.run_adaptive_experiment(cfg)
+    trace = simulator.run_repetitions(cfg, 1)[0]
     contraction = adaptive.gain(adaptive.g0()) / cfg.n
     v0 = float(np.dot(BETA_REFERENCE, BETA_REFERENCE))
     for idx, it in enumerate(trace.iterations, start=1):
@@ -297,7 +298,7 @@ def test_repetition_validation():
 
 def test_refinement_keeps_time_budget():
     cfg = ref_config(m=3, seed=5, time_refinement=True)
-    trace = simulator.run_adaptive_experiment(cfg)
+    trace = simulator.run_repetitions(cfg, 1)[0]
     for it in trace.iterations[1:]:
         t_plan = adaptive.optimal_time(it.dE2_planned)
         assert it.t != t_plan
@@ -306,7 +307,7 @@ def test_refinement_keeps_time_budget():
 
 @pytest.mark.parametrize("refine,calls", [(False, 3), (True, 5)])
 def test_one_covariance_per_gaussian_measurement(monkeypatch, refine, calls):
-    # m measurements, plus m - 1 refinement measurements with refine
+    # m measurements, plus m - 1 refinement measurements with refine, for all reps at once
     made = []
 
     def counting(*args):
@@ -314,7 +315,7 @@ def test_one_covariance_per_gaussian_measurement(monkeypatch, refine, calls):
         return adaptive.iteration_covariance(*args)
 
     monkeypatch.setattr(simulator, "iteration_covariance", counting)
-    simulator.run_adaptive_experiment(ref_config(m=3, time_refinement=refine))
+    simulator.run_repetitions(ref_config(m=3, time_refinement=refine), 50)
     assert len(made) == calls
 
 
@@ -356,7 +357,7 @@ def test_nonconvergent_fit_aborts(monkeypatch):
 
     monkeypatch.setattr(simulator, "_fit_bell_counts", explode)
     cfg = ref_config(backend="bell", n=200, seed=1)
-    trace = simulator.run_adaptive_experiment(cfg)
+    trace = simulator.run_repetitions(cfg, 1)[0]
     assert trace.aborted
     assert trace.iterations == ()
     assert trace.beta_hat == (0.0, 0.0, 0.0)
@@ -365,13 +366,58 @@ def test_nonconvergent_fit_aborts(monkeypatch):
     )
 
 
+def test_nonconvergent_fit_aborts_only_its_rep(monkeypatch):
+    # Rep 0's fit fails at iteration 2: it keeps iteration 1 and its estimate,
+    # and the other reps run on exactly as without the failure.
+    cfg = ref_config(backend="bell", n=200, seed=1)
+    clean = simulator.run_repetitions(cfg, 3)
+    fit = simulator._fit_bell_counts
+    failed = []
+
+    def fail_once_at_iteration_2(counts, t, prior):
+        if not failed and not np.any(prior):
+            failed.append(t)
+            raise MleNonconvergence("forced")
+        return fit(counts, t, prior)
+
+    monkeypatch.setattr(simulator, "_fit_bell_counts", fail_once_at_iteration_2)
+    traces = simulator.run_repetitions(cfg, 3)
+    assert traces[0].aborted
+    assert traces[0].iterations == clean[0].iterations[:1]
+    assert traces[0].beta_hat == clean[0].iterations[0].beta_hat
+    assert traces[1:] == clean[1:]
+
+
+def test_btp_parameters_meet_their_bounds_end_to_end():
+    # The Gaussian protocol on a btp field, mapped back to (B, theta, phi):
+    # each parameter's mean squared error lies between the time-matched
+    # optimal-control floor and the adaptive upper bound, and within the
+    # headline factor 4A - 1 of the floor.
+    model = core.get_model("btp")
+    alpha = np.array([1.0, 0.4, 0.3])
+    beta = model.pauli_map(alpha)
+    cfg = simulator.ExperimentConfig(beta_true=tuple(beta), m=4, n=1000, seed=5)
+    b = np.array([t.beta_hat for t in simulator.run_repetitions(cfg, 4000)])
+    mag = np.linalg.norm(b, axis=1)
+    phi = np.arctan2(b[:, 1], b[:, 0])
+    phi = alpha[2] + (phi - alpha[2] + math.pi) % (2.0 * math.pi) - math.pi
+    sq = (np.stack([mag, np.arcsin(b[:, 2] / mag), phi], axis=1) - alpha) ** 2
+    realized = sq.mean(axis=0)
+    se = sq.std(axis=0, ddof=1) / math.sqrt(len(sq))
+    plan = adaptive.plan_schedule(float(beta @ beta), 1000, target_m=4)
+    bounds = adaptive.alpha_variance_bounds(core.model_evaluate(model, alpha).jac, plan.v_m, plan.v_oc)
+    assert np.all(realized + 3.0 * se <= bounds.upper)
+    assert np.all(realized - 3.0 * se >= bounds.lower_oc)
+    assert np.all(realized / bounds.lower_oc <= bounds.headline_factor)
+
+
 # ---------------------------------------------------------------------------
 # adaptive experiment, bell backend
 
 
 def test_bell_trace_carries_counts():
     cfg = ref_config(m=1, n=2000, backend="bell", seed=6)
-    trace = simulator.run_adaptive_experiment(cfg)
+    trace = simulator.run_repetitions(cfg, 1)[0]
     it = trace.iterations[0]
     assert it.trace_cov is None
     assert len(it.counts) == 4
