@@ -257,7 +257,8 @@ def plan_schedule(
     t_par = sum(r.t for r in records)
     t_seq = sum(r.n * r.t for r in records)
     rho = math.sqrt(n / gain(g))
-    exact_v = (contraction**m) * (g * (1.0 - rho**m) / (1.0 - rho)) ** 2 / (t_par * t_par)
+    # contraction = rho^-2; written in rho^-m, the relation cannot overflow.
+    exact_v = (g * (1.0 - rho**-m) / (rho - 1.0)) ** 2 / (t_par * t_par)
     # Large-budget 1/T^2 form: drop only the rho^-m term of the exact
     # relation. Keeping the (rho - 1) prefactor keeps the approximation
     # within 1% of exact_v once sqrt(n / gain) >= 10 and m >= 3.

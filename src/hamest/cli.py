@@ -30,13 +30,7 @@ import numpy as np
 from . import adaptive, robustness, variance
 from .core import get_model
 from .errors import DomainError, EstimationError, SingularQfim
-from .qfim import (
-    covariance_from_qfim,
-    qfim_entangled,
-    qfim_weighted_initial,
-    scalar_bound,
-    weak_commutativity_residual,
-)
+from .qfim import covariance_from_qfim, qfim_weighted_initial, scalar_bound, weak_commutativity_residual
 from .simulator import ExperimentConfig, run_repetitions
 
 SCHEMA_VERSION = 1
@@ -97,7 +91,8 @@ def _grid_spec(text: str) -> np.ndarray:
 
 
 def _check_threads(args) -> None:
-    """Validate --threads / HAMEST_THREADS, kept for compatibility: commands run serially."""
+    """Validate --threads / HAMEST_THREADS for every command, kept for
+    compatibility: commands run serially."""
     if args.threads is not None:
         value = args.threads
     else:
@@ -118,10 +113,7 @@ def _open_out(path):
 
 def _cmd_qfim(args) -> int:
     model = get_model(args.model)
-    if args.weight is None:
-        f = qfim_entangled(model, args.alpha, args.t)
-    else:
-        f = qfim_weighted_initial(model, args.alpha, args.t, args.weight)
+    f = qfim_weighted_initial(model, args.alpha, args.t, args.weight)
     cov = None
     bound = None
     singular_reason = None
@@ -146,7 +138,7 @@ def _cmd_qfim(args) -> int:
                 "model": args.model,
                 "alpha": list(args.alpha),
                 "t": args.t,
-                "weight": args.weight if args.weight is not None else 0.5,
+                "weight": args.weight,
             },
             "rows": f.m,
             "covariance": cov,
@@ -203,7 +195,6 @@ def _cmd_robustness_single(args) -> int:
 
 
 def _cmd_robustness_total(args) -> int:
-    _check_threads(args)
     summary = robustness.robustness_mc(args.m, args.samples, args.seed)
     with _open_out(args.out) as out:
         w = _csv_writer(out)
@@ -227,7 +218,6 @@ def _cmd_simulate(args) -> int:
         beta0_bound=args.bound,
         beta0_guess=args.guess,
     )
-    _check_threads(args)
     traces = run_repetitions(config, args.reps)
     with np.errstate(over="ignore"):
         mean_sq_error = float(np.mean([t.realized_sq_error for t in traces]))
@@ -285,7 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="pauli", help="model name (pauli or btp)")
     p.add_argument("--alpha", type=_triple, required=True, metavar="A1,A2,A3")
     p.add_argument("--t", type=float, required=True, help="evolution time")
-    p.add_argument("--weight", type=float, default=None, help="initial-state weight x in [0, 1]")
+    p.add_argument(
+        "--weight", type=float, default=0.5,
+        help="initial-state weight x in [0, 1] (default: 0.5, the maximally entangled probe)",
+    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_qfim)
 
@@ -341,6 +334,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_threads(args)
         code = args.func(args)
         sys.stdout.flush()
         return code

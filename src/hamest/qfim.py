@@ -1,12 +1,15 @@
 """Generators of parameter translation and the quantum Fisher information matrix.
 
-The production QFIM path is the trace formula
+The one production QFIM path is the weighted-state formula
 
-    F_ij = 2 Tr(h_i h_j) - Tr(h_i) Tr(h_j)
+    F_ij = 4 Re[Tr(rho h_i h_j) - Tr(rho h_i) Tr(rho h_j)],   rho = diag(x, 1 - x),
 
-on the generators h_i(t) of the extended (probe + maximally entangled
-ancilla) scheme. The generators come from the spectral closed form, all three
-from one evaluation of the model and one spectral decomposition.
+on the generators h_i(t), for the probe + ancilla input
+sqrt(x)|00> + sqrt(1-x)|11>. The maximally entangled scheme is its x = 1/2
+case, where it equals the trace formula 2 Tr(h_i h_j) - Tr(h_i) Tr(h_j);
+that formula is kept as a test oracle only. The generators come from the
+spectral closed form, all three from one evaluation of the model and one
+spectral decomposition.
 
 Eigenvector derivatives are never taken numerically. Where a derivative of an
 eigenstate is needed it is computed with first-order perturbation theory,
@@ -109,30 +112,13 @@ def generator(model: HamiltonianModel, alpha, t: float) -> np.ndarray:
     return hs
 
 
-def qfim_entangled(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
-    """QFIM for the maximally entangled probe+ancilla input, trace formula."""
-    hs = generator(model, alpha, t)
-    traces = [np.trace(h).real for h in hs]
-    m = np.empty((3, 3))
-    # An overflow is reported once, as the DomainError of _validated_qfim.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(3):
-            for b in range(a, 3):
-                val = 2.0 * np.trace(hs[a] @ hs[b]).real - traces[a] * traces[b]
-                m[a, b] = val
-                m[b, a] = val
-    return _validated_qfim(m)
-
-
 def qfim_weighted_initial(model: HamiltonianModel, alpha, t: float, x: float) -> QfimMatrix:
-    """QFIM for the input sqrt(x)|00> + sqrt(1-x)|11>, in the computational basis.
-
-    At x = 1/2 this coincides with qfim_entangled.
-    """
+    """QFIM for the input sqrt(x)|00> + sqrt(1-x)|11>, in the computational basis."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"weight x must lie in [0, 1], got {x}")
     hs = generator(model, alpha, t)
     m = np.empty((3, 3))
+    # An overflow is reported once, as the DomainError of _validated_qfim.
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(3):
             ha = hs[a]
@@ -148,6 +134,12 @@ def qfim_weighted_initial(model: HamiltonianModel, alpha, t: float, x: float) ->
                 m[a, b] = val
                 m[b, a] = val
     return _validated_qfim(m)
+
+
+def qfim_entangled(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
+    """QFIM for the maximally entangled probe+ancilla input: the x = 1/2 case
+    of qfim_weighted_initial."""
+    return qfim_weighted_initial(model, alpha, t, 0.5)
 
 
 def weak_commutativity_residual(model: HamiltonianModel, alpha, t: float) -> float:

@@ -20,12 +20,14 @@ Two measurement backends share the same adaptive loop:
   resolved toward the prior for the iteration.
 
 Iteration 1 runs without a control. Iteration k >= 2 applies the control
--beta_hat_{k-1} and estimates the remaining residual. Evolution times follow
-the planned contraction schedule; with time_refinement enabled, the time for
-iteration k is re-derived from a fresh estimate at the previous settings
-while holding that iteration's total time budget n * t_planned fixed. The
-reps are the batch axis of this loop; rep r draws from its own stream
-(seed, r) as a run of it alone would, so its row does not depend on --reps.
+-beta_hat_{k-1} and estimates the remaining residual. The evolution times,
+the planned dE2 of each iteration and the planned endpoint V_m all come from
+adaptive.plan_schedule, seeded with v0 = bound^2. With time_refinement
+enabled, the time for iteration k is re-derived from a fresh estimate at the
+previous settings while holding that iteration's total time budget
+n * t_planned fixed. The reps are the batch axis of this loop; rep r draws
+from its own stream (seed, r) as a run of it alone would, so its row does
+not depend on --reps.
 """
 
 import math
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .adaptive import g0, gain, iteration_covariance, optimal_time
+from .adaptive import g0, iteration_covariance, plan_schedule
 from .core import evolve_unitary, pauli_compose
 from .errors import DomainError, MleNonconvergence
 from .util import check_seed, sample_stream
@@ -307,19 +309,16 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
         draws = iter(np.stack([g.standard_normal((measurements, 3)) for g in streams], axis=1))
     beta_true = np.asarray(config.beta_true, dtype=float)
     bound = config.resolved_bound()
-    contraction = gain(g0()) / config.n
-    v0 = bound * bound
-    planned_v_m = v0 * contraction**config.m
+    plan = plan_schedule(bound * bound, config.n, target_m=config.m)
 
     beta_hat = np.zeros((reps, 3))
     aborted = np.zeros(reps, dtype=bool)
-    dE2_plan = 4.0 * v0
     history = []
     prev_trace_cov = None
-    for k in range(1, config.m + 1):
+    for rec in plan.records:
+        k, t_plan, dE2_plan = rec.k, rec.t, rec.dE2_mean
         control = -beta_hat
         residual = beta_true + control
-        t_plan = optimal_time(dE2_plan)
         t_k, n_k = np.full(reps, t_plan), np.full(reps, float(config.n))
         magnitude = np.full(reps, math.sqrt(dE2_plan) / 2.0)
         prior = np.broadcast_to(config.resolved_guess() if k == 1 else np.zeros(3), (reps, 3))
@@ -359,13 +358,12 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
         ])
         prev_residual, prev_t, prev_magnitude = residual, t_k, magnitude
         prev_estimate, prev_trace_cov = estimate, trace_cov
-        dE2_plan = dE2_plan * contraction
 
     sq_error = np.vecdot(err, err).tolist()
     return [
         ExperimentTrace(
             rep=r, iterations=tuple(h[r] for h in history if h[r] is not None), beta_hat=tuple(b),
-            planned_v_m=planned_v_m, realized_sq_error=sq_error[r], aborted=stopped,
+            planned_v_m=plan.v_m, realized_sq_error=sq_error[r], aborted=stopped,
         )
         for r, (b, stopped) in enumerate(zip(beta_hat.tolist(), aborted.tolist()))
     ]

@@ -8,7 +8,7 @@ import numpy as np
 
 from hamest.core import HamiltonianModel, model_evaluate, pauli_compose, pauli_decompose
 from hamest.errors import DomainError
-from hamest.qfim import QfimMatrix, _validated_qfim
+from hamest.qfim import QfimMatrix, _validated_qfim, generator
 from hamest.robustness import MC_BLOCK, deviation_params, ratio_total
 from hamest.simulator import bell_probabilities
 from hamest.util import fd_step, sample_stream
@@ -46,6 +46,20 @@ def generator_oracle(
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
     return np.tensordot(weights, integrand, axes=(0, 0)) * (t / panels / 3.0)
+
+
+def qfim_trace_formula(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
+    """Entangled-probe QFIM by the trace formula on the generators:
+
+        F_ij = 2 Tr(h_i h_j) - Tr(h_i) Tr(h_j).
+    """
+    hs = generator(model, alpha, t)
+    traces = [np.trace(h).real for h in hs]
+    m = np.empty((3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            m[a, b] = m[b, a] = 2.0 * np.trace(hs[a] @ hs[b]).real - traces[a] * traces[b]
+    return _validated_qfim(m)
 
 
 def qfim_spectral_form(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:

@@ -93,6 +93,21 @@ def test_qfim_weighted_initial_state(capsys):
     np.testing.assert_allclose(np.array(balanced), np.array(json.loads(out)["rows"]), rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model", "pauli", "--alpha", "0.8,-0.4,0.3", "--t", "2.0"],
+        ["--model", "btp", "--alpha", "1.0,0.4,0.3", "--t", "1.0", "--format", "csv"],
+    ],
+)
+def test_qfim_default_weight_is_half(capsys, argv):
+    # One route: the entangled probe is the weighted state at x = 1/2.
+    code, default, _ = run_cli(capsys, "qfim", *argv)
+    assert code == 0
+    _, half, _ = run_cli(capsys, "qfim", *argv, "--weight", "0.5")
+    assert default == half
+
+
 def test_qfim_malformed_triple_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["qfim", "--alpha", "1,2", "--t", "1"])
@@ -397,7 +412,7 @@ def test_rows_do_not_depend_on_reps(capsys, extra):
         ),
         (
             ["qfim", "--model", "btp", "--alpha", "1.0,0.4,0.3", "--t", "1.0", "--format", "csv"],
-            "a0f425dc796cfeac884b33f086e6d8fcb3208d3bad3c588e15597ebf860629a4",
+            "2d503b8b7d87f340d4ec62210ec1504195d4a451875d1aa5b7ca2e14119cbc0f",
         ),
     ],
 )
@@ -405,6 +420,31 @@ def test_information_output_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _random_runs(count, seed):
+    """(beta, n, m) with |beta_i| < 2, n in [2, 10^4] and m <= 5: the final
+    error stays far above the resolution of beta, so no residual rounds to
+    exactly zero."""
+    rng = np.random.default_rng(seed)
+    return [
+        (tuple(rng.uniform(-2.0, 2.0, 3).tolist()), int(10.0 ** rng.uniform(0.3, 4.0)), int(rng.integers(1, 6)))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("beta,n,m", [((0.8, -0.4, 0.3), 10000, 2)] + _random_runs(40, 17))
+def test_simulate_planned_v_m_is_the_schedule_value(capsys, beta, n, m):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--beta0=" + ",".join(map(repr, beta)), "--n", str(n), "--m", str(m), "--seed", "1"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    # The default prior bound is |beta|, and the schedule starts from v0 = bound^2.
+    bound = float(np.linalg.norm(beta))
+    v_m = adaptive.plan_schedule(bound * bound, n, target_m=m).v_m
+    assert doc["rows"][0]["planned_v_m"] == v_m
+    assert doc["summary"]["planned_v_m"] == v_m
 
 
 def test_simulate_bell_far_guess_runs(capsys):
@@ -444,10 +484,10 @@ def test_simulate_csv_sidecar(capsys, tmp_path):
 
 
 def test_internal_failure_exits_three(capsys, monkeypatch):
-    def explode(model, alpha, t):
+    def explode(model, alpha, t, x):
         raise BracketFailure("forced")
 
-    monkeypatch.setattr(cli, "qfim_entangled", explode)
+    monkeypatch.setattr(cli, "qfim_weighted_initial", explode)
     code, _, err = run_cli(capsys, "qfim", "--alpha", "0,0,0", "--t", "2")
     assert code == 3
     assert err.startswith("internal error:")
@@ -489,6 +529,28 @@ def test_invalid_numeric_input_exits_two(capsys, argv):
     assert code == 2
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        # rho = sqrt(n / gain) is about 1206: rho^m is about 1e185 at m = 60 and
+        # beyond the float range at m = 101, where V_m underflows instead.
+        (["schedule", "--v0", "1e300", "--n", "1000000", "--m", "60"], 0),
+        (["schedule", "--v0", "1e300", "--n", "1000000", "--m", "101"], 2),
+        # The same plan as the first case: V_m is about 1.7e-70.
+        (["simulate", "--beta0", "1e150,0,0", "--n", "1000000", "--m", "60", "--seed", "1"], 0),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_extreme_schedule_exits_cleanly(capsys, argv, expected):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == expected
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
 
 
 def test_non_finite_result_writes_no_csv(capsys, tmp_path):
@@ -548,3 +610,23 @@ def test_threads_env_override(capsys, monkeypatch):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "HAMEST_THREADS" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qfim", "--alpha", "0.8,-0.4,0.3", "--t", "2.0"],
+        ["variance-curve", "--alpha", "0.6,0,0.8", "--n", "100", "--t-start", "0.1", "--t-stop", "6.0",
+         "--points", "5"],
+        ["schedule", "--v0", "1", "--n", "1000", "--m", "2"],
+        ["robustness", "single", "--grid", "0.1:0.3:0.1"],
+    ],
+)
+def test_every_command_validates_threads(capsys, monkeypatch, argv):
+    code, out, err = run_cli(capsys, "--threads", "0", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: thread count must be >= 1\n"
+    monkeypatch.setenv("HAMEST_THREADS", "soup")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: HAMEST_THREADS")

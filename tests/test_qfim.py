@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from hamest import core, qfim, variance
 from hamest.errors import DomainError, SingularJacobian, SingularQfim
 
-from reference_routes import bell_cfi, generator_oracle, qfim_spectral_form
+from reference_routes import bell_cfi, generator_oracle, qfim_spectral_form, qfim_trace_formula
 
 ORACLE_ATOL = 1e-8
 SPECTRAL_ATOL = 1e-8
@@ -181,7 +181,7 @@ def test_weighted_half_equals_entangled():
     for _ in range(50):
         model, alpha = random_case(rng)
         t = rng.uniform(0.1, 5.0)
-        full = qfim.qfim_entangled(model, alpha, t)
+        full = qfim_trace_formula(model, alpha, t)
         half = qfim.qfim_weighted_initial(model, alpha, t, 0.5)
         assert np.abs(full.m - half.m).max() < GAUGE_ATOL
 
