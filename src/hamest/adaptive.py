@@ -21,7 +21,7 @@ import numpy as np
 from .core import inverse_jacobian
 from .errors import BracketFailure, DegenerateInput, DivergentTime, DomainError, NoContraction
 from .qfim import Covariance3
-from .util import CSC2_SERIES_THRESHOLD, csc_squared, near_pole
+from .util import CSC2_SERIES_THRESHOLD, check_phase, csc_squared, near_pole
 
 G0_BRACKET = (0.5, 3.0)
 G0_SCAN_POINTS = 61
@@ -99,7 +99,7 @@ def iteration_covariance(delta_beta, n, t) -> Covariance3:
         raise DomainError(f"evolution time must be positive, got {np.min(t)}")
     if np.any(n < 1):
         raise DomainError("trial count must be >= 1")
-    # Every entry is computed; a zero residual, a pole or an overflow is rejected after.
+    # Every entry is computed; a zero residual, a bad phase or an overflow is rejected after.
     with np.errstate(all="ignore"):
         w = np.sqrt(np.vecdot(delta_beta, delta_beta))[..., None, None]
         x = w * t
@@ -108,10 +108,10 @@ def iteration_covariance(delta_beta, n, t) -> Covariance3:
         nhat = delta_beta[..., None, :] / w
         p_par = np.swapaxes(nhat, -1, -2) * nhat
         m = (p_par / (t * t) + w * w * csc2 * (np.eye(3) - p_par)) / (4.0 * n)
-        k = np.round(x / math.pi)
-        pole = (k >= 1) & (np.abs(x - k * math.pi) < 1e-9)
+        pole = near_pole(x, math.pi)
     if np.any(w == 0.0):
         raise DegenerateInput("residual field vanishes; direction is undefined")
+    check_phase(float(np.max(x)))
     if np.any(pole):
         raise DivergentTime(f"w * t = {x[pole][0]:.12g} sits on a multiple of pi; covariance diverges")
     if not np.all(np.isfinite(m)):
@@ -134,10 +134,9 @@ def expected_dE2_next(total_time: float, t: float, dE2: float) -> float:
     if total_time < t:
         raise DomainError("total time cannot be shorter than a single trial")
     w = math.sqrt(dE2) / 2.0
-    if near_pole(w * t, math.pi, 1e-9):
-        raise DivergentTime(
-            f"w * t = {w * t:.12g} sits on a multiple of pi; no information accrues"
-        )
+    check_phase(w * t)
+    if near_pole(w * t, math.pi):
+        raise DivergentTime(f"w * t = {w * t:.12g} sits on a multiple of pi; no information accrues")
     return (1.0 / t + 2.0 * t * w * w * csc_squared(w * t)) / total_time
 
 
@@ -262,7 +261,7 @@ def plan_schedule(
     # Large-budget 1/T^2 form: drop only the rho^-m term of the exact
     # relation. Keeping the (rho - 1) prefactor keeps the approximation
     # within 1% of exact_v once sqrt(n / gain) >= 10 and m >= 3.
-    large_n_v = (g / (rho - 1.0)) ** 2 / (t_par * t_par) if rho > 1.0 else math.inf
+    large_n_v = (g / (rho - 1.0)) ** 2 / (t_par * t_par)
     sum_t_sq = sum(r.t * r.t for r in records)
     _, v_oc = optimal_control_baseline(n, math.sqrt(sum_t_sq))
     # The ratio v_m / v_oc needs both as positive normal floats.

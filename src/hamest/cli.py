@@ -20,7 +20,6 @@ internal invariant failures.
 import argparse
 import contextlib
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -36,25 +35,12 @@ from .simulator import ExperimentConfig, run_repetitions
 SCHEMA_VERSION = 1
 
 
-def _json_default(obj):
-    """json.dumps hook for the non-JSON types in output documents."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _json_text(doc: dict) -> str:
     """The output document as JSON text; JSON has no non-finite numbers."""
     payload = {"schema_version": SCHEMA_VERSION}
     payload.update(doc)
     try:
-        return json.dumps(payload, indent=2, default=_json_default, allow_nan=False) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError:
         raise DomainError("result is not finite and cannot be written as JSON") from None
 
@@ -114,9 +100,7 @@ def _open_out(path):
 def _cmd_qfim(args) -> int:
     model = get_model(args.model)
     f = qfim_weighted_initial(model, args.alpha, args.t, args.weight)
-    cov = None
-    bound = None
-    singular_reason = None
+    cov = bound = singular_reason = None
     try:
         cov = covariance_from_qfim(f, 1).m
         bound = scalar_bound(np.eye(3), f, 1)
@@ -140,8 +124,8 @@ def _cmd_qfim(args) -> int:
                 "t": args.t,
                 "weight": args.weight,
             },
-            "rows": f.m,
-            "covariance": cov,
+            "rows": f.m.tolist(),
+            "covariance": None if cov is None else cov.tolist(),
             "scalar_bound": bound,
             "singular": singular_reason is not None,
             "commutativity_residual": weak_commutativity_residual(model, args.alpha, args.t),
@@ -176,10 +160,8 @@ def _cmd_schedule(args) -> int:
     doc = {
         "command": "schedule",
         "params": {"v0": args.v0, "n": args.n, "target": args.target, "m": args.m},
-        "rows": list(sched.records),
-        "schedule": {
-            f.name: getattr(sched, f.name) for f in dataclasses.fields(sched) if f.name != "records"
-        },
+        "rows": [vars(r) for r in sched.records],
+        "schedule": {name: value for name, value in vars(sched).items() if name != "records"},
     }
     sys.stdout.write(_json_text(doc))
     return 0
@@ -224,7 +206,7 @@ def _cmd_simulate(args) -> int:
         ratio = float(mean_sq_error / traces[0].planned_v_m)
     doc = {
         "command": "simulate",
-        "params": config,
+        "params": vars(config),
         "seed": config.seed,
         "rows": [
             {
@@ -233,7 +215,7 @@ def _cmd_simulate(args) -> int:
                 "realized_sq_error": t.realized_sq_error,
                 "planned_v_m": t.planned_v_m,
                 "aborted": t.aborted,
-                "iterations": list(t.iterations),
+                "iterations": [vars(i) for i in t.iterations],
             }
             for t in traces
         ],

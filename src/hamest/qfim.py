@@ -30,6 +30,7 @@ from .core import (
     spectral_decompose,
 )
 from .errors import DomainError, EstimationError, SingularQfim
+from .util import check_phase
 
 QFIM_SYMMETRY_ATOL = 1e-10
 # Minimum eigenvalue must satisfy min >= -1e-10 * max(1, max eigenvalue).
@@ -91,12 +92,12 @@ def generator(model: HamiltonianModel, alpha, t: float) -> np.ndarray:
     Spectral closed form: diagonal terms t * (d_i E_l) |E_l><E_l| plus
     oscillatory off-diagonal terms built from <E0|d_i E1>. When |dE|*|t| is
     below threshold (degenerate or zero Hamiltonian) the limit t * d_i H is
-    returned. The model is evaluated and decomposed once for all three.
+    returned; an unresolvable phase dE t raises DomainError (util.check_phase).
+    The model is evaluated and decomposed once for all three.
     """
     ev = model_evaluate(model, alpha)
     spec = spectral_decompose(ev.h)
-    if not np.isfinite(spec.gap * t):
-        raise DomainError(f"phase gap * t must be finite, got t = {t} at gap {spec.gap}")
+    check_phase(spec.gap * t)
     if spec.gap * abs(t) < GENERATOR_LIMIT_THRESHOLD:
         return np.stack([t * pauli_compose(ev.jac[:, i]) for i in range(3)])
     dE, c01 = _spectral_derivatives(ev, spec)

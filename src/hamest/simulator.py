@@ -12,7 +12,8 @@ Two measurement backends share the same adaptive loop:
   models; with the mean-field operating point the realized deviation factors
   follow the control-error law exactly, at every iteration. Its covariance
   stays finite up to w t = pi, so this backend hides the phase-branch
-  ambiguity that the Bell backend has to resolve.
+  ambiguity that the Bell backend has to resolve. A residual that is exactly
+  zero (a deep schedule can reach one) takes the true field's direction.
 * "bell" samples Bell-basis outcome counts from the exact probabilities and
   estimates the residual field by maximum likelihood. The Bell probabilities
   are even in every component of the residual, so the likelihood has an
@@ -269,15 +270,17 @@ def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, draws, 
     """One measurement of every rep's residual: (estimates, trace_cov, counts).
     Gaussian: residual + C^{1/2} z, with C along each residual direction at the
     operating magnitude and z the reps' normals in draws; trace_cov is tr C.
+    A residual that is exactly zero takes the direction of config.beta_true.
     Bell: each rep not aborted fits n outcomes sampled from its generator in
     draws, toward its prior; a fit that does not converge flags it in aborted.
     An aborted rep's estimate is zero, so its beta_hat stays where it was.
     """
     if config.backend == "gaussian":
-        norm = np.sqrt(np.vecdot(residual, residual))
+        direction = np.where((residual == 0.0).all(axis=1, keepdims=True), config.beta_true, residual)
+        norm = np.sqrt(np.vecdot(direction, direction))
         if np.any(norm == 0.0):
             raise DomainError("residual direction is undefined at zero residual")
-        cov = iteration_covariance(residual * (magnitude / norm)[:, None], n, t)
+        cov = iteration_covariance(direction * (magnitude / norm)[:, None], n, t)
         return residual + estimate_step_gaussian(cov, draws), np.trace(cov.m, axis1=1, axis2=2), None
     estimates = np.zeros_like(residual)
     counts = [None] * len(residual)

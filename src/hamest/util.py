@@ -1,5 +1,7 @@
 """Small numeric helpers used by several modules."""
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -45,9 +47,22 @@ class KeyedStream:
         return sample_stream(seed, index).standard_normal(shape)
 
 
-def near_pole(x, period, tol):
-    """True when x is within tol of k*period for some integer k >= 1."""
-    if x < 0.5 * period:
-        return False
-    k = round(x / period)
-    return k >= 1 and abs(x - k * period) < tol
+# The policy of every reader of a phase modulo its period: a phase within
+# POLE_PHASE_ATOL of k * period, k >= 1, is on a pole; one whose float spacing
+# exceeds PHASE_SPACING_LIMIT (a millionth of 2 pi) has no usable position.
+POLE_PHASE_ATOL = 1e-9
+PHASE_SPACING_LIMIT = 2.0 * math.pi * 1e-6
+
+
+def near_pole(x, period, tol=POLE_PHASE_ATOL):
+    """True where x is within tol of k*period for some integer k >= 1: a bool
+    for a float x, a boolean mask for an array."""
+    k = (x / period + 0.5) // 1.0
+    return (k >= 1) & (abs(x - k * period) < tol)
+
+
+def check_phase(x: float) -> None:
+    """Reject a phase that floats cannot resolve within its period, inf and NaN
+    included. The spacing grows with |x|, so an array caller passes its largest."""
+    if not math.ulp(x) <= PHASE_SPACING_LIMIT:
+        raise DomainError(f"phase {x!r} is beyond float resolution: spacing {math.ulp(x):.3g} > 2 pi * 1e-6")

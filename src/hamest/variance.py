@@ -20,15 +20,13 @@ import numpy as np
 
 from .core import HamiltonianModel, model_evaluate, spectral_decompose
 from .errors import DegenerateSpectrum, DivergentTime, DomainError, SingularQfim
-from .util import csc_squared, near_pole
+from .util import check_phase, csc_squared, near_pole
 from .qfim import _spectral_derivatives, covariance_from_qfim, qfim_entangled
 
 DEGENERACY_RTOL = 1e-10
 # The xi coefficients are quartic in the overlaps <E0|d_i E1> ~ |d_i H| / dE;
 # past this size they overflow, so the gap is numerically zero.
 OVERLAP_LIMIT = 1e50
-POLE_PHASE_ATOL = 1e-9
-POLE_TIME_ATOL = 1e-6
 TWO_PI = 2.0 * np.pi
 
 
@@ -101,9 +99,20 @@ def xi_coefficients(sens: SpectralSensitivities) -> XiCoefficients:
     return XiCoefficients(xi1=xi1, xi2=xi2, xi3=xi3)
 
 
-def _check_time(t: float) -> None:
+def _check_time_and_trials(t: float, n: int) -> None:
     if not t > 0.0:
         raise DomainError(f"evolution time must be positive, got {t}")
+    if n < 1:
+        raise DomainError("trial count must be >= 1")
+
+
+def _csc2(gap: float, t: float) -> float:
+    """csc^2(dE t / 2) at the phase dE t; DivergentTime on a multiple of 2 pi."""
+    phase = gap * t
+    check_phase(phase)
+    if near_pole(phase, TWO_PI):
+        raise DivergentTime(f"dE * t = {phase:.12g} sits on a multiple of 2 pi; variance diverges")
+    return csc_squared(phase / 2.0)
 
 
 def _variances(xi: XiCoefficients, c: float, t: float, n: int) -> np.ndarray:
@@ -128,21 +137,15 @@ def estimator_variances(model: HamiltonianModel, alpha, t: float, n: int) -> np.
     Closed form in the xi coefficients; falls back to the diagonal of
     (n F)^{-1} when the spectrum is too degenerate for the spectral route.
     """
-    _check_time(t)
-    if n < 1:
-        raise DomainError("trial count must be >= 1")
+    _check_time_and_trials(t, n)
     try:
         sens = spectral_sensitivities(model, alpha)
     except DegenerateSpectrum:
         cov = covariance_from_qfim(qfim_entangled(model, alpha, t), n)
         return np.diag(cov.m).copy()
-    if near_pole(sens.gap * t, TWO_PI, POLE_PHASE_ATOL):
-        raise DivergentTime(
-            f"dE * t = {sens.gap * t:.12g} sits on a multiple of 2 pi; variance diverges"
-        )
     xi = xi_coefficients(sens)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _variances(xi, csc_squared(sens.gap * t / 2.0), t, n)
+        return _variances(xi, _csc2(sens.gap, t), t, n)
 
 
 def variance_envelope(xi: XiCoefficients, t: float, n: int) -> np.ndarray:
@@ -152,9 +155,7 @@ def variance_envelope(xi: XiCoefficients, t: float, n: int) -> np.ndarray:
     It touches the curve at the csc^2 minima, is non-increasing in t and
     tends to xi1 / (n xi3).
     """
-    _check_time(t)
-    if n < 1:
-        raise DomainError("trial count must be >= 1")
+    _check_time_and_trials(t, n)
     with np.errstate(over="ignore", invalid="ignore"):
         return _variances(xi, 1.0, t, n)
 
@@ -171,9 +172,10 @@ def variance_infimum(xi: XiCoefficients, n: int) -> np.ndarray:
 def variance_curve(model: HamiltonianModel, alpha, t_grid, n: int) -> list:
     """Evaluate the three variances plus envelope/infimum on a time grid.
 
-    The model is evaluated once. Grid points near a divergence time
-    2 pi k / dE (POLE_TIME_ATOL in t or POLE_PHASE_ATOL in dE t) are kept
-    with NaN variances and flag "pole". Envelope and infimum refer to the
+    The model is evaluated once. A row is flagged "pole", with NaN
+    variances, exactly where estimator_variances raises DivergentTime: where
+    util.near_pole puts dE t on 2 pi k, k >= 1. A t whose phase dE t floats
+    cannot resolve raises DomainError. Envelope and infimum refer to the
     first parameter.
     """
     sens = spectral_sensitivities(model, alpha)
@@ -182,14 +184,12 @@ def variance_curve(model: HamiltonianModel, alpha, t_grid, n: int) -> list:
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in np.asarray(t_grid, dtype=float).tolist():
-            _check_time(t)
+            _check_time_and_trials(t, n)
             env1 = float(_variances(xi, 1.0, t, n)[0])
-            k = round(t * sens.gap / TWO_PI)
-            if (k >= 1 and abs(t - TWO_PI * k / sens.gap) < POLE_TIME_ATOL) or near_pole(
-                sens.gap * t, TWO_PI, POLE_PHASE_ATOL
-            ):
-                rows.append(VarianceCurveRow(t, np.nan, np.nan, np.nan, env1, inf1, "pole"))
-                continue
-            v = _variances(xi, csc_squared(sens.gap * t / 2.0), t, n)
-            rows.append(VarianceCurveRow(t, float(v[0]), float(v[1]), float(v[2]), env1, inf1, ""))
+            flag = ""
+            try:
+                v = _variances(xi, _csc2(sens.gap, t), t, n).tolist()
+            except DivergentTime:
+                v, flag = [np.nan] * 3, "pole"
+            rows.append(VarianceCurveRow(t, *v, env1, inf1, flag))
     return rows

@@ -521,14 +521,35 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
          "--t-stop", "1e200", "--points", "60"],
         ["simulate", "--beta0", "0.05,0.03,0.04", "--guess", "1e153,0,0", "--bound", "1", "--n", "2889",
          "--m", "2", "--seed", "1", "--backend", "bell"],
+        # Phases dE t that floats cannot resolve within a period.
+        ["variance-curve", "--alpha", "0.6,0,0.8", "--n", "100", "--t-start", "1e139",
+         "--t-stop", "1.0000001e139", "--points", "4"],
+        ["variance-curve", "--alpha", "0.6,0,0.8", "--n", "100", "--t-start", "1e140",
+         "--t-stop", "1e150", "--points", "4"],
+        ["qfim", "--alpha", "0.8,-0.4,0.3", "--t", "1e20"],
     ],
 )
 @pytest.mark.filterwarnings("error")
 def test_invalid_numeric_input_exits_two(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_zero_residual_is_a_perfect_iteration(capsys):
+    # On this deep schedule an estimate equals the true field to the last bit;
+    # the next residual is exactly zero and its covariance takes the true field's direction.
+    argv = ["simulate", "--beta0", "1.3836194857834143,0.6945873935063278,0.7797346139714283",
+            "--n", "407032", "--m", "8", "--seed", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    iterations = json.loads(out)["rows"][0]["iterations"]
+    assert len(iterations) == 8
+    assert 0.0 in [it["residual_norm_sq"] for it in iterations]
 
 
 @pytest.mark.parametrize(

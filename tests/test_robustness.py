@@ -21,7 +21,8 @@ SAMPLE_SEED = 2718
 @pytest.fixture(scope="module")
 def deviation_draws():
     rng = np.random.default_rng(SAMPLE_SEED)
-    return np.array([robustness.sample_deviation(rng) for _ in range(SAMPLE_COUNT)])
+    params = robustness.deviation_params()
+    return robustness._deviation_factors(rng.standard_normal((SAMPLE_COUNT, 3)), params)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,16 @@ def test_pdf_first_moment():
 
 # ---------------------------------------------------------------------------
 # sampling against the density
+
+
+def test_batched_draws_equal_sequential_draws():
+    # The tests draw their large samples in one batch; it must equal sample_deviation draw by draw.
+    rng = np.random.default_rng(SAMPLE_SEED)
+    sequential = np.array([robustness.sample_deviation(rng) for _ in range(20_000)])
+    rng = np.random.default_rng(SAMPLE_SEED)
+    params = robustness.deviation_params()
+    batched = robustness._deviation_factors(rng.standard_normal((20_000, 3)), params)
+    assert sequential.tobytes() == batched.tobytes()
 
 
 def test_draws_positive(deviation_draws):

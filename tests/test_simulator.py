@@ -324,7 +324,8 @@ def test_iteration_deviation_factors_follow_law():
     cfg = simulator.ExperimentConfig(beta_true=BETA_REFERENCE, m=3, n=1000, seed=42)
     traces = simulator.run_repetitions(cfg, 10_000)
     ref_rng = sample_stream(999, 0)
-    reference = np.array([robustness.sample_deviation(ref_rng) for _ in range(200_000)])
+    params = robustness.deviation_params()
+    reference = robustness._deviation_factors(ref_rng.standard_normal((200_000, 3)), params)
     for k in (1, 2):
         factors = np.array([t.iterations[k].d_factor for t in traces])
         assert stats.ks_2samp(factors, reference).statistic < 0.012

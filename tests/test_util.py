@@ -1,11 +1,12 @@
-"""Numeric helpers: csc^2 series branch, FD steps, keyed RNG streams."""
+"""Numeric helpers: csc^2 series branch, FD steps, keyed RNG streams, phase policy."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hamest.util import KeyedStream, csc_squared, fd_step, near_pole, sample_stream
+from hamest.errors import DomainError
+from hamest.util import KeyedStream, check_phase, csc_squared, fd_step, near_pole, sample_stream
 
 
 def test_csc_squared_reference_points():
@@ -75,3 +76,31 @@ def test_keyed_stream_has_no_state_leakage():
 )
 def test_near_pole(x, period, tol, expected):
     assert near_pole(x, period, tol) is expected
+
+
+@pytest.mark.parametrize("period", [math.pi, 2.0 * math.pi])
+def test_near_pole_mask_matches_scalar_calls(period):
+    # Random phases plus points 2e-9 around each pole and exact half-periods.
+    rng = np.random.default_rng(12)
+    k = np.arange(0, 40)
+    x = np.concatenate(
+        [rng.uniform(0.0, 40.0 * period, 2000), k * period, k * period + 2e-9, k * period - 2e-9,
+         (k + 0.5) * period]
+    )
+    mask = near_pole(x, period)
+    assert mask.dtype == bool
+    assert mask.tolist() == [near_pole(v, period) for v in x.tolist()]
+    assert mask[2000:2040].tolist() == [False] + [True] * 39
+    assert not mask[2040:].any()
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, 2.0**35 - 1.0, -(2.0**35 - 1.0)])
+def test_check_phase_accepts_resolvable_phases(x):
+    check_phase(x)
+
+
+@pytest.mark.parametrize("x", [2.0**35, -(2.0**35), 1e139, math.inf, -math.inf, math.nan])
+def test_check_phase_rejects_unresolvable_phases(x):
+    # At 2^35 the float spacing 2^-17 exceeds 2 pi * 1e-6.
+    with pytest.raises(DomainError):
+        check_phase(x)

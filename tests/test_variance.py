@@ -218,29 +218,56 @@ def test_curve_pole_rows_flagged_not_dropped():
     assert rows[0].flag == "" and rows[2].flag == ""
 
 
+def assert_rows_match_pointwise(model, alpha, grid, n):
+    """Every curve row is flagged "pole" exactly where estimator_variances
+    raises DivergentTime, and otherwise carries its variances bit for bit."""
+    rows = variance.variance_curve(model, alpha, grid, n)
+    assert [r.t for r in rows] == list(grid)
+    for r in rows:
+        try:
+            v = variance.estimator_variances(model, alpha, r.t, n)
+        except DivergentTime:
+            assert r.flag == "pole"
+            assert math.isnan(r.v1) and math.isnan(r.v2) and math.isnan(r.v3)
+            continue
+        assert r.flag == ""
+        assert (r.v1, r.v2, r.v3) == tuple(v)
+    return rows
+
+
 def test_curve_rows_match_pointwise_variances():
     rng = np.random.default_rng(8)
     for _ in range(20):
         model, alpha = random_case(rng)
         gap = variance.spectral_sensitivities(model, alpha).gap
         pole_times = [2.0 * math.pi * k / gap for k in (1, 2)]
-        grid = sorted(
-            list(rng.uniform(0.05, 3.0 * pole_times[0], 12))
-            + pole_times
-            + [pole_times[0] + 5e-7, pole_times[1] + 1e-12]
-        )
-        for r in variance.variance_curve(model, alpha, grid, 7):
-            near_grid_pole = min(abs(r.t - tp) for tp in pole_times) < variance.POLE_TIME_ATOL
-            try:
-                v = variance.estimator_variances(model, alpha, r.t, 7)
-            except DivergentTime:
-                assert r.flag == "pole"
-                continue
-            if near_grid_pole:
-                assert r.flag == "pole"
-            else:
-                assert r.flag == ""
-                assert (r.v1, r.v2, r.v3) == tuple(v)
+        near = [pole_times[0] + 5e-7, pole_times[1] + 1e-12]
+        grid = sorted(list(rng.uniform(0.05, 3.0 * pole_times[0], 12)) + pole_times + near)
+        flags = {r.t: r.flag for r in assert_rows_match_pointwise(model, alpha, grid, 7)}
+        # The rule is on the phase dE t: 5e-7 past a pole time dE t is clear of
+        # 2 pi and the row is finite, 1e-12 past one it is not.
+        assert [flags[t] for t in pole_times + near] == ["pole", "pole", "", "pole"]
+
+
+@pytest.mark.parametrize("gap", [1e4, 1e7])
+def test_curve_flags_no_finite_row_at_large_gap(gap):
+    # A rule in t would flag rows here as the pole spacing 2 pi / gap shrinks.
+    alpha = np.array([0.6, 0.0, 0.8]) * (gap / 2.0)
+    grid = np.linspace(1.0, 2.0, 2001).tolist()
+    rows = assert_rows_match_pointwise(core.get_model("pauli"), alpha, grid, 100)
+    assert all(r.flag == "" for r in rows)
+
+
+@pytest.mark.parametrize("t", [1e139, 1e140, math.inf])
+def test_unresolvable_phase_raises_domain_error(t):
+    model, alpha = core.get_model("pauli"), (0.6, 0.0, 0.8)
+    with pytest.raises(DomainError, match="float resolution"):
+        variance.estimator_variances(model, alpha, t, 100)
+    with pytest.raises(DomainError, match="float resolution"):
+        qfim.generator(model, alpha, t)
+    if math.isfinite(t):
+        with pytest.raises(DomainError, match="float resolution"):
+            variance.variance_curve(model, alpha, [1.0, t], 100)
 
 
 def test_curve_evaluates_model_once():
