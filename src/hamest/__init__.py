@@ -11,12 +11,10 @@ from .core import (
     inverse_jacobian,
     model_evaluate,
     pauli_compose,
-    pauli_decompose,
     pauli_model,
     spectral_decompose,
 )
 from .errors import (
-    BracketFailure,
     DegenerateInput,
     DegenerateSpectrum,
     DivergentTime,
@@ -24,7 +22,6 @@ from .errors import (
     EstimationError,
     MleNonconvergence,
     NoContraction,
-    NonHermitianInput,
     SingularJacobian,
     SingularQfim,
 )

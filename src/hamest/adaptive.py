@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import inverse_jacobian
-from .errors import BracketFailure, DegenerateInput, DivergentTime, DomainError, NoContraction
+from .errors import DegenerateInput, DivergentTime, DomainError, NoContraction
 from .qfim import Covariance3
 from .util import CSC2_SERIES_THRESHOLD, check_phase, csc_squared, near_pole
 
-G0_BRACKET = (0.5, 3.0)
-G0_SCAN_POINTS = 61
+# The objective has one minimum on (0, pi), at g0 ~ 1.2986: this bracket
+# holds it with the objective larger at both ends.
+G0_BRACKET = (1.25, 4.0 / 3.0)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -42,21 +43,11 @@ def gain(x: float) -> float:
 def solve_g0(tolerance: float = 1e-10) -> float:
     """Locate the optimal phase g0 = argmin 1/g + 2 g csc^2(g).
 
-    Coarse scan over the bracket picks an interior minimum (BracketFailure if
-    the scan minimum sits on an edge), then golden-section search narrows it
-    to the requested tolerance.
+    Golden-section search narrows G0_BRACKET to the requested tolerance.
     """
     if not 1e-12 <= tolerance <= 1e-3:
         raise DomainError(f"tolerance must lie in [1e-12, 1e-3], got {tolerance}")
-    lo, hi = G0_BRACKET
-    grid = np.linspace(lo, hi, G0_SCAN_POINTS)
-    vals = [_objective(g) for g in grid]
-    imin = int(np.argmin(vals))
-    if imin == 0 or imin == G0_SCAN_POINTS - 1:
-        raise BracketFailure(
-            f"no interior minimum in [{lo}, {hi}]; scan minimum at {grid[imin]:.4f}"
-        )
-    a, b = float(grid[imin - 1]), float(grid[imin + 1])
+    a, b = G0_BRACKET
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = _objective(c), _objective(d)

@@ -128,7 +128,7 @@ def _cmd_qfim(args) -> int:
             "covariance": None if cov is None else cov.tolist(),
             "scalar_bound": bound,
             "singular": singular_reason is not None,
-            "commutativity_residual": weak_commutativity_residual(model, args.alpha, args.t),
+            "commutativity_residual": weak_commutativity_residual(model, args.alpha, args.t, args.weight),
         }
         sys.stdout.write(_json_text(doc))
     if singular_reason is not None:

@@ -1,10 +1,11 @@
-"""Exact 2x2 Hermitian/unitary algebra and the Hamiltonian model abstraction.
+"""Exact qubit propagators and spectra, and the Hamiltonian model abstraction.
 
 Conventions used throughout the package:
 
 - Energies are angular frequencies (hbar = 1), everything dimensionless.
-- A Hamiltonian is a 2x2 complex Hermitian numpy array, usually written as
-  c*I + b.sigma with real c and a real 3-vector b of Pauli coefficients.
+- A Hamiltonian is the Pauli vector b, H = b.sigma: a real finite 3-vector.
+  Every qubit Hamiltonian is one up to an identity part, which only adds a
+  global phase and is never represented.
 - Eigenvalues are ordered E0 >= E1, so the gap dE = E0 - E1 is nonnegative.
 - Eigenvector global phases are fixed by making the largest-magnitude
   component real and positive (ties go to the first component).
@@ -15,28 +16,25 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonHermitianInput, SingularJacobian
+from .errors import DomainError, SingularJacobian
 from .util import fd_step
 
-HERMITIAN_ATOL = 1e-12
-UNITARY_ATOL = 1e-10
 # Below ||b||*|t| = 1e-8 the sin(x)/x form of the propagator switches to its
 # series limit to avoid cancellation.
 EVOLVE_SERIES_THRESHOLD = 1e-8
 SINGULAR_JACOBIAN_TOL = 1e-12
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def as_pauli_vector(b) -> np.ndarray:
-    """Validate and return b as a finite float 3-vector."""
-    b = np.asarray(b, dtype=float)
+    """Validate and return b as a finite real float 3-vector."""
+    b = np.asarray(b)
     if b.shape != (3,):
         raise DomainError(f"expected a 3-vector of Pauli coefficients, got shape {b.shape}")
+    if np.iscomplexobj(b):
+        raise DomainError("Pauli coefficients must be real")
+    b = b.astype(float, copy=False)
     if not np.all(np.isfinite(b)):
         raise DomainError("Pauli coefficients must be finite")
     return b
@@ -44,42 +42,18 @@ def as_pauli_vector(b) -> np.ndarray:
 
 def pauli_compose(b) -> np.ndarray:
     """Return b1*sigma_x + b2*sigma_y + b3*sigma_z (traceless Hermitian)."""
-    b = as_pauli_vector(b)
+    return _compose(as_pauli_vector(b))
+
+
+def _compose(b: np.ndarray) -> np.ndarray:
     return np.array(
         [[b[2], b[0] - 1j * b[1]], [b[0] + 1j * b[1], -b[2]]], dtype=complex
     )
 
 
-def pauli_decompose(h) -> tuple[float, np.ndarray]:
-    """Split a Hermitian 2x2 matrix into (c, b) with h = c*I + b.sigma."""
-    h = np.asarray(h, dtype=complex)
-    c = 0.5 * np.trace(h).real
-    b = np.array(
-        [h[1, 0].real, h[1, 0].imag, 0.5 * (h[0, 0] - h[1, 1]).real]
-    )
-    return c, b
-
-
-def is_hermitian(m, atol=HERMITIAN_ATOL) -> bool:
-    m = np.asarray(m)
-    return bool(np.all(np.abs(m - m.conj().T) <= atol)) and bool(
-        np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))
-    )
-
-
-def check_hermitian(m, atol=HERMITIAN_ATOL) -> np.ndarray:
-    """Return m as a complex array, raising NonHermitianInput if it is not Hermitian."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise NonHermitianInput(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not is_hermitian(m, atol):
-        raise NonHermitianInput("matrix is not Hermitian within tolerance")
-    return m
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition2:
-    """Eigensystem of a 2x2 Hermitian matrix with E0 >= E1 and gap = E0 - E1."""
+    """Eigensystem of H = b.sigma with E0 >= E1 and gap = E0 - E1."""
 
     e0: float
     e1: float
@@ -95,10 +69,9 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * phase.conjugate()
 
 
-def spectral_decompose(h) -> SpectralDecomposition2:
-    """Eigendecompose a Hermitian 2x2 matrix under the package conventions."""
-    h = check_hermitian(h)
-    w, v = np.linalg.eigh(h)
+def spectral_decompose(b) -> SpectralDecomposition2:
+    """Eigendecompose H = b.sigma under the package conventions."""
+    w, v = np.linalg.eigh(pauli_compose(b))
     # eigh returns ascending eigenvalues; our convention is E0 >= E1.
     e0, e1 = float(w[1]), float(w[0])
     v0 = _fix_phase(v[:, 1].astype(complex))
@@ -106,23 +79,18 @@ def spectral_decompose(h) -> SpectralDecomposition2:
     return SpectralDecomposition2(e0=e0, e1=e1, v0=v0, v1=v1, gap=e0 - e1)
 
 
-def evolve_unitary(h, t: float) -> np.ndarray:
-    """exp(-i*h*t) for Hermitian h, via the closed Pauli form.
-
-    For h = c*I + b.sigma the propagator is
-    exp(-i*c*t) * (cos(||b||t)*I - i*sin(||b||t)/||b|| * b.sigma);
+def evolve_unitary(b, t: float) -> np.ndarray:
+    """exp(-i*t*b.sigma) = cos(||b||t)*I - i*sin(||b||t)/||b|| * b.sigma;
     when ||b||*|t| < 1e-8 the limits cos -> 1 and sin(x)/x -> 1 apply.
     """
-    h = check_hermitian(h)
+    b = as_pauli_vector(b)
     if not np.isfinite(t):
         raise DomainError("time must be finite")
-    c, b = pauli_decompose(h)
     bn = float(np.linalg.norm(b))
-    phase = np.exp(-1j * c * t)
     if bn * abs(t) < EVOLVE_SERIES_THRESHOLD:
-        return phase * (IDENTITY_2 - 1j * t * pauli_compose(b))
+        return IDENTITY_2 - 1j * t * _compose(b)
     x = bn * t
-    return phase * (np.cos(x) * IDENTITY_2 - 1j * (np.sin(x) / bn) * pauli_compose(b))
+    return np.cos(x) * IDENTITY_2 - 1j * (np.sin(x) / bn) * _compose(b)
 
 
 def central_difference_jacobian(pauli_map: Callable, alpha: np.ndarray) -> np.ndarray:
@@ -154,15 +122,14 @@ class HamiltonianModel:
 
 @dataclass(frozen=True)
 class ModelEvaluation:
-    """Hamiltonian, Pauli coefficients, and Jacobian at one parameter point."""
+    """Pauli vector f of H = f.sigma and Jacobian at one parameter point."""
 
-    h: np.ndarray
     f: np.ndarray
     jac: np.ndarray
 
 
 def model_evaluate(model: HamiltonianModel, alpha) -> ModelEvaluation:
-    """Evaluate H = f(alpha).sigma and J[i][j] = d f_i/d alpha_j.
+    """Evaluate the Pauli vector f(alpha) of H and J[i][j] = d f_i/d alpha_j.
 
     A singular Jacobian is not fatal here; only operations that need J^{-1}
     reject it, through inverse_jacobian.
@@ -177,7 +144,7 @@ def model_evaluate(model: HamiltonianModel, alpha) -> ModelEvaluation:
         jac = np.asarray(model.jacobian(alpha), dtype=float)
     else:
         jac = central_difference_jacobian(model.pauli_map, alpha)
-    return ModelEvaluation(h=pauli_compose(f), f=f, jac=jac)
+    return ModelEvaluation(f=f, jac=jac)
 
 
 def inverse_jacobian(jac) -> np.ndarray:

@@ -15,10 +15,6 @@ class DomainError(EstimationError, ValueError):
     """An argument lies outside the domain of the requested operation."""
 
 
-class NonHermitianInput(DomainError):
-    """A matrix that must be Hermitian is not, beyond tolerance."""
-
-
 class DegenerateSpectrum(DomainError):
     """The Hamiltonian gap is zero (or numerically so) where a gap is required."""
 
@@ -41,10 +37,6 @@ class SingularJacobian(DomainError):
 
 class NoContraction(DomainError):
     """The per-iteration trial count is too small for the recursion to contract."""
-
-
-class BracketFailure(EstimationError):
-    """The minimization bracket does not contain an interior minimum."""
 
 
 class MleNonconvergence(EstimationError):

@@ -96,7 +96,7 @@ def generator(model: HamiltonianModel, alpha, t: float) -> np.ndarray:
     The model is evaluated and decomposed once for all three.
     """
     ev = model_evaluate(model, alpha)
-    spec = spectral_decompose(ev.h)
+    spec = spectral_decompose(ev.f)
     check_phase(spec.gap * t)
     if spec.gap * abs(t) < GENERATOR_LIMIT_THRESHOLD:
         return np.stack([t * pauli_compose(ev.jac[:, i]) for i in range(3)])
@@ -113,10 +113,14 @@ def generator(model: HamiltonianModel, alpha, t: float) -> np.ndarray:
     return hs
 
 
-def qfim_weighted_initial(model: HamiltonianModel, alpha, t: float, x: float) -> QfimMatrix:
-    """QFIM for the input sqrt(x)|00> + sqrt(1-x)|11>, in the computational basis."""
+def _check_weight(x: float) -> None:
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"weight x must lie in [0, 1], got {x}")
+
+
+def qfim_weighted_initial(model: HamiltonianModel, alpha, t: float, x: float) -> QfimMatrix:
+    """QFIM for the input sqrt(x)|00> + sqrt(1-x)|11>, in the computational basis."""
+    _check_weight(x)
     hs = generator(model, alpha, t)
     m = np.empty((3, 3))
     # An overflow is reported once, as the DomainError of _validated_qfim.
@@ -143,13 +147,17 @@ def qfim_entangled(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
     return qfim_weighted_initial(model, alpha, t, 0.5)
 
 
-def weak_commutativity_residual(model: HamiltonianModel, alpha, t: float) -> float:
-    """max_ij |Im Tr(h_i h_j) / 2|, the entangled-input commutativity residual."""
+def weak_commutativity_residual(model: HamiltonianModel, alpha, t: float, x: float = 0.5) -> float:
+    """max_ij |Im <psi|h_i h_j (x) I|psi>| = max_ij |Im Tr(rho h_i h_j)|,
+    rho = diag(x, 1 - x): the commutativity residual of the input
+    sqrt(x)|00> + sqrt(1-x)|11> (default: the maximally entangled probe)."""
+    _check_weight(x)
     hs = generator(model, alpha, t)
+    rho = [x, 1.0 - x]
     worst = 0.0
     for a in range(3):
         for b in range(3):
-            worst = max(worst, abs(np.trace(hs[a] @ hs[b]).imag) / 2.0)
+            worst = max(worst, abs((np.diagonal(hs[a] @ hs[b]) @ rho).imag))
     return worst
 
 

@@ -38,7 +38,7 @@ import numpy as np
 import scipy.optimize
 
 from .adaptive import g0, iteration_covariance, plan_schedule
-from .core import evolve_unitary, pauli_compose
+from .core import evolve_unitary
 from .errors import DomainError, MleNonconvergence
 from .util import check_seed, sample_stream
 
@@ -159,8 +159,7 @@ def bell_probabilities(delta_beta, t: float) -> np.ndarray:
 
     Outcome order: (Phi+, Psi+, Psi-, Phi-).
     """
-    delta_beta = np.asarray(delta_beta, dtype=float)
-    u = evolve_unitary(pauli_compose(delta_beta), t)
+    u = evolve_unitary(delta_beta, t)
     amps = np.array(
         [
             (u[0, 0] + u[1, 1]) / 2.0,

@@ -66,7 +66,7 @@ class VarianceCurveRow:
 def spectral_sensitivities(model: HamiltonianModel, alpha) -> SpectralSensitivities:
     """Hellmann-Feynman level derivatives and perturbative overlaps at alpha."""
     ev = model_evaluate(model, alpha)
-    spec = spectral_decompose(ev.h)
+    spec = spectral_decompose(ev.f)
     scale = max(abs(spec.e0), abs(spec.e1))
     if spec.gap <= DEGENERACY_RTOL * scale or spec.gap == 0.0:
         raise DegenerateSpectrum(

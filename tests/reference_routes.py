@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from hamest.core import HamiltonianModel, model_evaluate, pauli_compose, pauli_decompose
+from hamest.core import HamiltonianModel, model_evaluate, pauli_compose
 from hamest.errors import DomainError
 from hamest.qfim import QfimMatrix, _validated_qfim, generator
 from hamest.robustness import MC_BLOCK, deviation_params, ratio_total
@@ -32,14 +32,12 @@ def generator_oracle(
         return np.zeros((2, 2), dtype=complex)
     panels = steps + (steps % 2)
     tau = np.linspace(0.0, t, panels + 1)
-    trace_part, b = pauli_decompose(ev.h)
-    theta = np.linalg.norm(b) * tau
-    # sin(|b| tau)/|b| via sinc, exact in the |b| -> 0 limit
+    theta = np.linalg.norm(ev.f) * tau
+    # sin(|f| tau)/|f| via sinc, exact in the |f| -> 0 limit
     radial = np.sinc(theta / np.pi) * tau
-    phase = np.exp(-1j * trace_part * tau)
-    u = phase[:, None, None] * (
+    u = (
         np.cos(theta)[:, None, None] * np.eye(2, dtype=complex)
-        - 1j * radial[:, None, None] * pauli_compose(b)
+        - 1j * radial[:, None, None] * pauli_compose(ev.f)
     )
     integrand = np.einsum("sba,bc,scd->sad", u.conj(), dh, u)
     weights = np.full(panels + 1, 2.0)
@@ -60,6 +58,17 @@ def qfim_trace_formula(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
         for b in range(a, 3):
             m[a, b] = m[b, a] = 2.0 * np.trace(hs[a] @ hs[b]).real - traces[a] * traces[b]
     return _validated_qfim(m)
+
+
+def commutativity_residual_explicit(hs, x: float) -> float:
+    """max_ij |Im <psi|(h_i h_j) (x) I|psi>| on the 4-dimensional probe+ancilla
+    state psi = sqrt(x)|00> + sqrt(1-x)|11>."""
+    psi = np.array([math.sqrt(x), 0.0, 0.0, math.sqrt(1.0 - x)])
+    return max(
+        abs((psi @ np.kron(hs[a] @ hs[b], np.eye(2)) @ psi).imag)
+        for a in range(3)
+        for b in range(3)
+    )
 
 
 def qfim_spectral_form(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:

@@ -57,6 +57,18 @@ def test_solve_g0_is_local_minimum():
     assert phi(g) < phi(g - 0.01)
 
 
+def test_solve_g0_bracket_is_the_scan_bracket():
+    # A 61-point scan of [0.5, 3] picks the neighbours of its minimum as the
+    # bracket; the objective has no parameters, so that is always G0_BRACKET.
+    grid = np.linspace(0.5, 3.0, 61)
+    imin = int(np.argmin([phi(g) for g in grid]))
+    assert 0 < imin < len(grid) - 1
+    assert (float(grid[imin - 1]), float(grid[imin + 1])) == adaptive.G0_BRACKET
+    lo, hi = adaptive.G0_BRACKET
+    assert phi(grid[imin]) < min(phi(lo), phi(hi))
+    assert lo < adaptive.g0() < hi
+
+
 def test_solve_g0_tolerance_domain():
     for tol in (1e-13, 1e-2):
         with pytest.raises(DomainError):

@@ -15,8 +15,10 @@ import pytest
 import hamest
 from hamest import adaptive, cli, robustness, variance
 from hamest.core import get_model
-from hamest.errors import BracketFailure
-from hamest.qfim import covariance_from_qfim, qfim_entangled, scalar_bound
+from hamest.errors import EstimationError
+from hamest.qfim import covariance_from_qfim, generator, qfim_entangled, scalar_bound
+
+from reference_routes import commutativity_residual_explicit
 
 HALF_PI = math.pi / 2.0
 
@@ -91,6 +93,17 @@ def test_qfim_weighted_initial_state(capsys):
     balanced = json.loads(out)["rows"]
     code, out, _ = run_cli(capsys, "qfim", "--alpha", "0.5,0.2,-0.1", "--t", "1.3")
     np.testing.assert_allclose(np.array(balanced), np.array(json.loads(out)["rows"]), rtol=1e-12)
+
+
+def test_qfim_weighted_commutativity_residual(capsys):
+    # The residual is that of the weighted probe sqrt(x)|00> + sqrt(1-x)|11>:
+    # max_ij |Im <psi|h_i h_j (x) I|psi>| = max_ij |Im Tr(diag(x, 1-x) h_i h_j)|.
+    code, out, _ = run_cli(capsys, "qfim", "--weight", "0.3", "--alpha", "0.8,-0.4,0.3", "--t", "2.0")
+    assert code == 0
+    expected = commutativity_residual_explicit(generator(get_model("pauli"), (0.8, -0.4, 0.3), 2.0), 0.3)
+    residual = json.loads(out)["commutativity_residual"]
+    assert residual == pytest.approx(expected, rel=1e-12)
+    assert residual == pytest.approx(0.738, abs=5e-4)
 
 
 @pytest.mark.parametrize(
@@ -485,7 +498,7 @@ def test_simulate_csv_sidecar(capsys, tmp_path):
 
 def test_internal_failure_exits_three(capsys, monkeypatch):
     def explode(model, alpha, t, x):
-        raise BracketFailure("forced")
+        raise EstimationError("forced")
 
     monkeypatch.setattr(cli, "qfim_weighted_initial", explode)
     code, _, err = run_cli(capsys, "qfim", "--alpha", "0,0,0", "--t", "2")

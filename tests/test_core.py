@@ -4,34 +4,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from hamest import core
-from hamest.errors import DomainError, NonHermitianInput, SingularJacobian
+from hamest.errors import DomainError, SingularJacobian
 
 RECONSTRUCT_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 JACOBIAN_RTOL = 1e-6
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def random_hermitian(rng, scale=10.0):
-    d = rng.uniform(-scale, scale, 2)
-    re = rng.uniform(-scale, scale)
-    im = rng.uniform(-scale, scale)
-    return np.array(
-        [[d[0], re - 1j * im], [re + 1j * im, d[1]]], dtype=complex
-    )
+def random_pauli(rng, scale=10.0):
+    return rng.uniform(-scale, scale, 3)
 
 
 # ---------------------------------------------------------------------------
-# pauli_compose / pauli_decompose
+# pauli_compose
 
 
 def test_compose_zero():
@@ -50,28 +42,29 @@ def test_compose_generic():
 def test_compose_traceless_hermitian():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        h = core.pauli_compose(rng.uniform(-10, 10, 3))
+        h = core.pauli_compose(random_pauli(rng))
         assert abs(np.trace(h)) < 1e-14
-        assert core.is_hermitian(h)
+        assert np.array_equal(h, h.conj().T)
 
 
-@seed(1)
-@given(
-    st.lists(
-        st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=4, max_size=4
-    )
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.zeros((2, 2), dtype=complex),
+        SZ,
+        np.ones(4),
+        np.ones(2),
+        np.array([1.0, 0.0, 1.0j]),
+        np.array([1.0, np.nan, 0.0]),
+        np.array([np.inf, 0.0, 0.0]),
+    ],
+    ids=["zero-matrix", "sigma-z-matrix", "4-vector", "2-vector", "complex", "nan", "inf"],
 )
-def test_decompose_round_trip(vals):
-    c, b = vals[0], np.array(vals[1:])
-    h = c * np.eye(2) + core.pauli_compose(b)
-    c_out, b_out = core.pauli_decompose(h)
-    assert_allclose(c_out, c, atol=RECONSTRUCT_ATOL)
-    assert_allclose(b_out, b, atol=RECONSTRUCT_ATOL)
-
-
-def test_check_hermitian_rejects():
-    with pytest.raises(NonHermitianInput):
-        core.check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+def test_pauli_vector_only(bad):
+    with pytest.raises(DomainError):
+        core.spectral_decompose(bad)
+    with pytest.raises(DomainError):
+        core.evolve_unitary(bad, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +72,7 @@ def test_check_hermitian_rejects():
 
 
 def test_spectral_sz():
-    d = core.spectral_decompose(SZ)
+    d = core.spectral_decompose((0.0, 0.0, 1.0))
     assert d.e0 == pytest.approx(1.0)
     assert d.e1 == pytest.approx(-1.0)
     assert_allclose(d.v0, [1.0, 0.0], atol=RECONSTRUCT_ATOL)
@@ -87,14 +80,14 @@ def test_spectral_sz():
 
 
 def test_spectral_eigenvalues_norm():
-    d = core.spectral_decompose(core.pauli_compose((1.0, 2.0, 3.0)))
+    d = core.spectral_decompose((1.0, 2.0, 3.0))
     assert d.e0 == pytest.approx(math.sqrt(14.0))
     assert d.e1 == pytest.approx(-math.sqrt(14.0))
     assert d.gap == pytest.approx(2.0 * math.sqrt(14.0))
 
 
 def test_spectral_zero_matrix():
-    d = core.spectral_decompose(np.zeros((2, 2), dtype=complex))
+    d = core.spectral_decompose(np.zeros(3))
     assert d.e0 == 0.0 and d.e1 == 0.0 and d.gap == 0.0
     assert abs(np.vdot(d.v0, d.v1)) < RECONSTRUCT_ATOL
     assert np.linalg.norm(d.v0) == pytest.approx(1.0)
@@ -104,8 +97,9 @@ def test_spectral_zero_matrix():
 def test_spectral_reconstruction_sweep():
     rng = np.random.default_rng(7)
     for _ in range(1000):
-        h = random_hermitian(rng)
-        d = core.spectral_decompose(h)
+        b = random_pauli(rng)
+        h = core.pauli_compose(b)
+        d = core.spectral_decompose(b)
         assert d.e0 >= d.e1
         back = d.e0 * np.outer(d.v0, d.v0.conj()) + d.e1 * np.outer(
             d.v1, d.v1.conj()
@@ -119,7 +113,7 @@ def test_spectral_reconstruction_sweep():
 def test_spectral_phase_gauge():
     rng = np.random.default_rng(8)
     for _ in range(100):
-        d = core.spectral_decompose(random_hermitian(rng))
+        d = core.spectral_decompose(random_pauli(rng))
         for v in (d.v0, d.v1):
             top = v[np.argmax(np.abs(v))]
             assert top.imag == pytest.approx(0.0, abs=RECONSTRUCT_ATOL)
@@ -131,55 +125,54 @@ def test_spectral_phase_gauge():
 
 
 def test_evolve_sz_quarter_turn():
-    u = core.evolve_unitary(SZ, math.pi / 2)
+    u = core.evolve_unitary((0.0, 0.0, 1.0), math.pi / 2)
     assert_allclose(u, np.diag([np.exp(-1j * math.pi / 2), np.exp(1j * math.pi / 2)]), atol=UNITARY_ATOL)
 
 
 def test_evolve_zero_hamiltonian():
-    assert_allclose(core.evolve_unitary(np.zeros((2, 2), complex), 5.0), np.eye(2), atol=UNITARY_ATOL)
+    assert_allclose(core.evolve_unitary(np.zeros(3), 5.0), np.eye(2), atol=UNITARY_ATOL)
 
 
 def test_evolve_sx_half_turn_vs_expm():
-    u = core.evolve_unitary(SX, math.pi)
+    u = core.evolve_unitary((1.0, 0.0, 0.0), math.pi)
     assert_allclose(u, -np.eye(2), atol=UNITARY_ATOL)
     assert_allclose(u, expm(-1j * SX * math.pi), atol=UNITARY_ATOL)
 
 
 def test_evolve_matches_expm_sweep():
-    # Includes a trace component, which the closed form must phase out.
     rng = np.random.default_rng(11)
     for _ in range(100):
-        h = random_hermitian(rng, scale=3.0)
+        b = random_pauli(rng, scale=3.0)
         t = rng.uniform(-4.0, 4.0)
         assert_allclose(
-            core.evolve_unitary(h, t), expm(-1j * h * t), atol=1e-11
+            core.evolve_unitary(b, t), expm(-1j * core.pauli_compose(b) * t), atol=1e-11
         )
 
 
 def test_evolve_inverse_property():
     rng = np.random.default_rng(12)
     for _ in range(200):
-        h = random_hermitian(rng)
+        b = random_pauli(rng)
         t = rng.uniform(-10.0, 10.0)
-        prod = core.evolve_unitary(h, t) @ core.evolve_unitary(h, -t)
+        prod = core.evolve_unitary(b, t) @ core.evolve_unitary(b, -t)
         assert np.abs(prod - np.eye(2)).max() < UNITARY_ATOL
 
 
 def test_evolve_composition_law():
     rng = np.random.default_rng(13)
     for _ in range(200):
-        h = random_hermitian(rng, scale=5.0)
+        b = random_pauli(rng, scale=5.0)
         t1, t2 = rng.uniform(-3.0, 3.0, 2)
-        lhs = core.evolve_unitary(h, t1 + t2)
-        rhs = core.evolve_unitary(h, t1) @ core.evolve_unitary(h, t2)
+        lhs = core.evolve_unitary(b, t1 + t2)
+        rhs = core.evolve_unitary(b, t1) @ core.evolve_unitary(b, t2)
         assert np.abs(lhs - rhs).max() < UNITARY_ATOL
 
 
 def test_evolve_small_norm_branch():
     # Below the series threshold the closed form must not divide by ~0.
-    h = core.pauli_compose((1e-12, 0.0, 0.0))
-    u = core.evolve_unitary(h, 1.0)
-    assert_allclose(u, expm(-1j * h), atol=1e-14)
+    b = (1e-12, 0.0, 0.0)
+    u = core.evolve_unitary(b, 1.0)
+    assert_allclose(u, expm(-1j * core.pauli_compose(b)), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +184,6 @@ def test_pauli_model_identity():
     assert_allclose(ev.f, [1.0, 2.0, 3.0])
     assert_allclose(ev.jac, np.eye(3))
     assert_allclose(core.inverse_jacobian(ev.jac), np.eye(3))
-    assert_allclose(ev.h, core.pauli_compose((1.0, 2.0, 3.0)))
 
 
 def test_btp_axis_aligned():
@@ -244,8 +236,12 @@ def test_model_hamiltonian_traceless():
         for _ in range(20):
             alpha = rng.uniform(0.3, 2.0, 3)
             ev = core.model_evaluate(model, alpha)
-            assert abs(np.trace(ev.h)) < 1e-14
-            assert core.is_hermitian(ev.h)
+            # H = f.sigma has no identity part: its levels are +-|f|.
+            assert ev.f.shape == (3,) and ev.f.dtype == np.float64
+            assert np.array_equal(ev.f, model.pauli_map(alpha))
+            d = core.spectral_decompose(ev.f)
+            assert d.e0 == pytest.approx(np.linalg.norm(ev.f), rel=1e-14)
+            assert d.e1 == pytest.approx(-d.e0, rel=1e-14)
 
 
 def test_custom_model_uses_fd_jacobian():

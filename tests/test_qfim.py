@@ -9,7 +9,13 @@ from numpy.testing import assert_allclose
 from hamest import core, qfim, variance
 from hamest.errors import DomainError, SingularJacobian, SingularQfim
 
-from reference_routes import bell_cfi, generator_oracle, qfim_spectral_form, qfim_trace_formula
+from reference_routes import (
+    bell_cfi,
+    commutativity_residual_explicit,
+    generator_oracle,
+    qfim_spectral_form,
+    qfim_trace_formula,
+)
 
 ORACLE_ATOL = 1e-8
 SPECTRAL_ATOL = 1e-8
@@ -231,6 +237,29 @@ def test_weak_commutativity_random_sweep():
         model, alpha = random_case(rng)
         r = qfim.weak_commutativity_residual(model, alpha, rng.uniform(0.0, 10.0))
         assert r < 1e-10
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 0.5, 1.0])
+def test_weak_commutativity_weighted_matches_explicit_state(x):
+    rng = np.random.default_rng(48)
+    for _ in range(50):
+        model, alpha = random_case(rng)
+        t = rng.uniform(0.0, 10.0)
+        ref = commutativity_residual_explicit(qfim.generator(model, alpha, t), x)
+        r = qfim.weak_commutativity_residual(model, alpha, t, x)
+        assert r == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_weak_commutativity_weight_default_and_domain():
+    model, alpha, t = core.get_model("pauli"), (0.8, -0.4, 0.3), 2.0
+    assert qfim.weak_commutativity_residual(model, alpha, t) == (
+        qfim.weak_commutativity_residual(model, alpha, t, 0.5)
+    )
+    # Away from x = 1/2 the generators need not commute on the probe.
+    assert qfim.weak_commutativity_residual(model, alpha, t, 0.3) > 0.5
+    for x in (-0.1, 1.1, math.nan):
+        with pytest.raises(DomainError):
+            qfim.weak_commutativity_residual(model, alpha, t, x)
 
 
 # ---------------------------------------------------------------------------

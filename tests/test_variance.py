@@ -57,8 +57,8 @@ def test_sensitivities_match_eigenvalue_fd():
             dn = np.array(alpha, dtype=float)
             up[i] += h
             dn[i] -= h
-            d_up = core.spectral_decompose(core.model_evaluate(model, up).h)
-            d_dn = core.spectral_decompose(core.model_evaluate(model, dn).h)
+            d_up = core.spectral_decompose(core.model_evaluate(model, up).f)
+            d_dn = core.spectral_decompose(core.model_evaluate(model, dn).f)
             fd0 = (d_up.e0 - d_dn.e0) / (2 * h)
             fd1 = (d_up.e1 - d_dn.e1) / (2 * h)
             assert s.dE[0][i] == pytest.approx(fd0, rel=HF_RTOL, abs=1e-7)
