@@ -311,14 +311,10 @@ def alpha_variance_bounds(jac, v_m: float, v_oc: float) -> AlphaVarianceBounds:
     if not v_m > 0.0 or not v_oc > 0.0:
         raise DomainError("variance scales must be positive")
     nu_max = np.max(k_inv**2, axis=1)
-    mu_max = np.empty(3)
-    for i in range(3):
-        best = 0.0
-        for r in range(3):
-            for s in range(3):
-                if r != s:
-                    best = max(best, abs(k_inv[i, r] * k_inv[i, s]))
-        mu_max[i] = best
+    products = np.abs(k_inv[:, :, None] * k_inv[:, None, :])
+    diag = np.arange(3)
+    products[:, diag, diag] = 0.0
+    mu_max = products.max(axis=(1, 2))
     a = deviation_weight()
     upper = (2.0 * mu_max * (a - 1.0) / (1.0 + 2.0 * a) + nu_max) * v_m
     lower_oc = nu_max * v_oc / 3.0

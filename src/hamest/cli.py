@@ -168,11 +168,12 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_robustness_single(args) -> int:
+    # Every row is computed first, so a grid point outside the domain writes nothing.
+    rows = [[_fmt(d), _fmt(robustness.ratio_single(d)), _fmt(robustness.deviation_pdf(d))] for d in args.grid]
     with _open_out(args.out) as out:
         w = _csv_writer(out)
         w.writerow(["D", "R", "pdf"])
-        for d in args.grid:
-            w.writerow([_fmt(d), _fmt(robustness.ratio_single(d)), _fmt(robustness.deviation_pdf(d))])
+        w.writerows(rows)
     return 0
 
 

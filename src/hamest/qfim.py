@@ -1,34 +1,34 @@
 """Generators of parameter translation and the quantum Fisher information matrix.
 
+For H = f.sigma every generator
+
+    h_i(t) = int_0^t exp(iHs) (d_i H) exp(-iHs) ds
+
+is itself a Pauli vector, h_i = g_i.sigma: conjugation by exp(iHs) turns
+J_i = d_i f about n = f / |f| through the angle -2|f|s, so with w = |f|
+
+    g_i = t (n.J_i) n + t sinc(2wt) (J_i - (n.J_i) n) - t sin(wt) sinc(wt) (n x J_i),
+
+sinc(x) = sin(x) / x, which needs no branch as w -> 0 (there n = 0).
+
 The one production QFIM path is the weighted-state formula
 
     F_ij = 4 Re[Tr(rho h_i h_j) - Tr(rho h_i) Tr(rho h_j)],   rho = diag(x, 1 - x),
 
-on the generators h_i(t), for the probe + ancilla input
-sqrt(x)|00> + sqrt(1-x)|11>. The maximally entangled scheme is its x = 1/2
-case, where it equals the trace formula 2 Tr(h_i h_j) - Tr(h_i) Tr(h_j);
-that formula is kept as a test oracle only. The generators come from the
-spectral closed form, all three from one evaluation of the model and one
-spectral decomposition.
-
-Eigenvector derivatives are never taken numerically. Where a derivative of an
-eigenstate is needed it is computed with first-order perturbation theory,
-<E0|d_i E1> = <E0|(d_i H)|E1> / (E1 - E0), which is gauge-stable.
+for the probe + ancilla input sqrt(x)|00> + sqrt(1-x)|11>. With z = 2x - 1,
+rho = (I + z sigma_z) / 2 and h_i h_j = (g_i.g_j) I + i (g_i x g_j).sigma, so
+F = 4 (G G^T - z^2 g_3 g_3^T), where G stacks the g_i as rows and g_3 is its
+third column. The maximally entangled scheme is the x = 1/2 case, where it
+equals the trace formula 2 Tr(h_i h_j) - Tr(h_i) Tr(h_j); that formula is
+kept as a test oracle only.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    HamiltonianModel,
-    ModelEvaluation,
-    SpectralDecomposition2,
-    inverse_jacobian,
-    model_evaluate,
-    pauli_compose,
-    spectral_decompose,
-)
+from .core import HamiltonianModel, inverse_jacobian, model_evaluate
 from .errors import DomainError, EstimationError, SingularQfim
 from .util import check_phase
 
@@ -36,8 +36,6 @@ QFIM_SYMMETRY_ATOL = 1e-10
 # Minimum eigenvalue must satisfy min >= -1e-10 * max(1, max eigenvalue).
 QFIM_PSD_RTOL = 1e-10
 QFIM_INVERTIBLE_RTOL = 1e-12
-# Below |dE|*|t| = 1e-8 the generator takes its degenerate limit t * dH.
-GENERATOR_LIMIT_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -71,46 +69,24 @@ def _validated_qfim(m) -> QfimMatrix:
     return QfimMatrix(m=m)
 
 
-def _spectral_derivatives(ev: ModelEvaluation, spec: SpectralDecomposition2):
-    """(dE, c01) at a point with a nonzero gap: the Hellmann-Feynman level
-    derivatives dE[l, i] = <E_l|d_i H|E_l>, shape (2, 3), and the perturbative
-    overlaps c01[i] = <E0|d_i H|E1> / (E1 - E0) = <E0|d_i E1>, shape (3,)."""
-    dE = np.empty((2, 3))
-    c01 = np.empty(3, dtype=complex)
-    for i in range(3):
-        dh = pauli_compose(ev.jac[:, i])
-        dE[0, i] = (spec.v0.conj() @ dh @ spec.v0).real
-        dE[1, i] = (spec.v1.conj() @ dh @ spec.v1).real
-        c01[i] = (spec.v0.conj() @ dh @ spec.v1) / (spec.e1 - spec.e0)
-    return dE, c01
-
-
 def generator(model: HamiltonianModel, alpha, t: float) -> np.ndarray:
-    """Generators h_1(t), h_2(t), h_3(t) of the parameter translations, stacked
-    as a (3, 2, 2) array of Hermitian matrices.
+    """Pauli vectors g_i of the generators h_i(t) = g_i.sigma of the parameter
+    translations, as the rows of a real (3, 3) array.
 
-    Spectral closed form: diagonal terms t * (d_i E_l) |E_l><E_l| plus
-    oscillatory off-diagonal terms built from <E0|d_i E1>. When |dE|*|t| is
-    below threshold (degenerate or zero Hamiltonian) the limit t * d_i H is
-    returned; an unresolvable phase dE t raises DomainError (util.check_phase).
-    The model is evaluated and decomposed once for all three.
+    Closed form of the module docstring, from one evaluation of the model. An
+    unresolvable phase 2|f|t raises DomainError (util.check_phase).
     """
     ev = model_evaluate(model, alpha)
-    spec = spectral_decompose(ev.f)
-    check_phase(spec.gap * t)
-    if spec.gap * abs(t) < GENERATOR_LIMIT_THRESHOLD:
-        return np.stack([t * pauli_compose(ev.jac[:, i]) for i in range(3)])
-    dE, c01 = _spectral_derivatives(ev, spec)
-    p0 = np.outer(spec.v0, spec.v0.conj())
-    p1 = np.outer(spec.v1, spec.v1.conj())
-    p01 = np.outer(spec.v0, spec.v1.conj())
-    phase = 1j * (np.exp(1j * spec.gap * t) - 1.0)
-    hs = np.empty((3, 2, 2), dtype=complex)
-    for i in range(3):
-        # Per-index scalar arithmetic: vectorising over i changes last bits.
-        off = phase * c01[i] * p01
-        hs[i] = t * dE[0, i] * p0 + t * dE[1, i] * p1 + off + off.conj().T
-    return hs
+    w = math.hypot(*ev.f)
+    check_phase(2.0 * w * t)
+    n = ev.f / w if w > 0.0 else np.zeros(3)
+    rows = ev.jac.T
+    along = np.outer(rows @ n, n)
+    return (
+        t * along
+        + t * np.sinc(2.0 * w * t / math.pi) * (rows - along)
+        - t * math.sin(w * t) * np.sinc(w * t / math.pi) * np.cross(n, rows)
+    )
 
 
 def _check_weight(x: float) -> None:
@@ -119,26 +95,14 @@ def _check_weight(x: float) -> None:
 
 
 def qfim_weighted_initial(model: HamiltonianModel, alpha, t: float, x: float) -> QfimMatrix:
-    """QFIM for the input sqrt(x)|00> + sqrt(1-x)|11>, in the computational basis."""
+    """QFIM for the input sqrt(x)|00> + sqrt(1-x)|11>, in the computational
+    basis: 4 (G G^T - z^2 g_3 g_3^T) with z = 2x - 1."""
     _check_weight(x)
-    hs = generator(model, alpha, t)
-    m = np.empty((3, 3))
+    z = 2.0 * x - 1.0
     # An overflow is reported once, as the DomainError of _validated_qfim.
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(3):
-            ha = hs[a]
-            mean_a = x * ha[0, 0].real + (1.0 - x) * ha[1, 1].real
-            for b in range(a, 3):
-                hb = hs[b]
-                mean_b = x * hb[0, 0].real + (1.0 - x) * hb[1, 1].real
-                second = (
-                    x * (ha[0, 0] * hb[0, 0] + ha[0, 1] * hb[1, 0])
-                    + (1.0 - x) * (ha[1, 0] * hb[0, 1] + ha[1, 1] * hb[1, 1])
-                ).real
-                val = 4.0 * (second - mean_a * mean_b)
-                m[a, b] = val
-                m[b, a] = val
-    return _validated_qfim(m)
+        g = generator(model, alpha, t)
+        return _validated_qfim(4.0 * (g @ g.T - z * z * np.outer(g[:, 2], g[:, 2])))
 
 
 def qfim_entangled(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
@@ -148,17 +112,13 @@ def qfim_entangled(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
 
 
 def weak_commutativity_residual(model: HamiltonianModel, alpha, t: float, x: float = 0.5) -> float:
-    """max_ij |Im <psi|h_i h_j (x) I|psi>| = max_ij |Im Tr(rho h_i h_j)|,
-    rho = diag(x, 1 - x): the commutativity residual of the input
-    sqrt(x)|00> + sqrt(1-x)|11> (default: the maximally entangled probe)."""
+    """max_ij |Im <psi|h_i h_j (x) I|psi>| = max_ij |z (g_i x g_j)_3|, z = 2x - 1:
+    the commutativity residual of the input sqrt(x)|00> + sqrt(1-x)|11>
+    (default: the maximally entangled probe, where it is 0)."""
     _check_weight(x)
-    hs = generator(model, alpha, t)
-    rho = [x, 1.0 - x]
-    worst = 0.0
-    for a in range(3):
-        for b in range(3):
-            worst = max(worst, abs((np.diagonal(hs[a] @ hs[b]) @ rho).imag))
-    return worst
+    g = generator(model, alpha, t)
+    cross3 = np.outer(g[:, 0], g[:, 1]) - np.outer(g[:, 1], g[:, 0])
+    return float(np.max(np.abs((2.0 * x - 1.0) * cross3)))
 
 
 def _invert_qfim(f: QfimMatrix) -> np.ndarray:

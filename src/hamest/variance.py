@@ -12,16 +12,20 @@ The per-parameter variance of the saturating estimator is
 which equals the i-th diagonal element of (n F)^{-1} exactly. The xi
 coefficients are polynomial in (mu, nu, d) and independent of both the
 eigenvector phase gauge and the labeling order of the other two parameters.
+
+Eigenvector derivatives are never taken numerically. Where a derivative of an
+eigenstate is needed it is computed with first-order perturbation theory,
+<E0|d_i E1> = <E0|(d_i H)|E1> / (E1 - E0), which is gauge-stable.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HamiltonianModel, model_evaluate, spectral_decompose
+from .core import HamiltonianModel, model_evaluate, pauli_compose, spectral_decompose
 from .errors import DegenerateSpectrum, DivergentTime, DomainError, SingularQfim
 from .util import check_phase, csc_squared, near_pole
-from .qfim import _spectral_derivatives, covariance_from_qfim, qfim_entangled
+from .qfim import covariance_from_qfim, qfim_entangled
 
 DEGENERACY_RTOL = 1e-10
 # The xi coefficients are quartic in the overlaps <E0|d_i E1> ~ |d_i H| / dE;
@@ -72,7 +76,14 @@ def spectral_sensitivities(model: HamiltonianModel, alpha) -> SpectralSensitivit
         raise DegenerateSpectrum(
             f"spectral gap {spec.gap:.3e} too small relative to |H| = {scale:.3e}"
         )
-    dE, c01 = _spectral_derivatives(ev, spec)
+    # dE[l, i] = <E_l|d_i H|E_l> and c01[i] = <E0|d_i H|E1> / (E1 - E0) = <E0|d_i E1>.
+    dE = np.empty((2, 3))
+    c01 = np.empty(3, dtype=complex)
+    for i in range(3):
+        dh = pauli_compose(ev.jac[:, i])
+        dE[0, i] = (spec.v0.conj() @ dh @ spec.v0).real
+        dE[1, i] = (spec.v1.conj() @ dh @ spec.v1).real
+        c01[i] = (spec.v0.conj() @ dh @ spec.v1) / (spec.e1 - spec.e0)
     if np.max(np.abs(c01)) > OVERLAP_LIMIT:
         raise DegenerateSpectrum(
             f"spectral gap {spec.gap:.3e} too small: perturbative overlaps exceed {OVERLAP_LIMIT:.0e}"

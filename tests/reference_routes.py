@@ -46,12 +46,17 @@ def generator_oracle(
     return np.tensordot(weights, integrand, axes=(0, 0)) * (t / panels / 3.0)
 
 
+def generator_matrices(model: HamiltonianModel, alpha, t: float) -> np.ndarray:
+    """The generators h_i = g_i.sigma as a (3, 2, 2) stack of Hermitian matrices."""
+    return np.stack([pauli_compose(g) for g in generator(model, alpha, t)])
+
+
 def qfim_trace_formula(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
     """Entangled-probe QFIM by the trace formula on the generators:
 
         F_ij = 2 Tr(h_i h_j) - Tr(h_i) Tr(h_j).
     """
-    hs = generator(model, alpha, t)
+    hs = generator_matrices(model, alpha, t)
     traces = [np.trace(h).real for h in hs]
     m = np.empty((3, 3))
     for a in range(3):
@@ -60,14 +65,29 @@ def qfim_trace_formula(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
     return _validated_qfim(m)
 
 
+def _probe_state(x: float) -> np.ndarray:
+    """The 4-dimensional probe+ancilla state sqrt(x)|00> + sqrt(1-x)|11>."""
+    return np.array([math.sqrt(x), 0.0, 0.0, math.sqrt(1.0 - x)])
+
+
 def commutativity_residual_explicit(hs, x: float) -> float:
-    """max_ij |Im <psi|(h_i h_j) (x) I|psi>| on the 4-dimensional probe+ancilla
-    state psi = sqrt(x)|00> + sqrt(1-x)|11>."""
-    psi = np.array([math.sqrt(x), 0.0, 0.0, math.sqrt(1.0 - x)])
+    """max_ij |Im <psi|(h_i h_j) (x) I|psi>| on the probe+ancilla state psi."""
+    psi = _probe_state(x)
     return max(
         abs((psi @ np.kron(hs[a] @ hs[b], np.eye(2)) @ psi).imag)
         for a in range(3)
         for b in range(3)
+    )
+
+
+def qfim_explicit_state(hs, x: float) -> np.ndarray:
+    """F_ij = 4 Re[<psi|(h_i h_j) (x) I|psi> - <psi|h_i (x) I|psi> <psi|h_j (x) I|psi>]
+    on the probe+ancilla state psi."""
+    psi = _probe_state(x)
+    big = [np.kron(h, np.eye(2)) for h in hs]
+    means = [(psi @ h @ psi).real for h in big]
+    return np.array(
+        [[4.0 * ((psi @ big[a] @ big[b] @ psi).real - means[a] * means[b]) for b in range(3)] for a in range(3)]
     )
 
 

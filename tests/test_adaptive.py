@@ -405,6 +405,18 @@ def test_bounds_jacobian_scaling():
     assert scaled.headline_factor == ref.headline_factor
 
 
+def test_bounds_mu_max_matches_pair_loop():
+    # mu_max_i = max over r != s of |K_ir K_is|, K = J^{-1}, bit for bit.
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        jac = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if abs(np.linalg.det(jac)) < 1e-9:
+            continue
+        k = np.linalg.inv(jac)
+        ref = [max(abs(k[i, r] * k[i, s]) for r in range(3) for s in range(3) if r != s) for i in range(3)]
+        assert adaptive.alpha_variance_bounds(jac, 1.0, 1.0).mu_max.tolist() == ref
+
+
 def test_bounds_kappa_and_singular():
     b = adaptive.alpha_variance_bounds(np.eye(3), 0.4, 0.2)
     assert b.kappa == pytest.approx(2.0, rel=1e-14)

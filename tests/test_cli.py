@@ -16,9 +16,9 @@ import hamest
 from hamest import adaptive, cli, robustness, variance
 from hamest.core import get_model
 from hamest.errors import EstimationError
-from hamest.qfim import covariance_from_qfim, generator, qfim_entangled, scalar_bound
+from hamest.qfim import covariance_from_qfim, qfim_entangled, scalar_bound
 
-from reference_routes import commutativity_residual_explicit
+from reference_routes import commutativity_residual_explicit, generator_matrices
 
 HALF_PI = math.pi / 2.0
 
@@ -100,7 +100,7 @@ def test_qfim_weighted_commutativity_residual(capsys):
     # max_ij |Im <psi|h_i h_j (x) I|psi>| = max_ij |Im Tr(diag(x, 1-x) h_i h_j)|.
     code, out, _ = run_cli(capsys, "qfim", "--weight", "0.3", "--alpha", "0.8,-0.4,0.3", "--t", "2.0")
     assert code == 0
-    expected = commutativity_residual_explicit(generator(get_model("pauli"), (0.8, -0.4, 0.3), 2.0), 0.3)
+    expected = commutativity_residual_explicit(generator_matrices(get_model("pauli"), (0.8, -0.4, 0.3), 2.0), 0.3)
     residual = json.loads(out)["commutativity_residual"]
     assert residual == pytest.approx(expected, rel=1e-12)
     assert residual == pytest.approx(0.738, abs=5e-4)
@@ -295,6 +295,14 @@ def test_robustness_single_domain_exit(capsys):
     assert err.startswith("error:")
 
 
+def test_robustness_single_domain_exit_writes_no_file(capsys, tmp_path):
+    path = tmp_path / "single.csv"
+    code, out, _ = run_cli(capsys, "robustness", "single", "--grid", "0.5:7:1.0", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert not path.exists()
+
+
 def test_robustness_total_deterministic(capsys):
     argv = ["robustness", "total", "--m", "4", "--samples", "10000", "--seed", "42"]
     code, first, _ = run_cli(capsys, *argv)
@@ -425,7 +433,7 @@ def test_rows_do_not_depend_on_reps(capsys, extra):
         ),
         (
             ["qfim", "--model", "btp", "--alpha", "1.0,0.4,0.3", "--t", "1.0", "--format", "csv"],
-            "2d503b8b7d87f340d4ec62210ec1504195d4a451875d1aa5b7ca2e14119cbc0f",
+            "6068dd7843868b332618593a87f4717264a735adfe4381b3d02017838d863b86",
         ),
     ],
 )
@@ -540,6 +548,9 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
         ["variance-curve", "--alpha", "0.6,0,0.8", "--n", "100", "--t-start", "1e140",
          "--t-stop", "1e150", "--points", "4"],
         ["qfim", "--alpha", "0.8,-0.4,0.3", "--t", "1e20"],
+        # Deviation grids that leave (0, (pi / g0)^2) after some valid points, or at once.
+        ["robustness", "single", "--grid", "0.5:7:1.0"],
+        ["robustness", "single", "--grid", "0:1:0.5"],
     ],
 )
 @pytest.mark.filterwarnings("error")

@@ -12,7 +12,9 @@ from hamest.errors import DomainError, SingularJacobian, SingularQfim
 from reference_routes import (
     bell_cfi,
     commutativity_residual_explicit,
+    generator_matrices,
     generator_oracle,
+    qfim_explicit_state,
     qfim_spectral_form,
     qfim_trace_formula,
 )
@@ -53,16 +55,16 @@ def random_case(rng):
 def test_generator_zero_field_is_scaled_pauli():
     model = core.get_model("pauli")
     for i, s in enumerate(PAULIS, start=1):
-        assert_allclose(qfim.generator(model, (0.0, 0.0, 0.0), 2.0)[i - 1], 2.0 * s)
+        assert_allclose(generator_matrices(model, (0.0, 0.0, 0.0), 2.0)[i - 1], 2.0 * s)
 
 
 def test_generator_commuting_direction():
-    g = qfim.generator(core.get_model("pauli"), (0.7, 0.0, 0.0), 2.0)[0]
+    g = generator_matrices(core.get_model("pauli"), (0.7, 0.0, 0.0), 2.0)[0]
     assert_allclose(g, 2.0 * SX, atol=1e-14)
 
 
 def test_generator_t_zero():
-    g = qfim.generator(core.get_model("pauli"), (0.3, -0.2, 0.5), 0.0)[1]
+    g = generator_matrices(core.get_model("pauli"), (0.3, -0.2, 0.5), 0.0)[1]
     assert_allclose(g, np.zeros((2, 2)), atol=1e-15)
 
 
@@ -72,7 +74,7 @@ def test_generator_matches_quadrature_oracle():
         model, alpha = random_case(rng)
         t = rng.uniform(1e-3, 20.0)
         i = int(rng.integers(1, 4))
-        lhs = qfim.generator(model, alpha, t)[i - 1]
+        lhs = generator_matrices(model, alpha, t)[i - 1]
         rhs = generator_oracle(model, alpha, i, t, steps=oracle_steps(model, alpha, t))
         assert np.abs(lhs - rhs).max() < ORACLE_ATOL
 
@@ -166,13 +168,8 @@ def test_qfim_rank_matches_generator_gram():
     ]
     for alpha, t in cases:
         f = qfim.qfim_entangled(model, alpha, t).m
-        gens = qfim.generator(model, alpha, t)
-        gram = np.empty((3, 3))
-        for i in range(3):
-            for j in range(3):
-                hi = gens[i] - np.trace(gens[i]) / 2.0 * np.eye(2)
-                hj = gens[j] - np.trace(gens[j]) / 2.0 * np.eye(2)
-                gram[i, j] = np.trace(hi @ hj).real
+        g = qfim.generator(model, alpha, t)
+        gram = g @ g.T
         assert np.linalg.matrix_rank(f, tol=1e-9) == np.linalg.matrix_rank(
             gram, tol=1e-9
         )
@@ -245,9 +242,25 @@ def test_weak_commutativity_weighted_matches_explicit_state(x):
     for _ in range(50):
         model, alpha = random_case(rng)
         t = rng.uniform(0.0, 10.0)
-        ref = commutativity_residual_explicit(qfim.generator(model, alpha, t), x)
+        ref = commutativity_residual_explicit(generator_matrices(model, alpha, t), x)
         r = qfim.weak_commutativity_residual(model, alpha, t, x)
         assert r == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 1.0])
+def test_small_field_matches_explicit_state(x):
+    # Below |f| t ~ 1e-8 the first-order term -t (|f| t) (n x J_i) of the generator
+    # still moves the weighted QFIM and the residual by ~|f| t relative.
+    for model, alpha in ((core.get_model("pauli"), (0.6, -0.3, 0.8)), (core.get_model("btp"), (1.0, 0.4, 0.3))):
+        w = np.linalg.norm(model.pauli_map(np.asarray(alpha, dtype=float)))
+        for wt in (1e-12, 1e-10, 1e-9, 3e-9, 1e-7):
+            t = wt / w
+            hs = [generator_oracle(model, alpha, i, t) for i in (1, 2, 3)]
+            ref = qfim_explicit_state(hs, x)
+            f = qfim.qfim_weighted_initial(model, alpha, t, x).m
+            assert np.abs(f - ref).max() <= 1e-12 * np.abs(ref).max()
+            r = qfim.weak_commutativity_residual(model, alpha, t, x)
+            assert r == pytest.approx(commutativity_residual_explicit(hs, x), rel=1e-12)
 
 
 def test_weak_commutativity_weight_default_and_domain():
