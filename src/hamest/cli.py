@@ -33,6 +33,8 @@ from .qfim import covariance_from_qfim, qfim_weighted_initial, scalar_bound, wea
 from .simulator import ExperimentConfig, run_repetitions
 
 SCHEMA_VERSION = 1
+# Largest time or deviation grid a command evaluates: 8 MB per float column.
+MAX_GRID_POINTS = 10**6
 
 
 def _json_text(doc: dict) -> str:
@@ -63,7 +65,7 @@ def _triple(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a numeric triple: {text!r}")
 
 
-def _grid_spec(text: str) -> np.ndarray:
+def _grid_spec(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected START:STOP:STEP")
@@ -71,9 +73,14 @@ def _grid_spec(text: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a numeric range: {text!r}")
-    if not step > 0.0 or stop < start:
+    if not (step > 0.0 and start <= stop):
         raise argparse.ArgumentTypeError("need STOP >= START and STEP > 0")
-    return np.arange(start, stop + 0.5 * step, step)
+    return start, stop, step
+
+
+def _check_grid_size(points) -> None:
+    if not points <= MAX_GRID_POINTS:
+        raise DomainError(f"at most {MAX_GRID_POINTS} grid points, got {points:.6g}")
 
 
 def _check_threads(args) -> None:
@@ -141,6 +148,7 @@ def _cmd_variance_curve(args) -> int:
     model = get_model(args.model)
     if args.points < 2:
         raise DomainError("need at least 2 grid points")
+    _check_grid_size(args.points)
     if not 0.0 < args.t_start < args.t_stop:
         raise DomainError("need 0 < t-start < t-stop")
     grid = np.linspace(args.t_start, args.t_stop, args.points)
@@ -168,8 +176,11 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_robustness_single(args) -> int:
+    start, stop, step = args.grid
+    _check_grid_size((stop + 0.5 * step - start) / step)
+    grid = np.arange(start, stop + 0.5 * step, step)
     # Every row is computed first, so a grid point outside the domain writes nothing.
-    rows = [[_fmt(d), _fmt(robustness.ratio_single(d)), _fmt(robustness.deviation_pdf(d))] for d in args.grid]
+    rows = [[_fmt(d), _fmt(robustness.ratio_single(d)), _fmt(robustness.deviation_pdf(d))] for d in grid]
     with _open_out(args.out) as out:
         w = _csv_writer(out)
         w.writerow(["D", "R", "pdf"])

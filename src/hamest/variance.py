@@ -1,37 +1,32 @@
 """Closed-form estimation variances from the spectral data of the model.
 
-Everything here is built from five gauge-invariant ingredients evaluated at
-the working point: the level derivatives dE_l/d alpha_i (Hellmann-Feynman),
-the gap derivatives d_i = d(dE)/d alpha_i, and the real and imaginary parts
-(mu, nu) of <E0|d_i E1> from first-order perturbation theory.
+From the gap dE = E0 - E1, its derivatives d_i = d(dE)/d alpha_i
+(Hellmann-Feynman) and the matrix elements m_i = <E0|d_i H|E1>, with a = Re m,
+b = Im m and componentwise squares, and no eigenstate differentiated,
 
-The per-parameter variance of the saturating estimator is
+    xi1 = ((a x d)^2 + (b x d)^2) / 4,   xi2 = (a x b)^2,   xi3 = (a . (d x b))^2,
+    v_i(t) = (xi1_i / sinc^2(dE t / 2) + xi2_i) / (n t^2 xi3),   sinc(x) = sin(x) / x,
 
-    v_i(t) = (csc^2(dE t / 2) t^2 xi1_i + xi2_i) / (n t^2 xi3)
-
-which equals the i-th diagonal element of (n F)^{-1} exactly. The xi
-coefficients are polynomial in (mu, nu, d) and independent of both the
-eigenvector phase gauge and the labeling order of the other two parameters.
-
-Eigenvector derivatives are never taken numerically. Where a derivative of an
-eigenstate is needed it is computed with first-order perturbation theory,
-<E0|d_i E1> = <E0|(d_i H)|E1> / (E1 - E0), which is gauge-stable.
+is the variance of the saturating estimator after n trials, the i-th diagonal
+element of (n F)^{-1}. The xi depend neither on the gap nor on the phase gauge
+nor on which level is called E0. The paper's coefficients, from the overlaps
+<E0|d_i E1> = m_i / (E1 - E0), are (16 / dE^4) ((dE / 2)^2 xi1, xi2, xi3), in
+which the relation reads (csc^2(dE t / 2) t^2 xi1 + xi2) / (n t^2 xi3). At
+dE = 0, sinc = 1 gives the limit (1 / (4 n t^2) per component at a zero Pauli
+field); the envelope ((dE t / 2)^2 xi1 + xi2) / (n t^2 xi3) and its infimum
+(dE / 2)^2 xi1 / (n xi3) have no field direction there: DegenerateSpectrum.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import HamiltonianModel, model_evaluate, pauli_compose, spectral_decompose
 from .errors import DegenerateSpectrum, DivergentTime, DomainError, SingularQfim
-from .util import check_phase, csc_squared, near_pole
-from .qfim import covariance_from_qfim, qfim_entangled
+from .util import check_phase, near_pole
 
-DEGENERACY_RTOL = 1e-10
-# The xi coefficients are quartic in the overlaps <E0|d_i E1> ~ |d_i H| / dE;
-# past this size they overflow, so the gap is numerically zero.
-OVERLAP_LIMIT = 1e50
-TWO_PI = 2.0 * np.pi
+PAULI = np.array([pauli_compose(e) for e in np.eye(3)])  # sigma_x, sigma_y, sigma_z
 
 
 @dataclass(frozen=True)
@@ -39,21 +34,23 @@ class SpectralSensitivities:
     """Derivatives of the spectral data with respect to the model parameters.
 
     dE has shape (2, 3): row l holds dE_l/d alpha_i for the upper (l = 0) and
-    lower (l = 1) level. dgap, mu, nu have shape (3,).
+    lower (l = 1) level. dgap and the complex m_i = <E0|d_i H|E1> have shape (3,).
     """
 
     dE: np.ndarray
     dgap: np.ndarray
-    mu: np.ndarray
-    nu: np.ndarray
+    m: np.ndarray
     gap: float
 
 
 @dataclass(frozen=True)
 class XiCoefficients:
+    """The gap-free xi of the module docstring and the gap dE they go with."""
+
     xi1: np.ndarray
     xi2: np.ndarray
     xi3: float
+    gap: float
 
 
 @dataclass(frozen=True)
@@ -68,139 +65,129 @@ class VarianceCurveRow:
 
 
 def spectral_sensitivities(model: HamiltonianModel, alpha) -> SpectralSensitivities:
-    """Hellmann-Feynman level derivatives and perturbative overlaps at alpha."""
+    """Hellmann-Feynman level derivatives and matrix elements <E0|d_i H|E1> at alpha."""
     ev = model_evaluate(model, alpha)
     spec = spectral_decompose(ev.f)
-    scale = max(abs(spec.e0), abs(spec.e1))
-    if spec.gap <= DEGENERACY_RTOL * scale or spec.gap == 0.0:
-        raise DegenerateSpectrum(
-            f"spectral gap {spec.gap:.3e} too small relative to |H| = {scale:.3e}"
-        )
-    # dE[l, i] = <E_l|d_i H|E_l> and c01[i] = <E0|d_i H|E1> / (E1 - E0) = <E0|d_i E1>.
-    dE = np.empty((2, 3))
-    c01 = np.empty(3, dtype=complex)
-    for i in range(3):
-        dh = pauli_compose(ev.jac[:, i])
-        dE[0, i] = (spec.v0.conj() @ dh @ spec.v0).real
-        dE[1, i] = (spec.v1.conj() @ dh @ spec.v1).real
-        c01[i] = (spec.v0.conj() @ dh @ spec.v1) / (spec.e1 - spec.e0)
-    if np.max(np.abs(c01)) > OVERLAP_LIMIT:
-        raise DegenerateSpectrum(
-            f"spectral gap {spec.gap:.3e} too small: perturbative overlaps exceed {OVERLAP_LIMIT:.0e}"
-        )
-    return SpectralSensitivities(
-        dE=dE,
-        dgap=dE[0] - dE[1],
-        mu=c01.real.copy(),
-        nu=c01.imag.copy(),
-        gap=spec.gap,
-    )
+    w = np.array([spec.v0, spec.v1])
+    # d_i H = sum_k J[k, i] sigma_k and s[i, l, l'] = <E_l|d_i H|E_l'>.
+    dh = (ev.jac.T @ PAULI.reshape(3, 4)).reshape(3, 2, 2)
+    s = w.conj() @ dh @ w.T
+    dE = np.diagonal(s, axis1=1, axis2=2).real.T
+    return SpectralSensitivities(dE=dE, dgap=dE[0] - dE[1], m=s[:, 0, 1], gap=spec.gap)
+
+
+def _cross(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def xi_coefficients(sens: SpectralSensitivities) -> XiCoefficients:
-    """Variance coefficients; xi1/xi2 are per parameter, xi3 is shared."""
-    mu, nu, d = sens.mu, sens.nu, sens.dgap
-    xi1 = np.empty(3)
-    xi2 = np.empty(3)
-    for i in range(3):
-        j, k = [idx for idx in range(3) if idx != i]
-        xi1[i] = (mu[j] * d[k] - mu[k] * d[j]) ** 2 + (nu[j] * d[k] - nu[k] * d[j]) ** 2
-        xi2[i] = 16.0 * (mu[k] * nu[j] - mu[j] * nu[k]) ** 2
-    xi3 = 16.0 * float(mu @ np.cross(d, nu)) ** 2
-    return XiCoefficients(xi1=xi1, xi2=xi2, xi3=xi3)
+    """Variance coefficients; xi1/xi2 are per parameter, xi3 is shared.
+    DomainError where one overflows, as for derivatives of H past about 1e77."""
+    a, b, d = sens.m.real.tolist(), sens.m.imag.tolist(), sens.dgap.tolist()
+    ad, bd = _cross(a, d), _cross(b, d)
+    xi1 = [(x * x + y * y) / 4.0 for x, y in zip(ad, bd)]
+    xi2 = [x * x for x in _cross(a, b)]
+    triple = a[0] * bd[0] + a[1] * bd[1] + a[2] * bd[2]
+    if not all(map(math.isfinite, xi1 + xi2 + [triple * triple])):
+        raise DomainError("xi coefficients overflow: the derivatives of H are too large")
+    return XiCoefficients(xi1=np.array(xi1), xi2=np.array(xi2), xi3=triple * triple, gap=sens.gap)
 
 
-def _check_time_and_trials(t: float, n: int) -> None:
-    if not t > 0.0:
-        raise DomainError(f"evolution time must be positive, got {t}")
+def _check_time_and_trials(t, n: int) -> None:
+    if not np.all(t > 0.0):
+        raise DomainError(f"evolution time must be positive, got {np.min(t)}")
     if n < 1:
         raise DomainError("trial count must be >= 1")
 
 
-def _csc2(gap: float, t: float) -> float:
-    """csc^2(dE t / 2) at the phase dE t; DivergentTime on a multiple of 2 pi."""
-    phase = gap * t
-    check_phase(phase)
-    if near_pole(phase, TWO_PI):
-        raise DivergentTime(f"dE * t = {phase:.12g} sits on a multiple of 2 pi; variance diverges")
-    return csc_squared(phase / 2.0)
-
-
-def _variances(xi: XiCoefficients, c: float, t: float, n: int) -> np.ndarray:
-    """(c t^2 xi1 + xi2) / (n t^2 xi3) per parameter: the variances at
-    c = csc^2(dE t / 2), their lower envelope at c = 1.
-
-    The caller holds np.errstate(over="ignore", invalid="ignore"); a value
-    that overflows is reported here as one DomainError.
-    """
+def _relation(xi: XiCoefficients, q, t, n: int, pole=False) -> np.ndarray:
+    """(q^2 xi1 + xi2) / (n t^2 xi3) per parameter at one time t or a column of
+    times: the variances at q = x / sin(x), the envelope at q = x = dE t / 2. Under
+    the caller's np.errstate(all="ignore"), an overflow off a pole raises DomainError."""
     if xi.xi3 == 0.0:
         raise SingularQfim("xi3 vanishes; the three parameters are not jointly identifiable")
     den = n * t * t * xi.xi3
-    v = (c * t * t * xi.xi1 + xi.xi2) / den
-    if not (np.isfinite(den) and np.all(np.isfinite(v))):
-        raise DomainError(f"variances overflow at t = {t!r} with n = {n}")
+    v = (q * q * xi.xi1 + xi.xi2) / den
+    ok = np.isfinite(den) & np.isfinite(v) | pole
+    if not ok.all():
+        bad = np.broadcast_to(t, ok.shape)[~ok][0]
+        raise DomainError(f"variances overflow at t = {float(bad)!r} with n = {n}")
     return v
 
 
+def _variances(xi: XiCoefficients, t, n: int):
+    """The variances at one time t or a column of times, NaN where util.near_pole
+    puts dE t on 2 pi k, k >= 1, and those pole flags. A phase dE t that floats
+    cannot resolve raises DomainError (util.check_phase)."""
+    phase = xi.gap * t
+    check_phase(np.max(phase, initial=0.0))
+    pole = near_pole(phase, 2.0 * math.pi)
+    x = phase / 2.0
+    with np.errstate(all="ignore"):
+        q = np.where(x == 0.0, 1.0, x / np.sin(x))
+        return np.where(pole, np.nan, _relation(xi, q, t, n, pole)), pole
+
+
 def estimator_variances(model: HamiltonianModel, alpha, t: float, n: int) -> np.ndarray:
-    """Per-parameter variances of the optimal estimator after n trials.
+    """Per-parameter variances of the optimal estimator after n trials: the
+    one-time case of variance_curve. DivergentTime where dE t is on a pole."""
+    _check_time_and_trials(t, n)
+    xi = xi_coefficients(spectral_sensitivities(model, alpha))
+    v, pole = _variances(xi, t, n)
+    if pole:
+        raise DivergentTime(f"dE * t = {xi.gap * t:.12g} sits on a multiple of 2 pi; variance diverges")
+    return v
 
-    Closed form in the xi coefficients; falls back to the diagonal of
-    (n F)^{-1} when the spectrum is too degenerate for the spectral route.
+
+def _check_direction(xi: XiCoefficients) -> None:
+    if xi.gap == 0.0:
+        raise DegenerateSpectrum("the gap is zero: the variance envelope has no field direction")
+
+
+def variance_envelope(xi: XiCoefficients, t, n: int) -> np.ndarray:
+    """Lower envelope ((dE t / 2)^2 xi1 + xi2) / (n t^2 xi3) of the variance
+    curve, one value per parameter, for one time t or a column of times.
+
+    It touches the curve where sin^2(dE t / 2) = 1, is non-increasing in t and
+    tends to (dE / 2)^2 xi1 / (n xi3).
     """
     _check_time_and_trials(t, n)
-    try:
-        sens = spectral_sensitivities(model, alpha)
-    except DegenerateSpectrum:
-        cov = covariance_from_qfim(qfim_entangled(model, alpha, t), n)
-        return np.diag(cov.m).copy()
-    xi = xi_coefficients(sens)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _variances(xi, _csc2(sens.gap, t), t, n)
-
-
-def variance_envelope(xi: XiCoefficients, t: float, n: int) -> np.ndarray:
-    """Lower envelope (t^2 xi1 + xi2) / (n t^2 xi3) of the variance curve,
-    one value per parameter.
-
-    It touches the curve at the csc^2 minima, is non-increasing in t and
-    tends to xi1 / (n xi3).
-    """
-    _check_time_and_trials(t, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _variances(xi, 1.0, t, n)
+    _check_direction(xi)
+    with np.errstate(all="ignore"):
+        return _relation(xi, xi.gap * t / 2.0, t, n)
 
 
 def variance_infimum(xi: XiCoefficients, n: int) -> np.ndarray:
-    """Large-t limit xi1 / (n xi3) of the envelope, per parameter."""
+    """Large-t limit (dE / 2)^2 xi1 / (n xi3) of the envelope, per parameter;
+    DomainError where it overflows."""
     if n < 1:
         raise DomainError("trial count must be >= 1")
+    _check_direction(xi)
     if xi.xi3 == 0.0:
         raise SingularQfim("xi3 vanishes; the three parameters are not jointly identifiable")
-    return xi.xi1 / (n * xi.xi3)
+    with np.errstate(all="ignore"):
+        inf = np.square(xi.gap / 2.0) * xi.xi1 / (n * xi.xi3)
+    if not np.all(np.isfinite(inf)):
+        raise DomainError(f"variance infimum overflows with n = {n}")
+    return inf
 
 
 def variance_curve(model: HamiltonianModel, alpha, t_grid, n: int) -> list:
     """Evaluate the three variances plus envelope/infimum on a time grid.
 
-    The model is evaluated once. A row is flagged "pole", with NaN
-    variances, exactly where estimator_variances raises DivergentTime: where
-    util.near_pole puts dE t on 2 pi k, k >= 1. A t whose phase dE t floats
-    cannot resolve raises DomainError. Envelope and infimum refer to the
-    first parameter.
+    The model is evaluated once and the relation once over the whole grid. A
+    row is flagged "pole", with NaN variances, exactly where
+    estimator_variances raises DivergentTime, and otherwise carries its
+    variances bit for bit. The checks run over the grid in the order they
+    apply to one time: t and n, envelope overflow, phase, variance overflow.
+    Envelope and infimum refer to the first parameter.
     """
-    sens = spectral_sensitivities(model, alpha)
-    xi = xi_coefficients(sens)
+    xi = xi_coefficients(spectral_sensitivities(model, alpha))
     inf1 = float(variance_infimum(xi, n)[0])
-    rows = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in np.asarray(t_grid, dtype=float).tolist():
-            _check_time_and_trials(t, n)
-            env1 = float(_variances(xi, 1.0, t, n)[0])
-            flag = ""
-            try:
-                v = _variances(xi, _csc2(sens.gap, t), t, n).tolist()
-            except DivergentTime:
-                v, flag = [np.nan] * 3, "pole"
-            rows.append(VarianceCurveRow(t, *v, env1, inf1, flag))
-    return rows
+    t = np.asarray(t_grid, dtype=float).reshape(-1, 1)
+    env1 = variance_envelope(xi, t, n)[:, 0]
+    v, pole = _variances(xi, t, n)
+    return [
+        VarianceCurveRow(ti, *vi, e, inf1, "pole" if p else "")
+        for ti, vi, e, p in zip(t[:, 0].tolist(), v.tolist(), env1.tolist(), pole[:, 0].tolist())
+    ]

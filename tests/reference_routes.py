@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from hamest.core import HamiltonianModel, model_evaluate, pauli_compose
+from hamest.core import HamiltonianModel, model_evaluate, pauli_compose, spectral_decompose
 from hamest.errors import DomainError
 from hamest.qfim import QfimMatrix, _validated_qfim, generator
 from hamest.robustness import MC_BLOCK, deviation_params, ratio_total
@@ -92,14 +92,44 @@ def qfim_explicit_state(hs, x: float) -> np.ndarray:
 
 
 def qfim_spectral_form(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
-    """QFIM assembled from spectral sensitivities:
+    """QFIM assembled from spectral sensitivities, with m_i = <E0|d_i H|E1>:
 
-        F = t^2 d d^T + 16 sin^2(dE t / 2) (mu mu^T + nu nu^T).
+        F = t^2 d d^T + 4 t^2 sinc^2(dE t / 2) (Re m Re m^T + Im m Im m^T).
     """
     s = spectral_sensitivities(model, alpha)
-    osc = 16.0 * np.sin(s.gap * t / 2.0) ** 2
-    m = t * t * np.outer(s.dgap, s.dgap) + osc * (np.outer(s.mu, s.mu) + np.outer(s.nu, s.nu))
+    osc = 4.0 * t * t * np.sinc(s.gap * t / (2.0 * math.pi)) ** 2
+    m = t * t * np.outer(s.dgap, s.dgap) + osc * (np.outer(s.m.real, s.m.real) + np.outer(s.m.imag, s.m.imag))
     return _validated_qfim(m)
+
+
+def paper_form_variances(model: HamiltonianModel, alpha, t: float, n: int):
+    """Variances, envelope and infimum by the paper's perturbative route.
+
+    With the first-order overlaps <E0|d_i E1> = <E0|d_i H|E1> / (E1 - E0) =
+    mu_i + i nu_i and the gap derivatives d, the coefficients are
+    xi1_i = (mu x d)_i^2 + (nu x d)_i^2, xi2_i = 16 (mu x nu)_i^2 and
+    xi3 = 16 (mu . (d x nu))^2, and
+
+        v_i = (csc^2(dE t / 2) t^2 xi1_i + xi2_i) / (n t^2 xi3),
+
+    with csc^2 -> 1 for the envelope and xi1 / (n xi3) for the infimum.
+    """
+    ev = model_evaluate(model, alpha)
+    spec = spectral_decompose(ev.f)
+    dgap = np.empty(3)
+    overlap = np.empty(3, dtype=complex)
+    for i in range(3):
+        dh = pauli_compose(ev.jac[:, i])
+        dgap[i] = (spec.v0.conj() @ dh @ spec.v0).real - (spec.v1.conj() @ dh @ spec.v1).real
+        overlap[i] = (spec.v0.conj() @ dh @ spec.v1) / (spec.e1 - spec.e0)
+    mu, nu = overlap.real, overlap.imag
+    xi1 = np.cross(mu, dgap) ** 2 + np.cross(nu, dgap) ** 2
+    xi2 = 16.0 * np.cross(mu, nu) ** 2
+    xi3 = 16.0 * float(mu @ np.cross(dgap, nu)) ** 2
+    csc2 = 1.0 / math.sin(spec.gap * t / 2.0) ** 2
+    variances = (csc2 * t * t * xi1 + xi2) / (n * t * t * xi3)
+    envelope = (t * t * xi1 + xi2) / (n * t * t * xi3)
+    return variances, envelope, xi1 / (n * xi3)
 
 
 def bell_cfi(model: HamiltonianModel, alpha, t: float) -> np.ndarray:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import hamest
 from hamest import adaptive, cli, robustness, variance
@@ -218,6 +219,22 @@ def test_variance_curve_validation(capsys, bad):
     code, _, err = run_cli(capsys, *rebuilt)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.filterwarnings("error")
+def test_variance_curve_near_zero_field(capsys):
+    # The variances of a field of 1e-300 are those of a zero field, 1 / (4 n t^2).
+    code, out, err = run_cli(
+        capsys, "variance-curve", "--alpha", "1e-300,0,0", "--n", "100", "--t-start", "0.1", "--t-stop", "6.0",
+        "--points", "5",
+    )
+    assert code == 0
+    assert err == ""
+    _, rows = parse_csv(out)
+    for row in rows:
+        t = float(row[0])
+        assert_allclose([float(v) for v in row[1:4]], 1.0 / (400 * t * t), rtol=1e-12)
+        assert row[6] == ""
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +446,7 @@ def test_rows_do_not_depend_on_reps(capsys, extra):
         (
             ["variance-curve", "--model", "pauli", "--alpha", "0.6,0,0.8", "--n", "100",
              "--t-start", "0.1", "--t-stop", "6.0", "--points", "60"],
-            "afadff4f9c53fb8f75ca5ee47c72aa434c4f4d52daf3c40829cf894d577bfa3b",
+            "8d1b1de170ade2638bde6f89fd50fee431d3bba35954b2c065d75d5bd7004398",
         ),
         (
             ["qfim", "--model", "btp", "--alpha", "1.0,0.4,0.3", "--t", "1.0", "--format", "csv"],
@@ -519,7 +536,8 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
     [
         ["qfim", "--alpha", "0.8,-0.4,0.3", "--t", "nan"],
         ["qfim", "--alpha", "0.8,-0.4,0.3", "--t", "inf"],
-        ["variance-curve", "--alpha", "1e-300,0,0", "--n", "100", "--t-start", "0.1",
+        # A zero gap leaves the envelope without a field direction.
+        ["variance-curve", "--alpha", "0,0,0", "--n", "100", "--t-start", "0.1",
          "--t-stop", "6.0", "--points", "5"],
         ["schedule", "--v0", "inf", "--n", "1000", "--m", "3"],
         ["robustness", "total", "--m", "3", "--samples", "10000", "--seed", str(2**64)],
@@ -551,6 +569,13 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
         # Deviation grids that leave (0, (pi / g0)^2) after some valid points, or at once.
         ["robustness", "single", "--grid", "0.5:7:1.0"],
         ["robustness", "single", "--grid", "0:1:0.5"],
+        # xi3 grows as B^4 and leaves the float range past B of about 1e77.
+        ["variance-curve", "--model", "btp", "--alpha", "1e80,0.3,0.2", "--n", "100", "--t-start", "1e-81",
+         "--t-stop", "1e-80", "--points", "5"],
+        # Grids past MAX_GRID_POINTS, rejected before they are allocated.
+        ["variance-curve", "--alpha", "0.6,0,0.8", "--n", "100", "--t-start", "0.1",
+         "--t-stop", "6.0", "--points", "10000000000000"],
+        ["robustness", "single", "--grid", "0:1:1e-13"],
     ],
 )
 @pytest.mark.filterwarnings("error")

@@ -138,7 +138,7 @@ def test_qfim_evaluates_model_once():
 
 def test_qfim_gauge_and_ordering_invariance():
     # The spectral assembly must not depend on the eigenvector phase gauge
-    # (mu, nu rotate as a pair) nor on which eigenvalue is called E0.
+    # (Re m, Im m rotate as a pair) nor on which eigenvalue is called E0.
     rng = np.random.default_rng(37)
     for _ in range(100):
         model, alpha = random_case(rng)
@@ -146,17 +146,17 @@ def test_qfim_gauge_and_ordering_invariance():
         sens = variance.spectral_sensitivities(model, alpha)
         f_ref = qfim.qfim_entangled(model, alpha, t).m
 
-        def assemble(dgap, mu, nu, gap):
-            outer = np.outer(mu, mu) + np.outer(nu, nu)
-            return t**2 * np.outer(dgap, dgap) + 16.0 * math.sin(gap * t / 2.0) ** 2 * outer
+        def assemble(dgap, m, gap):
+            outer = np.outer(m.real, m.real) + np.outer(m.imag, m.imag)
+            sinc = math.sin(gap * t / 2.0) / (gap * t / 2.0)
+            return t**2 * np.outer(dgap, dgap) + 4.0 * t**2 * sinc**2 * outer
 
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        mu_rot = math.cos(phi) * sens.mu - math.sin(phi) * sens.nu
-        nu_rot = math.sin(phi) * sens.mu + math.cos(phi) * sens.nu
-        assert np.abs(assemble(sens.dgap, mu_rot, nu_rot, sens.gap) - f_ref).max() < GAUGE_ATOL
+        m_rot = np.exp(1j * phi) * sens.m
+        assert np.abs(assemble(sens.dgap, m_rot, sens.gap) - f_ref).max() < GAUGE_ATOL
 
-        # ordering swap: dgap flips sign, nu flips sign, gap flips sign
-        assert np.abs(assemble(-sens.dgap, sens.mu, -sens.nu, -sens.gap) - f_ref).max() < GAUGE_ATOL
+        # ordering swap: dgap flips sign, m is conjugated, gap flips sign
+        assert np.abs(assemble(-sens.dgap, sens.m.conj(), -sens.gap) - f_ref).max() < GAUGE_ATOL
 
 
 def test_qfim_rank_matches_generator_gram():

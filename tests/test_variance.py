@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 from hamest import core, qfim, variance
 from hamest.errors import DegenerateSpectrum, DivergentTime, DomainError, SingularQfim
 
+from reference_routes import paper_form_variances
+
 HF_RTOL = 1e-6
 CLOSED_FORM_RTOL = 1e-8
 HEISENBERG_RTOL = 1e-10
@@ -34,10 +36,9 @@ def test_sensitivities_longitudinal_axis():
     assert_allclose(s.dgap, [0.0, 0.0, 2.0], atol=1e-12)
     assert s.gap == pytest.approx(2.0 * b)
     # the diagonal perturbation direction carries no off-diagonal element
-    assert s.mu[2] == pytest.approx(0.0, abs=1e-12)
-    assert s.nu[2] == pytest.approx(0.0, abs=1e-12)
-    # transverse directions: |<E0|dH|E1>| = 1, split between mu and nu
-    assert_allclose(np.hypot(s.mu, s.nu)[:2], [1.0 / (2 * b)] * 2, rtol=1e-12)
+    assert abs(s.m[2]) == pytest.approx(0.0, abs=1e-12)
+    # transverse directions: |<E0|dH|E1>| = 1, split between Re m and Im m
+    assert_allclose(np.abs(s.m)[:2], [1.0, 1.0], rtol=1e-12)
 
 
 def test_sensitivities_btp_field_magnitude():
@@ -65,12 +66,20 @@ def test_sensitivities_match_eigenvalue_fd():
             assert s.dE[1][i] == pytest.approx(fd1, rel=HF_RTOL, abs=1e-7)
 
 
-def test_sensitivities_degenerate_raises():
+def test_envelope_needs_a_nonzero_gap():
+    # At a zero field the sensitivities and variances exist, but the envelope
+    # has no field direction.
+    model = core.get_model("pauli")
+    xi = xi_for((0.0, 0.0, 0.0))
+    assert xi.gap == 0.0
     with pytest.raises(DegenerateSpectrum):
-        variance.spectral_sensitivities(core.get_model("pauli"), (0.0, 0.0, 0.0))
-    # passes the relative gap test, but the xi coefficients would overflow
+        variance.variance_envelope(xi, 1.0, 8)
     with pytest.raises(DegenerateSpectrum):
-        variance.spectral_sensitivities(core.get_model("pauli"), (1e-300, 0.0, 0.0))
+        variance.variance_infimum(xi, 8)
+    with pytest.raises(DegenerateSpectrum):
+        variance.variance_curve(model, (0.0, 0.0, 0.0), [0.5, 1.0], 8)
+    # a tiny but nonzero gap has a direction
+    assert variance.variance_infimum(xi_for((1e-300, 0.0, 0.0)), 8)[0] == 0.0
 
 
 def test_xi_gauge_invariance():
@@ -80,17 +89,14 @@ def test_xi_gauge_invariance():
         s = variance.spectral_sensitivities(model, alpha)
         xi = variance.xi_coefficients(s)
         phi = rng.uniform(0.0, 2 * math.pi)
-        rotated = variance.SpectralSensitivities(
-            dE=s.dE,
-            dgap=s.dgap,
-            mu=math.cos(phi) * s.mu - math.sin(phi) * s.nu,
-            nu=math.sin(phi) * s.mu + math.cos(phi) * s.nu,
-            gap=s.gap,
-        )
-        xi_rot = variance.xi_coefficients(rotated)
-        assert_allclose(xi_rot.xi1, xi.xi1, rtol=1e-12, atol=1e-15)
-        assert_allclose(xi_rot.xi2, xi.xi2, rtol=1e-12, atol=1e-15)
-        assert xi_rot.xi3 == pytest.approx(xi.xi3, rel=1e-12)
+        rotated = variance.SpectralSensitivities(dE=s.dE, dgap=s.dgap, m=np.exp(1j * phi) * s.m, gap=s.gap)
+        # calling the lower level E0 conjugates m and flips the gap and its derivatives
+        swapped = variance.SpectralSensitivities(dE=s.dE[::-1], dgap=-s.dgap, m=s.m.conj(), gap=-s.gap)
+        for other in (rotated, swapped):
+            xi_other = variance.xi_coefficients(other)
+            assert_allclose(xi_other.xi1, xi.xi1, rtol=1e-12, atol=1e-15)
+            assert_allclose(xi_other.xi2, xi.xi2, rtol=1e-12, atol=1e-15)
+            assert xi_other.xi3 == pytest.approx(xi.xi3, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +105,15 @@ def test_xi_gauge_invariance():
 
 def test_variances_single_axis_closed_form():
     b, t, n = 0.7, 1.1, 9
+    v = variance.estimator_variances(core.get_model("pauli"), (0.0, 0.0, b), t, n)
+    transverse = b**2 / (4 * n * math.sin(b * t) ** 2)
+    assert_allclose(v, [transverse, transverse, 1.0 / (4 * n * t**2)], rtol=1e-12)
+
+
+def test_variances_single_axis_at_large_field():
+    # No xi holds a power of 1 / dE, so they neither underflow nor vanish here.
+    b, n = 1e70, 9
+    t = 1.1 / b
     v = variance.estimator_variances(core.get_model("pauli"), (0.0, 0.0, b), t, n)
     transverse = b**2 / (4 * n * math.sin(b * t) ** 2)
     assert_allclose(v, [transverse, transverse, 1.0 / (4 * n * t**2)], rtol=1e-12)
@@ -125,6 +140,37 @@ def test_variances_degenerate_fallback():
     for alpha in ((0.0, 0.0, 0.0), (1e-300, 0.0, 0.0)):
         v = variance.estimator_variances(core.get_model("pauli"), alpha, t, n)
         assert_allclose(v, np.full(3, 1.0 / (4 * n * t**2)), rtol=1e-12)
+
+
+def custom_nonlinear_model():
+    return core.custom_model(
+        lambda a: np.array([a[0] + 0.3 * math.sin(a[1]), a[1] + 0.2 * a[2] ** 2, a[2] - 0.25 * a[0] * a[1]])
+    )
+
+
+def test_variances_match_paper_form():
+    # The paper's perturbative xi, built from <E0|d_i E1> = m_i / (E1 - E0),
+    # give the same variances, envelope and infimum away from the poles. An
+    # entry that is zero in exact arithmetic is roundoff in both routes, hence
+    # the absolute floor at 1e-15 of the largest entry.
+    rng = np.random.default_rng(73)
+    done = 0
+    while done < 300:
+        model, alpha = random_case(rng)
+        if done % 3 == 2:
+            model, alpha = custom_nonlinear_model(), rng.uniform(-2.0, 2.0, 3)
+        t, n = rng.uniform(0.1, 5.0), int(rng.integers(1, 1000))
+        xi = variance.xi_coefficients(variance.spectral_sensitivities(model, alpha))
+        if abs(math.sin(xi.gap * t / 2.0)) < 1e-3:
+            continue
+        got = (
+            variance.estimator_variances(model, alpha, t, n),
+            variance.variance_envelope(xi, t, n),
+            variance.variance_infimum(xi, n),
+        )
+        for new, ref in zip(got, paper_form_variances(model, alpha, t, n)):
+            assert_allclose(new, ref, rtol=1e-12, atol=1e-15 * np.abs(ref).max())
+        done += 1
 
 
 def test_btp_field_variance_heisenberg():
@@ -157,7 +203,7 @@ def test_envelope_monotone_non_increasing():
 
 def test_envelope_constant_when_xi2_vanishes():
     xi = variance.XiCoefficients(
-        xi1=np.array([2.0, 1.0, 0.5]), xi2=np.zeros(3), xi3=10.0
+        xi1=np.array([2.0, 1.0, 0.5]), xi2=np.zeros(3), xi3=10.0, gap=2.0
     )
     ref = variance.variance_envelope(xi, 0.3, 4)
     for t in (1.0, 5.0, 40.0):
@@ -179,7 +225,7 @@ def test_envelope_domain_errors():
         variance.variance_envelope(xi, 0.0, 8)
     with pytest.raises(DomainError):
         variance.variance_envelope(xi, 1.0, 0)
-    bad = variance.XiCoefficients(xi1=np.ones(3), xi2=np.ones(3), xi3=0.0)
+    bad = variance.XiCoefficients(xi1=np.ones(3), xi2=np.ones(3), xi3=0.0, gap=1.0)
     with pytest.raises(SingularQfim):
         variance.variance_envelope(bad, 1.0, 8)
 
@@ -200,7 +246,7 @@ def test_overflowing_variance_raises_domain_error():
 def test_infimum_is_large_time_envelope():
     xi = xi_for((0.4, -0.6, 0.9))
     inf = variance.variance_infimum(xi, 8)
-    assert_allclose(inf, xi.xi1 / (8 * xi.xi3), rtol=1e-12)
+    assert_allclose(inf, (xi.gap / 2.0) ** 2 * xi.xi1 / (8 * xi.xi3), rtol=1e-12)
     env = variance.variance_envelope(xi, 1e6, 8)
     assert_allclose(env, inf, rtol=1e-9)
 
@@ -247,6 +293,15 @@ def test_curve_rows_match_pointwise_variances():
         # The rule is on the phase dE t: 5e-7 past a pole time dE t is clear of
         # 2 pi and the row is finite, 1e-12 past one it is not.
         assert [flags[t] for t in pole_times + near] == ["pole", "pole", "", "pole"]
+
+
+@pytest.mark.parametrize("b", [1e-60, 1e-300])
+def test_curve_at_near_zero_field(b):
+    # The xi hold no 1 / dE, so a field this small is an ordinary working point.
+    n = 10
+    rows = assert_rows_match_pointwise(core.get_model("pauli"), (b, 0.0, 0.0), np.linspace(0.1, 6.0, 7), n)
+    for r in rows:
+        assert_allclose([r.v1, r.v2, r.v3], 1.0 / (4 * n * r.t**2), rtol=1e-12)
 
 
 @pytest.mark.parametrize("gap", [1e4, 1e7])
