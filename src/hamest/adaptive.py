@@ -21,7 +21,7 @@ import numpy as np
 from .core import inverse_jacobian
 from .errors import DegenerateInput, DivergentTime, DomainError, NoContraction
 from .qfim import Covariance3
-from .util import CSC2_SERIES_THRESHOLD, check_phase, csc_squared, near_pole
+from .util import check_phase, check_trials, csc_squared, near_pole
 
 # The objective has one minimum on (0, pi), at g0 ~ 1.2986: this bracket
 # holds it with the objective larger at both ends.
@@ -88,14 +88,12 @@ def iteration_covariance(delta_beta, n, t) -> Covariance3:
         raise DomainError("delta_beta must be a finite 3-vector")
     if not np.all(t > 0.0):
         raise DomainError(f"evolution time must be positive, got {np.min(t)}")
-    if np.any(n < 1):
-        raise DomainError("trial count must be >= 1")
+    check_trials(n)
     # Every entry is computed; a zero residual, a bad phase or an overflow is rejected after.
     with np.errstate(all="ignore"):
         w = np.sqrt(np.vecdot(delta_beta, delta_beta))[..., None, None]
         x = w * t
-        s = np.sin(x)
-        csc2 = np.where(np.abs(x) < CSC2_SERIES_THRESHOLD, 1.0 / (x * x) + 1.0 / 3.0, 1.0 / (s * s))
+        csc2 = csc_squared(x)
         nhat = delta_beta[..., None, :] / w
         p_par = np.swapaxes(nhat, -1, -2) * nhat
         m = (p_par / (t * t) + w * w * csc2 * (np.eye(3) - p_par)) / (4.0 * n)
@@ -146,8 +144,7 @@ def recursion(dE2: float, n: int) -> float:
     """
     if not dE2 > 0.0:
         raise DomainError(f"gap-squared uncertainty must be positive, got {dE2}")
-    if n < 1:
-        raise DomainError("trial count must be >= 1")
+    check_trials(n)
     return gain(g0()) / n * dE2
 
 
@@ -191,12 +188,17 @@ class AdaptiveSchedule:
 def optimal_control_baseline(n: int, t: float) -> tuple[Covariance3, float]:
     """Covariance I / (4 n t^2) and total variance 3 / (4 n t^2) of the
     time-optimal control strategy, which saturates the isotropic bound."""
-    if n < 1:
-        raise DomainError("trial count must be >= 1")
+    check_trials(n)
     if not t > 0.0:
         raise DomainError(f"evolution time must be positive, got {t}")
     scale = 1.0 / (4.0 * n * t * t)
     return Covariance3(m=scale * np.eye(3)), 3.0 * scale
+
+
+def _check_normal(name: str, v: float) -> None:
+    # The ratio v_m / v_oc needs both as positive normal floats.
+    if not np.finfo(float).tiny <= v < math.inf:
+        raise DomainError(f"schedule underflows: {name} = {v} is not a positive normal float")
 
 
 def plan_schedule(
@@ -210,16 +212,19 @@ def plan_schedule(
     Exactly one of target_v (precision goal, sets m by ceiling) and target_m
     (iteration count) must be given. Each iteration runs at the optimal time
     for its incoming uncertainty; the ceiling can overshoot target_v, in
-    which case the full iterations run and v_m reports the overshoot.
+    which case the full iterations run and v_m reports the overshoot. The
+    first v_k that is not a positive normal float raises DomainError, so a
+    schedule ends where V_m leaves the float range, whatever target_m asks.
     """
     # 4 * v0 is the first gap-squared uncertainty; past ~4.5e307 it overflows.
     if not 0.0 < 4.0 * v0 < math.inf:
         raise DomainError(f"initial variance must be positive with 4 * v0 finite, got {v0}")
     g = g0()
-    if n < 1 or gain(g) / n >= 1.0:
+    if not n > gain(g):
         raise NoContraction(
             f"need n > {gain(g):.4f} trials per iteration, got {n}"
         )
+    check_trials(n)
     if (target_v is None) == (target_m is None):
         raise DomainError("exactly one of target_v and target_m must be given")
     contraction = gain(g) / n
@@ -238,9 +243,10 @@ def plan_schedule(
     for k in range(1, m + 1):
         t_k = optimal_time(dE2)
         dE2_next = recursion(dE2, n)
-        records.append(
-            IterationRecord(k=k, n=n, t=t_k, dE2_mean=dE2, dE2_next=dE2_next, v_k=dE2_next / 4.0)
-        )
+        v_k = dE2_next / 4.0
+        # The v_k fall with k, so a schedule stops at its first underflow.
+        _check_normal(f"v_{k}", v_k)
+        records.append(IterationRecord(k=k, n=n, t=t_k, dE2_mean=dE2, dE2_next=dE2_next, v_k=v_k))
         dE2 = dE2_next
 
     v_m = records[-1].v_k
@@ -255,10 +261,7 @@ def plan_schedule(
     large_n_v = (g / (rho - 1.0)) ** 2 / (t_par * t_par)
     sum_t_sq = sum(r.t * r.t for r in records)
     _, v_oc = optimal_control_baseline(n, math.sqrt(sum_t_sq))
-    # The ratio v_m / v_oc needs both as positive normal floats.
-    for name, v in (("v_m", v_m), ("v_oc", v_oc)):
-        if not np.finfo(float).tiny <= v < math.inf:
-            raise DomainError(f"schedule underflows: {name} = {v} is not a positive normal float")
+    _check_normal("v_oc", v_oc)
     asymptotic = 4.0 * g * g * gain(g) / 3.0
     return AdaptiveSchedule(
         v0=float(v0),

@@ -29,7 +29,7 @@ import numpy as np
 from . import adaptive, robustness, variance
 from .core import get_model
 from .errors import DomainError, EstimationError, SingularQfim
-from .qfim import covariance_from_qfim, qfim_weighted_initial, scalar_bound, weak_commutativity_residual
+from .qfim import _weighted_information, covariance_from_qfim, generator, scalar_bound
 from .simulator import ExperimentConfig, run_repetitions
 
 SCHEMA_VERSION = 1
@@ -106,7 +106,8 @@ def _open_out(path):
 
 def _cmd_qfim(args) -> int:
     model = get_model(args.model)
-    f = qfim_weighted_initial(model, args.alpha, args.t, args.weight)
+    # One generator build gives both the QFIM and the commutativity residual.
+    f, residual = _weighted_information(generator(model, args.alpha, args.t), args.weight)
     cov = bound = singular_reason = None
     try:
         cov = covariance_from_qfim(f, 1).m
@@ -135,7 +136,7 @@ def _cmd_qfim(args) -> int:
             "covariance": None if cov is None else cov.tolist(),
             "scalar_bound": bound,
             "singular": singular_reason is not None,
-            "commutativity_residual": weak_commutativity_residual(model, args.alpha, args.t, args.weight),
+            "commutativity_residual": residual,
         }
         sys.stdout.write(_json_text(doc))
     if singular_reason is not None:

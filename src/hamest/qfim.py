@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import HamiltonianModel, inverse_jacobian, model_evaluate
 from .errors import DomainError, EstimationError, SingularQfim
-from .util import check_phase
+from .util import check_phase, check_trials
 
 QFIM_SYMMETRY_ATOL = 1e-10
 # Minimum eigenvalue must satisfy min >= -1e-10 * max(1, max eigenvalue).
@@ -94,15 +94,23 @@ def _check_weight(x: float) -> None:
         raise DomainError(f"weight x must lie in [0, 1], got {x}")
 
 
-def qfim_weighted_initial(model: HamiltonianModel, alpha, t: float, x: float) -> QfimMatrix:
-    """QFIM for the input sqrt(x)|00> + sqrt(1-x)|11>, in the computational
-    basis: 4 (G G^T - z^2 g_3 g_3^T) with z = 2x - 1."""
+def _weighted_information(g, x: float) -> tuple[QfimMatrix, float]:
+    """From the generator rows g: the QFIM 4 (G G^T - z^2 g_3 g_3^T) and the
+    commutativity residual max_ij |z (g_i x g_j)_3|, z = 2x - 1, of the input
+    sqrt(x)|00> + sqrt(1-x)|11>."""
     _check_weight(x)
     z = 2.0 * x - 1.0
     # An overflow is reported once, as the DomainError of _validated_qfim.
     with np.errstate(over="ignore", invalid="ignore"):
-        g = generator(model, alpha, t)
-        return _validated_qfim(4.0 * (g @ g.T - z * z * np.outer(g[:, 2], g[:, 2])))
+        f = _validated_qfim(4.0 * (g @ g.T - z * z * np.outer(g[:, 2], g[:, 2])))
+    rows = g[:, :2].tolist()
+    return f, max(abs(z * (p[0] * q[1] - p[1] * q[0])) for p in rows for q in rows)
+
+
+def qfim_weighted_initial(model: HamiltonianModel, alpha, t: float, x: float) -> QfimMatrix:
+    """QFIM for the input sqrt(x)|00> + sqrt(1-x)|11>, in the computational
+    basis: 4 (G G^T - z^2 g_3 g_3^T) with z = 2x - 1."""
+    return _weighted_information(generator(model, alpha, t), x)[0]
 
 
 def qfim_entangled(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
@@ -115,10 +123,7 @@ def weak_commutativity_residual(model: HamiltonianModel, alpha, t: float, x: flo
     """max_ij |Im <psi|h_i h_j (x) I|psi>| = max_ij |z (g_i x g_j)_3|, z = 2x - 1:
     the commutativity residual of the input sqrt(x)|00> + sqrt(1-x)|11>
     (default: the maximally entangled probe, where it is 0)."""
-    _check_weight(x)
-    g = generator(model, alpha, t)
-    cross3 = np.outer(g[:, 0], g[:, 1]) - np.outer(g[:, 1], g[:, 0])
-    return float(np.max(np.abs((2.0 * x - 1.0) * cross3)))
+    return _weighted_information(generator(model, alpha, t), x)[1]
 
 
 def _invert_qfim(f: QfimMatrix) -> np.ndarray:
@@ -132,15 +137,13 @@ def _invert_qfim(f: QfimMatrix) -> np.ndarray:
 
 def covariance_from_qfim(f: QfimMatrix, n: int) -> Covariance3:
     """Cramer-Rao covariance (n F)^{-1} for n trials."""
-    if n < 1:
-        raise DomainError("trial count must be >= 1")
+    check_trials(n)
     return Covariance3(m=_invert_qfim(f) / n)
 
 
 def scalar_bound(w, f: QfimMatrix, n: int) -> float:
     """Weighted precision bound Tr(W F^{-1}) / n."""
-    if n < 1:
-        raise DomainError("trial count must be >= 1")
+    check_trials(n)
     w = np.asarray(w, dtype=float)
     if w.shape != (3, 3) or np.max(np.abs(w - w.T)) > QFIM_SYMMETRY_ATOL:
         raise DomainError("weight matrix must be 3x3 symmetric")

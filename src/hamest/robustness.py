@@ -26,6 +26,9 @@ from .util import KeyedStream, check_seed
 MC_BLOCK = 4096
 # Largest Monte Carlo size: 800 MB of ratios, 100 times the README's 1e6.
 MC_MAX_SAMPLES = 10**8
+# Largest iteration count: 2^(m - 1), the inverse weight of D_2, stays a float,
+# and one block of normals takes MC_BLOCK * 3 * (m - 1) floats, 100 MB at 1024.
+MC_MAX_ITERATIONS = 1024
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,8 @@ def robustness_mc(m: int, samples: int, seed: int) -> RobustnessSummary:
     """
     if m < 2:
         raise DomainError("need m >= 2 iterations for any control error to act")
+    if m > MC_MAX_ITERATIONS:
+        raise DomainError(f"at most {MC_MAX_ITERATIONS} iterations, got {m}")
     if samples < 10000:
         raise DomainError("need at least 1e4 samples for a stable tail estimate")
     if samples > MC_MAX_SAMPLES:

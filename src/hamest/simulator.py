@@ -40,11 +40,13 @@ import scipy.optimize
 from .adaptive import g0, iteration_covariance, plan_schedule
 from .core import evolve_unitary
 from .errors import DomainError, MleNonconvergence
-from .util import check_seed, sample_stream
+from .util import check_seed, check_trials, sample_stream
 
 PROBABILITY_LOG_FLOOR = 1e-300
 MLE_MAX_ITERATIONS = 200
 BELL_MIN_TRIALS = 100
+# Largest repetition count: peak memory grows by about 19 kB per rep, 2 GB at the cap.
+MAX_REPS = 10**5
 
 
 @dataclass(frozen=True)
@@ -79,13 +81,12 @@ class ExperimentConfig:
             raise DomainError(f"unknown backend {self.backend!r}")
         if self.m < 1:
             raise DomainError("iteration count must be >= 1")
-        if self.n < 1:
-            raise DomainError("trial count must be >= 1")
+        check_trials(self.n)
         if self.backend == "bell" and self.n < BELL_MIN_TRIALS:
             raise DomainError(f"bell backend needs n >= {BELL_MIN_TRIALS} for a usable fit")
         check_seed(self.seed)
-        if self.extra_trials is not None and self.extra_trials < 1:
-            raise DomainError("extra_trials must be >= 1")
+        if self.extra_trials is not None:
+            check_trials(self.extra_trials)
         if self.beta0_guess is not None:
             guess = np.asarray(self.beta0_guess, dtype=float)
             if guess.shape != (3,) or not np.all(np.isfinite(guess)):
@@ -179,8 +180,7 @@ def sample_counts(p, n: int, rng: np.random.Generator) -> np.ndarray:
         raise DomainError("p must be four nonnegative probabilities")
     if abs(p.sum() - 1.0) > 1e-9:
         raise DomainError(f"probabilities sum to {p.sum():.12g}, not 1")
-    if n < 1:
-        raise DomainError("trial count must be >= 1")
+    check_trials(n)
     return rng.multinomial(n, p / p.sum())
 
 
@@ -302,6 +302,9 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
     flagged aborted. run_repetitions is the validated entry point; both names
     stay public because the benchmark traces each as a span of its own.
     """
+    # The plan bounds m before any normals are drawn: it ends where V_m underflows.
+    bound = config.resolved_bound()
+    plan = plan_schedule(bound * bound, config.n, target_m=config.m)
     measurements = 2 * config.m - 1 if config.time_refinement else config.m
     streams = [sample_stream(config.seed, r) for r in range(reps)]
     draws = iter([streams] * measurements)
@@ -310,8 +313,6 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
         # measurement order: the refinement measurement before the main one.
         draws = iter(np.stack([g.standard_normal((measurements, 3)) for g in streams], axis=1))
     beta_true = np.asarray(config.beta_true, dtype=float)
-    bound = config.resolved_bound()
-    plan = plan_schedule(bound * bound, config.n, target_m=config.m)
 
     beta_hat = np.zeros((reps, 3))
     aborted = np.zeros(reps, dtype=bool)
@@ -372,8 +373,8 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
 
 
 def run_repetitions(config: ExperimentConfig, reps: int) -> list:
-    """Run reps >= 1 repetitions, rep r on stream (seed, r), and return their
-    traces in rep order: the entry point the CLI calls."""
-    if reps < 1:
-        raise DomainError("repetition count must be >= 1")
+    """Run 1 <= reps <= MAX_REPS repetitions, rep r on stream (seed, r), and
+    return their traces in rep order: the entry point the CLI calls."""
+    if not 1 <= reps <= MAX_REPS:
+        raise DomainError(f"repetition count must lie in [1, {MAX_REPS}], got {reps}")
     return run_adaptive_experiment(config, reps)

@@ -13,11 +13,29 @@ CSC2_SERIES_THRESHOLD = 1e-4
 
 
 def csc_squared(x):
-    """csc^2(x) with the small-argument series 1/x^2 + 1/3 below threshold."""
+    """csc^2(x) with the small-argument series 1/x^2 + 1/3 below threshold:
+    a float for a float x, elementwise for an array, bit for bit the same."""
+    if isinstance(x, np.ndarray):
+        # Both branches are evaluated; each entry keeps the one its size selects.
+        with np.errstate(divide="ignore", over="ignore"):
+            s = np.sin(x)
+            return np.where(np.abs(x) < CSC2_SERIES_THRESHOLD, 1.0 / (x * x) + 1.0 / 3.0, 1.0 / (s * s))
+    # A float takes only its own branch: numpy's per-call cost on 0-d arrays
+    # would be about 25 times the arithmetic, and solve_g0 evaluates it in a loop.
     if abs(x) < CSC2_SERIES_THRESHOLD:
         return 1.0 / (x * x) + 1.0 / 3.0
     s = np.sin(x)
-    return 1.0 / (s * s)
+    return float(1.0 / (s * s))
+
+
+def check_trials(n) -> None:
+    """Reject a trial count, or an array of them, that is not an integer in
+    [1, 2^53], where every count is exact as a float. The simulator holds its
+    counts as floats, so a float with an integer value counts as an integer."""
+    # Python comparisons: exact for an int of any size, False for NaN, no warnings.
+    counts = n.ravel().tolist() if isinstance(n, np.ndarray) else [n]
+    if not all(1 <= v <= 2**53 and v % 1 == 0 for v in counts):
+        raise DomainError("trial count must be an integer in [1, 2^53]")
 
 
 def fd_step(value):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import HamiltonianModel, model_evaluate, pauli_compose, spectral_decompose
 from .errors import DegenerateSpectrum, DivergentTime, DomainError, SingularQfim
-from .util import check_phase, near_pole
+from .util import check_phase, check_trials, near_pole
 
 PAULI = np.array([pauli_compose(e) for e in np.eye(3)])  # sigma_x, sigma_y, sigma_z
 
@@ -45,12 +45,14 @@ class SpectralSensitivities:
 
 @dataclass(frozen=True)
 class XiCoefficients:
-    """The gap-free xi of the module docstring and the gap dE they go with."""
+    """The gap-free xi of the module docstring from the columns (m_i, d_i)
+    scaled by 2^-e_i, e = exponents (see xi_coefficients), and the gap dE."""
 
     xi1: np.ndarray
     xi2: np.ndarray
     xi3: float
     gap: float
+    exponents: np.ndarray | int = 0
 
 
 @dataclass(frozen=True)
@@ -82,22 +84,35 @@ def _cross(u, v) -> tuple:
 
 def xi_coefficients(sens: SpectralSensitivities) -> XiCoefficients:
     """Variance coefficients; xi1/xi2 are per parameter, xi3 is shared.
-    DomainError where one overflows, as for derivatives of H past about 1e77."""
-    a, b, d = sens.m.real.tolist(), sens.m.imag.tolist(), sens.dgap.tolist()
+
+    Column i enters scaled by 2^-e_i, with e_i the binary exponent of
+    max(|m_i|, |d_i|) (0 for a zero column). v_i, the envelope and the
+    infimum of parameter i then scale by 2^(2 e_i), which the relations undo
+    exactly: powers of two move no digit, and the scaled xi stay in range for
+    any finite derivatives of H. DomainError where they are not finite.
+    """
+    a, b, d, exponents = [], [], [], []
+    for x, y in zip(sens.m.tolist(), sens.dgap.tolist()):
+        e = math.frexp(max(abs(x), abs(y)))[1]
+        a.append(math.ldexp(x.real, -e))
+        b.append(math.ldexp(x.imag, -e))
+        d.append(math.ldexp(y, -e))
+        exponents.append(e)
     ad, bd = _cross(a, d), _cross(b, d)
     xi1 = [(x * x + y * y) / 4.0 for x, y in zip(ad, bd)]
     xi2 = [x * x for x in _cross(a, b)]
     triple = a[0] * bd[0] + a[1] * bd[1] + a[2] * bd[2]
     if not all(map(math.isfinite, xi1 + xi2 + [triple * triple])):
-        raise DomainError("xi coefficients overflow: the derivatives of H are too large")
-    return XiCoefficients(xi1=np.array(xi1), xi2=np.array(xi2), xi3=triple * triple, gap=sens.gap)
+        raise DomainError("xi coefficients are not finite: the derivatives of H are too large")
+    return XiCoefficients(
+        xi1=np.array(xi1), xi2=np.array(xi2), xi3=triple * triple, gap=sens.gap, exponents=np.array(exponents)
+    )
 
 
 def _check_time_and_trials(t, n: int) -> None:
     if not np.all(t > 0.0):
         raise DomainError(f"evolution time must be positive, got {np.min(t)}")
-    if n < 1:
-        raise DomainError("trial count must be >= 1")
+    check_trials(n)
 
 
 def _relation(xi: XiCoefficients, q, t, n: int, pole=False) -> np.ndarray:
@@ -107,7 +122,7 @@ def _relation(xi: XiCoefficients, q, t, n: int, pole=False) -> np.ndarray:
     if xi.xi3 == 0.0:
         raise SingularQfim("xi3 vanishes; the three parameters are not jointly identifiable")
     den = n * t * t * xi.xi3
-    v = (q * q * xi.xi1 + xi.xi2) / den
+    v = np.ldexp((q * q * xi.xi1 + xi.xi2) / den, -2 * xi.exponents)
     ok = np.isfinite(den) & np.isfinite(v) | pole
     if not ok.all():
         bad = np.broadcast_to(t, ok.shape)[~ok][0]
@@ -160,13 +175,12 @@ def variance_envelope(xi: XiCoefficients, t, n: int) -> np.ndarray:
 def variance_infimum(xi: XiCoefficients, n: int) -> np.ndarray:
     """Large-t limit (dE / 2)^2 xi1 / (n xi3) of the envelope, per parameter;
     DomainError where it overflows."""
-    if n < 1:
-        raise DomainError("trial count must be >= 1")
+    check_trials(n)
     _check_direction(xi)
     if xi.xi3 == 0.0:
         raise SingularQfim("xi3 vanishes; the three parameters are not jointly identifiable")
     with np.errstate(all="ignore"):
-        inf = np.square(xi.gap / 2.0) * xi.xi1 / (n * xi.xi3)
+        inf = np.ldexp(np.square(xi.gap / 2.0) * xi.xi1 / (n * xi.xi3), -2 * xi.exponents)
     if not np.all(np.isfinite(inf)):
         raise DomainError(f"variance infimum overflows with n = {n}")
     return inf

@@ -1,20 +1,25 @@
 """CLI surface: output schemas, golden values, exit codes, determinism."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import hamest
-from hamest import adaptive, cli, robustness, variance
+from hamest import adaptive, cli, qfim, robustness, variance
 from hamest.core import get_model
 from hamest.errors import EstimationError
 from hamest.qfim import covariance_from_qfim, qfim_entangled, scalar_bound
@@ -22,6 +27,8 @@ from hamest.qfim import covariance_from_qfim, qfim_entangled, scalar_bound
 from reference_routes import commutativity_residual_explicit, generator_matrices
 
 HALF_PI = math.pi / 2.0
+# A 401-digit count, beyond every count the CLI accepts and the float range.
+HUGE = "1" + "0" * 400
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +127,24 @@ def test_qfim_default_weight_is_half(capsys, argv):
     assert code == 0
     _, half, _ = run_cli(capsys, "qfim", *argv, "--weight", "0.5")
     assert default == half
+
+
+def test_qfim_builds_the_generators_once(capsys, monkeypatch):
+    calls = []
+    original = qfim.generator
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    # Every module binding of the generator, as the benchmark's tracer patches them.
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hamest") and getattr(mod, "generator", None) is original:
+            monkeypatch.setattr(mod, "generator", counted)
+    # The JSON document carries both the QFIM and the commutativity residual.
+    code, _, _ = run_cli(capsys, "qfim", "--model", "btp", "--alpha", "1.0,0.4,0.3", "--t", "1.0")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_qfim_malformed_triple_exits_two(capsys):
@@ -522,10 +547,10 @@ def test_simulate_csv_sidecar(capsys, tmp_path):
 
 
 def test_internal_failure_exits_three(capsys, monkeypatch):
-    def explode(model, alpha, t, x):
+    def explode(model, alpha, t):
         raise EstimationError("forced")
 
-    monkeypatch.setattr(cli, "qfim_weighted_initial", explode)
+    monkeypatch.setattr(cli, "generator", explode)
     code, _, err = run_cli(capsys, "qfim", "--alpha", "0,0,0", "--t", "2")
     assert code == 3
     assert err.startswith("internal error:")
@@ -569,13 +594,25 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
         # Deviation grids that leave (0, (pi / g0)^2) after some valid points, or at once.
         ["robustness", "single", "--grid", "0.5:7:1.0"],
         ["robustness", "single", "--grid", "0:1:0.5"],
-        # xi3 grows as B^4 and leaves the float range past B of about 1e77.
-        ["variance-curve", "--model", "btp", "--alpha", "1e80,0.3,0.2", "--n", "100", "--t-start", "1e-81",
-         "--t-stop", "1e-80", "--points", "5"],
+        # The scaled xi stay in range; at B = 1e300 the infimum, of order B^2 / 1e35, overflows.
+        ["variance-curve", "--model", "btp", "--alpha", "1e300,0.3,0.2", "--n", "100", "--t-start", "1e-301",
+         "--t-stop", "1e-300", "--points", "5"],
         # Grids past MAX_GRID_POINTS, rejected before they are allocated.
         ["variance-curve", "--alpha", "0.6,0,0.8", "--n", "100", "--t-start", "0.1",
          "--t-stop", "6.0", "--points", "10000000000000"],
         ["robustness", "single", "--grid", "0:1:1e-13"],
+        # Trial counts past 2^53, rejected before they reach a float.
+        ["schedule", "--v0", "1", "--n", HUGE, "--m", "3"],
+        ["variance-curve", "--alpha", "0.6,0,0.8", "--n", HUGE, "--t-start", "0.1", "--t-stop", "6.0",
+         "--points", "5"],
+        ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", HUGE, "--m", "1", "--seed", "1"],
+        ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "2", "--seed", "1", "--refine",
+         "--extra-trials", HUGE],
+        # Repetition and iteration counts past their caps, rejected before any allocation.
+        ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "1", "--seed", "1", "--reps", HUGE],
+        ["schedule", "--v0", "1", "--n", "1", "--m", "100000000000"],
+        ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "100000000000", "--seed", "1"],
+        ["robustness", "total", "--m", "1025", "--samples", "10000", "--seed", "0"],
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -585,6 +622,32 @@ def test_invalid_numeric_input_exits_two(capsys, argv):
     assert out == ""
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "--v0", "1", "--m", "3"],
+        ["variance-curve", "--alpha", "0.6,0,0.8", "--t-start", "0.1", "--t-stop", "6.0", "--points", "3"],
+        ["simulate", "--beta0", "0.8,-0.4,0.3", "--m", "2", "--reps", "1", "--seed", "1"],
+    ],
+)
+@settings(deadline=None, max_examples=50, database=None)
+@given(n=st.integers(min_value=-10, max_value=10**4) | st.integers(min_value=-10, max_value=10**400))
+def test_any_trial_count_exits_zero_or_two(argv, n):
+    # In process, a traceback is an exception that reaches this test. Warnings
+    # are errors inside the call only, so that a failure is reported cleanly.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv + ["--n", str(n)])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error")

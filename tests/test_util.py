@@ -1,4 +1,5 @@
-"""Numeric helpers: csc^2 series branch, FD steps, keyed RNG streams, phase policy."""
+"""Numeric helpers: csc^2 and its series branch for floats and arrays, the
+trial-count rule, FD steps, keyed RNG streams, phase policy."""
 
 import math
 
@@ -6,13 +7,23 @@ import numpy as np
 import pytest
 
 from hamest.errors import DomainError
-from hamest.util import KeyedStream, check_phase, csc_squared, fd_step, near_pole, sample_stream
+from hamest.util import KeyedStream, check_phase, check_trials, csc_squared, fd_step, near_pole, sample_stream
+
+
+def assert_array_matches_scalars(x):
+    """csc_squared of an array is its float results, bit for bit, in its shape."""
+    x = np.asarray(x, dtype=float)
+    got = csc_squared(x)
+    assert isinstance(got, np.ndarray) and got.shape == x.shape
+    assert got.ravel().tolist() == [csc_squared(v) for v in x.ravel().tolist()]
 
 
 def test_csc_squared_reference_points():
     assert csc_squared(math.pi / 2.0) == 1.0
     assert csc_squared(math.pi / 4.0) == pytest.approx(2.0, rel=1e-12)
     assert csc_squared(-0.7) == csc_squared(0.7)
+    assert type(csc_squared(0.7)) is float
+    assert_array_matches_scalars([math.pi / 2.0, math.pi / 4.0, -0.7, 0.7])
 
 
 def test_csc_squared_series_agrees_with_direct_form():
@@ -20,11 +31,32 @@ def test_csc_squared_series_agrees_with_direct_form():
     # far below what the direct evaluation can resolve
     x = 0.5e-4
     assert csc_squared(x) == pytest.approx(1.0 / math.sin(x) ** 2, rel=1e-10)
+    # Both branches and the threshold itself, in the (..., 1, 1) shape of a covariance stack.
+    assert_array_matches_scalars(np.array([x, -x, 1e-4, -1e-4, 1.0001e-4, 2.0, 1e-150]).reshape(7, 1, 1))
 
 
 def test_csc_squared_series_matches_expansion():
     x = 2e-4
     assert csc_squared(x) == pytest.approx(1.0 / x**2 + 1.0 / 3.0 + x**2 / 15.0, rel=1e-10)
+    rng = np.random.default_rng(4)
+    assert_array_matches_scalars(np.concatenate([[x], rng.uniform(-3e-4, 3e-4, 500), rng.uniform(-9.0, 9.0, 500)]))
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 1000, 2**53, np.int64(7), 5.0, np.float64(2.0**53), np.array([1.0, 3.0, 2.0**53])]
+)
+def test_check_trials_accepts_integer_counts(n):
+    check_trials(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [0, -3, 2**53 + 1, 10**400, -(10**400), 2.5, math.nan, math.inf, np.array([1.0, 0.5]),
+     np.array([2.0, math.inf]), np.array([[1.0], [0.0]])],
+)
+def test_check_trials_rejects_other_counts(n):
+    with pytest.raises(DomainError, match="trial count must"):
+        check_trials(n)
 
 
 @pytest.mark.parametrize(

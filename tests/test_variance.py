@@ -238,15 +238,26 @@ def test_overflowing_variance_raises_domain_error():
         variance.variance_envelope(xi_for(alpha), 1e200, 8)
     # A denominator n t^2 xi3 that overflows would otherwise read as variance 0.
     with pytest.raises(DomainError, match="overflow"):
-        variance.estimator_variances(model, alpha, 1.0, 10**308)
+        variance.estimator_variances(model, (3e-141, -4e-141, 1.2e-140), 1e150, 2**53)
     with pytest.raises(DomainError, match="overflow"):
         variance.variance_curve(model, alpha, [1.0, 1e200], 8)
+
+
+@pytest.mark.parametrize("field", [1e80, 1e150])
+@pytest.mark.filterwarnings("error")
+def test_btp_variances_scale_with_the_field(field):
+    # (B, t) -> (c B, t / c) keeps H t: v_B scales by c^2, v_theta and v_phi do not.
+    # The xi are built from columns scaled by powers of two, so they stay in range.
+    model = core.get_model("btp")
+    ref = variance.estimator_variances(model, (1.0, 0.3, 0.2), 0.1, 100)
+    v = variance.estimator_variances(model, (field, 0.3, 0.2), 0.1 / field, 100)
+    assert_allclose(v / [field * field, 1.0, 1.0], ref, rtol=1e-12)
 
 
 def test_infimum_is_large_time_envelope():
     xi = xi_for((0.4, -0.6, 0.9))
     inf = variance.variance_infimum(xi, 8)
-    assert_allclose(inf, (xi.gap / 2.0) ** 2 * xi.xi1 / (8 * xi.xi3), rtol=1e-12)
+    assert_allclose(inf, np.ldexp((xi.gap / 2.0) ** 2 * xi.xi1 / (8 * xi.xi3), -2 * xi.exponents), rtol=1e-12)
     env = variance.variance_envelope(xi, 1e6, 8)
     assert_allclose(env, inf, rtol=1e-9)
 
