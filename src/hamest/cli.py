@@ -20,6 +20,7 @@ internal invariant failures.
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -252,7 +253,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The shared argument parser: built on the first call, then returned
+    again, so each main call parses without rebuilding the tree."""
     parser = argparse.ArgumentParser(
         prog="hamest",
         description="Adaptive estimation of a qubit Hamiltonian's field components.",

@@ -94,15 +94,21 @@ def _check_weight(x: float) -> None:
         raise DomainError(f"weight x must lie in [0, 1], got {x}")
 
 
-def _weighted_information(g, x: float) -> tuple[QfimMatrix, float]:
-    """From the generator rows g: the QFIM 4 (G G^T - z^2 g_3 g_3^T) and the
-    commutativity residual max_ij |z (g_i x g_j)_3|, z = 2x - 1, of the input
-    sqrt(x)|00> + sqrt(1-x)|11>."""
+def _weighted_qfim(g, x: float) -> QfimMatrix:
+    """From the generator rows g: the QFIM 4 (G G^T - z^2 g_3 g_3^T),
+    z = 2x - 1, of the input sqrt(x)|00> + sqrt(1-x)|11>."""
     _check_weight(x)
     z = 2.0 * x - 1.0
     # An overflow is reported once, as the DomainError of _validated_qfim.
     with np.errstate(over="ignore", invalid="ignore"):
-        f = _validated_qfim(4.0 * (g @ g.T - z * z * np.outer(g[:, 2], g[:, 2])))
+        return _validated_qfim(4.0 * (g @ g.T - z * z * np.outer(g[:, 2], g[:, 2])))
+
+
+def _weighted_information(g, x: float) -> tuple[QfimMatrix, float]:
+    """_weighted_qfim(g, x) and the commutativity residual max_ij |z (g_i x g_j)_3|
+    of the same input, for the callers that read both."""
+    f = _weighted_qfim(g, x)
+    z = 2.0 * x - 1.0
     rows = g[:, :2].tolist()
     return f, max(abs(z * (p[0] * q[1] - p[1] * q[0])) for p in rows for q in rows)
 
@@ -110,7 +116,7 @@ def _weighted_information(g, x: float) -> tuple[QfimMatrix, float]:
 def qfim_weighted_initial(model: HamiltonianModel, alpha, t: float, x: float) -> QfimMatrix:
     """QFIM for the input sqrt(x)|00> + sqrt(1-x)|11>, in the computational
     basis: 4 (G G^T - z^2 g_3 g_3^T) with z = 2x - 1."""
-    return _weighted_information(generator(model, alpha, t), x)[0]
+    return _weighted_qfim(generator(model, alpha, t), x)
 
 
 def qfim_entangled(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:

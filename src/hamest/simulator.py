@@ -29,18 +29,20 @@ previous settings while holding that iteration's total time budget
 n * t_planned fixed. The reps are the batch axis of this loop; rep r draws
 from its own stream (seed, r) as a run of it alone would, so its row does
 not depend on --reps.
+
+scipy.optimize is imported inside the Bell fit, on its first call, so that
+importing hamest and running every other command never loads scipy.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .adaptive import g0, iteration_covariance, plan_schedule
 from .core import evolve_unitary
 from .errors import DomainError, MleNonconvergence
-from .util import check_seed, check_trials, sample_stream
+from .util import MAX_TRIALS, check_seed, check_trials, sample_stream
 
 PROBABILITY_LOG_FLOOR = 1e-300
 MLE_MAX_ITERATIONS = 200
@@ -241,6 +243,9 @@ def _fit_bell_counts(counts: np.ndarray, t: float, prior: np.ndarray) -> np.ndar
         p = np.clip(bell_probabilities(x, t), PROBABILITY_LOG_FLOOR, None)
         return -float(counts @ np.log(p))
 
+    # Imported here, not at module level: scipy.optimize takes most of hamest's import time.
+    import scipy.optimize
+
     res = scipy.optimize.minimize(
         nll, x0, method="L-BFGS-B", options={"maxiter": MLE_MAX_ITERATIONS}
     )
@@ -334,7 +339,8 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
             refined = omega_tilde > 0.0
             with np.errstate(divide="ignore"):
                 t_k = np.where(refined, config.resolved_pi0() / omega_tilde, t_plan)
-            n_k = np.where(refined, np.maximum(1.0, np.round(config.n * t_plan / t_k)), n_k)
+            # The same time budget n * t_plan, in a count that stays a valid trial count.
+            n_k = np.where(refined, np.clip(np.round(config.n * t_plan / t_k), 1.0, MAX_TRIALS), n_k)
             magnitude = np.where(refined, omega_tilde, magnitude)
         estimate, trace_cov, counts = _measure(
             config, residual, n_k, t_k, magnitude, prior, next(draws), aborted

@@ -28,13 +28,17 @@ def csc_squared(x):
     return float(1.0 / (s * s))
 
 
+# Largest trial count: every count up to it is exact as a float.
+MAX_TRIALS = 2**53
+
+
 def check_trials(n) -> None:
     """Reject a trial count, or an array of them, that is not an integer in
-    [1, 2^53], where every count is exact as a float. The simulator holds its
-    counts as floats, so a float with an integer value counts as an integer."""
+    [1, MAX_TRIALS]. The simulator holds its counts as floats, so a float
+    with an integer value counts as an integer."""
     # Python comparisons: exact for an int of any size, False for NaN, no warnings.
     counts = n.ravel().tolist() if isinstance(n, np.ndarray) else [n]
-    if not all(1 <= v <= 2**53 and v % 1 == 0 for v in counts):
+    if not all(1 <= v <= MAX_TRIALS and v % 1 == 0 for v in counts):
         raise DomainError("trial count must be an integer in [1, 2^53]")
 
 

@@ -521,6 +521,19 @@ def test_simulate_bell_far_guess_runs(capsys):
     assert len(json.loads(out)["rows"]) == 1
 
 
+def test_refined_trial_count_stays_in_range(capsys):
+    # At --n = 2^53 a refined iteration keeps its time budget n * t only up to
+    # the largest trial count.
+    code, out, _ = run_cli(
+        capsys, "simulate", "--beta0", "0.8,-0.4,0.3", "--n", str(2**53), "--m", "2",
+        "--seed", "1", "--refine", "--reps", "5",
+    )
+    assert code == 0
+    used = [it["n_used"] for rep in json.loads(out)["rows"] for it in rep["iterations"]]
+    assert len(used) == 10
+    assert all(1 <= n <= 2**53 for n in used)
+
+
 def test_simulate_seed_required():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "1"])
@@ -730,6 +743,66 @@ def test_closed_stdout_ends_quietly():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert err == b""
+
+
+# The README's example commands; the Bell one also writes {csv}.
+README_COMMANDS = [
+    "qfim --model pauli --alpha 0.8,-0.4,0.3 --t 2.0",
+    "qfim --model btp --alpha 1.0,0.4,0.3 --t 1.0 --format csv",
+    "variance-curve --model pauli --alpha 0.6,0,0.8 --n 100 --t-start 0.1 --t-stop 6.0 --points 60",
+    "schedule --v0 1.0 --n 1000 --target 1e-6",
+    "schedule --v0 1.0 --n 1000 --m 6",
+    "robustness single --grid 0.01:5.8:0.01",
+    "robustness total --m 4 --samples 1000000 --seed 42",
+    "simulate --beta0 0.8,-0.4,0.3 --n 1000 --m 4 --seed 11 --reps 500",
+    "simulate --beta0 0.05,-0.03,0.04 --n 100000 --m 2 --backend bell --seed 3 --reps 50 --csv {csv}",
+]
+
+
+def test_only_the_bell_fit_loads_scipy():
+    # A fresh interpreter: importing hamest and every README command but the
+    # Bell one run without scipy; the first Bell fit, here of one rep of the
+    # README Bell command, imports scipy.optimize.
+    bell = "simulate --beta0 0.05,-0.03,0.04 --n 100000 --m 2 --backend bell --seed 3 --reps 1"
+    script = f"""
+import contextlib, io, sys
+import hamest, hamest.cli
+hamest.g0()
+for line in {README_COMMANDS[:-1]!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert hamest.cli.main(line.split()) == 0, line
+print("scipy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert hamest.cli.main({bell!r}.split()) == 0
+print("scipy.optimize" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_module_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
+def test_shared_parser_gives_fresh_process_output(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    # A call that argparse rejects and one that fails validation leave the
+    # shared parser as it was.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["qfim", "--alpha", "1,2", "--t", "1"])
+    assert excinfo.value.code == 2
+    assert "argument --alpha" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "qfim", "--alpha", "0.8,-0.4,0.3", "--t", "2.0", "--weight", "1.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: weight x must lie in [0, 1]")
+    for line in README_COMMANDS:
+        argv = line.format(csv=tmp_path / "in_process.csv").split()
+        code, out, err = run_cli(capsys, *argv)
+        fresh = line.format(csv=tmp_path / "fresh.csv").split()
+        proc = subprocess.run(
+            [sys.executable, "-m", "hamest", *fresh], capture_output=True, text=True, env=_module_env(), timeout=120
+        )
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), line
+    assert (tmp_path / "in_process.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_threads_env_override(capsys, monkeypatch):
