@@ -235,7 +235,8 @@ def plan_schedule(
     else:
         if not 0.0 < target_v < v0:
             raise DomainError("target variance must lie in (0, v0)")
-        m = math.ceil(math.log(target_v / v0) / math.log(contraction))
+        # A difference of logs: the quotient target_v / v0 can underflow to 0.
+        m = math.ceil((math.log(target_v) - math.log(v0)) / math.log(contraction))
         m = max(m, 1)
 
     records = []

@@ -11,6 +11,8 @@ command, params, rows, plus command-specific sections) and serialize floats
 with repr, the shortest round-trip form; CSV uses a header row, comma
 separators, LF line endings, UTF-8. Vector-valued flags take comma-separated
 components (`--alpha 0.1,0.2,0.3`) and deviation grids take START:STOP:STEP.
+A vector whose first component is negative must follow an `=`
+(`--alpha=-0.8,0.4,0.3`): argparse reads a separate `-0.8,...` as a flag.
 Outputs contain no timestamps, so a rerun with the same arguments is
 byte-identical. Stochastic subcommands require an explicit --seed. Exit
 codes: 0 on success, 2 on domain or argument validation errors, 3 on
@@ -36,6 +38,7 @@ from .simulator import ExperimentConfig, run_repetitions
 SCHEMA_VERSION = 1
 # Largest time or deviation grid a command evaluates: 8 MB per float column.
 MAX_GRID_POINTS = 10**6
+_VECTOR_HELP = "comma-separated components; a negative first one needs '=', as in --{}=-0.8,0.4,0.3"
 
 
 def _json_text(doc: dict) -> str:
@@ -81,7 +84,8 @@ def _grid_spec(text: str) -> tuple:
 
 def _check_grid_size(points) -> None:
     if not points <= MAX_GRID_POINTS:
-        raise DomainError(f"at most {MAX_GRID_POINTS} grid points, got {points:.6g}")
+        size = "a count past the float range" if points > sys.float_info.max else f"{points:.6g}"
+        raise DomainError(f"at most {MAX_GRID_POINTS} grid points, got {size}")
 
 
 def _check_threads(args) -> None:
@@ -153,7 +157,11 @@ def _cmd_variance_curve(args) -> int:
     _check_grid_size(args.points)
     if not 0.0 < args.t_start < args.t_stop:
         raise DomainError("need 0 < t-start < t-stop")
-    grid = np.linspace(args.t_start, args.t_stop, args.points)
+    # An end at or near the float range overflows linspace's steps.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(args.t_start, args.t_stop, args.points)
+    if not np.all(np.isfinite(grid)):
+        raise DomainError("the time grid leaves the float range")
     rows = variance.variance_curve(model, args.alpha, grid, args.n)
     with _open_out(args.out) as out:
         w = _csv_writer(out)
@@ -228,7 +236,7 @@ def _cmd_simulate(args) -> int:
                 "beta_hat": list(t.beta_hat),
                 "realized_sq_error": t.realized_sq_error,
                 "planned_v_m": t.planned_v_m,
-                "aborted": t.aborted,
+                "aborted": False,  # a schema-1 field: a fit that does not converge ends the run
                 "iterations": [vars(i) for i in t.iterations],
             }
             for t in traces
@@ -272,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qfim", help="quantum Fisher information at a working point")
     p.add_argument("--model", default="pauli", help="model name (pauli or btp)")
-    p.add_argument("--alpha", type=_triple, required=True, metavar="A1,A2,A3")
+    p.add_argument("--alpha", type=_triple, required=True, metavar="A1,A2,A3", help=_VECTOR_HELP.format("alpha"))
     p.add_argument("--t", type=float, required=True, help="evolution time")
     p.add_argument(
         "--weight", type=float, default=0.5,
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variance-curve", help="estimator variances on a time grid (CSV)")
     p.add_argument("--model", default="pauli")
-    p.add_argument("--alpha", type=_triple, required=True, metavar="A1,A2,A3")
+    p.add_argument("--alpha", type=_triple, required=True, metavar="A1,A2,A3", help=_VECTOR_HELP.format("alpha"))
     p.add_argument("--n", type=int, required=True, help="trials per point")
     p.add_argument("--t-start", type=float, required=True)
     p.add_argument("--t-stop", type=float, required=True)
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=_cmd_robustness_total)
 
     p = sub.add_parser("simulate", help="run the adaptive protocol end to end (JSON)")
-    p.add_argument("--beta0", type=_triple, required=True, metavar="B1,B2,B3")
+    p.add_argument("--beta0", type=_triple, required=True, metavar="B1,B2,B3", help=_VECTOR_HELP.format("beta0"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--backend", choices=("gaussian", "bell"), default="gaussian")
@@ -322,7 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", action="store_true", help="re-derive times from fresh estimates")
     p.add_argument("--extra-trials", type=int, default=None)
     p.add_argument("--bound", type=float, default=None, help="prior bound on |beta0|")
-    p.add_argument("--guess", type=_triple, default=None, metavar="B1,B2,B3", help="prior field guess")
+    p.add_argument(
+        "--guess", type=_triple, default=None, metavar="B1,B2,B3",
+        help="prior field guess, " + _VECTOR_HELP.format("guess"),
+    )
     p.add_argument("--csv", default=None, help="also write a per-rep summary CSV here")
     p.set_defaults(func=_cmd_simulate)
 

@@ -15,10 +15,12 @@ Two measurement backends share the same adaptive loop:
   ambiguity that the Bell backend has to resolve. A residual that is exactly
   zero (a deep schedule can reach one) takes the true field's direction.
 * "bell" samples Bell-basis outcome counts from the exact probabilities and
-  estimates the residual field by maximum likelihood. The Bell probabilities
-  are even in every component of the residual, so the likelihood has an
-  eight-fold sign degeneracy plus a phase-branch degeneracy; both are
-  resolved toward the prior for the iteration.
+  estimates the residual field by maximum likelihood: four frequencies fix
+  three parameters, so the estimate inverts them in closed form, and an
+  L-BFGS polish barely moves it. The Bell probabilities are even in every
+  component of the residual, so the likelihood has an eight-fold sign
+  degeneracy plus a phase-branch degeneracy; both are resolved toward the
+  prior for the iteration.
 
 Iteration 1 runs without a control. Iteration k >= 2 applies the control
 -beta_hat_{k-1} and estimates the remaining residual. The evolution times,
@@ -153,7 +155,6 @@ class ExperimentTrace:
     beta_hat: tuple
     planned_v_m: float
     realized_sq_error: float
-    aborted: bool = False
 
 
 def bell_probabilities(delta_beta, t: float) -> np.ndarray:
@@ -195,49 +196,37 @@ def estimate_step_gaussian(cov, z) -> np.ndarray:
     return (root @ np.asarray(z)[..., None])[..., 0]
 
 
-def _phase_candidates(theta0: float, target: float) -> list:
-    """Phases 2 pi j + theta0, 2 pi (j + 1) - theta0 and 2 pi j + pi -/+ theta0
-    that share the Bell probabilities of theta0, for the blocks j next to
-    target. Block j spans [2 pi j, 2 pi (j + 1)], so the candidate nearest
-    target lies in blocks j_c - 1 .. j_c + 1 with j_c = floor(target / 2 pi).
-    """
-    top = int(math.ceil((target + math.pi) / (2.0 * math.pi))) + 1
-    j_c = math.floor(target / (2.0 * math.pi))
-    cands = []
-    for j in range(max(0, j_c - 1), min(top, j_c + 1) + 1):
-        cands.append(2.0 * math.pi * j + theta0)
-        cands.append(2.0 * math.pi * (j + 1) - theta0)
-        cands.append(2.0 * math.pi * j + (math.pi - theta0))
-        cands.append(2.0 * math.pi * j + (math.pi + theta0))
-    return [c for c in cands if c >= 0.0]
+def _nearest_phase(theta0: float, target: float) -> float:
+    """The phase pi j +/- theta0 >= 0 nearest target >= 0, for theta0 in
+    [0, pi/2]: j = round(target / pi), half to even, and + theta0 where
+    target >= pi j. Built as 2 pi (j // 2) + (pi (j % 2) +/- theta0)."""
+    j = round(target / math.pi)
+    reflection = theta0 if target >= math.pi * j else -theta0
+    return 2.0 * math.pi * (j // 2) + (math.pi * (j % 2) + reflection)
+
+
+def _invert_bell_counts(counts: np.ndarray, t: float, prior: np.ndarray) -> np.ndarray:
+    """Closed-form maximum-likelihood residual from Bell-outcome counts: the
+    phase |x| t is pi j +/- theta0 with sin^2 theta0 = 1 - p0 and |x_i| goes
+    as sqrt(p_i). The likelihood is invariant under per-component sign flips
+    and these reflections, so the result takes the phase nearest |prior| t and
+    the prior's signs (+ at zero): the equal-likelihood pattern nearest it."""
+    phat = counts / counts.sum()
+    s2 = float(phat[1] + phat[2] + phat[3])
+    prior_norm = float(np.linalg.norm(prior))
+    theta = _nearest_phase(math.asin(min(1.0, math.sqrt(s2))), prior_norm * t)
+    if theta == 0.0:
+        return np.zeros(3)
+    unit = np.sqrt(phat[1:] / s2) if s2 > 0.0 else np.abs(prior) / prior_norm
+    return (theta / t) * unit * np.where(prior >= 0.0, 1.0, -1.0)
 
 
 def _fit_bell_counts(counts: np.ndarray, t: float, prior: np.ndarray) -> np.ndarray:
-    """Maximum-likelihood residual from Bell-outcome counts.
-
-    The likelihood is invariant under per-component sign flips and under
-    phase reflections theta -> pi j +/- theta, so the fit is seeded in the
-    branch nearest the prior and each component of the result takes the sign
-    of the prior's (+ at zero): the equal-likelihood pattern nearest the prior.
-    """
-    n = counts.sum()
-    prior_norm = float(np.linalg.norm(prior))
-
-    phat = counts / n
-    s2 = float(phat[1] + phat[2] + phat[3])
-    theta0 = math.asin(min(1.0, math.sqrt(s2)))
-    target = prior_norm * t
-    theta_init = min(_phase_candidates(theta0, target), key=lambda c: abs(c - target))
-    if theta_init == 0.0 or (s2 == 0.0 and theta_init < 1e-12):
-        return np.zeros(3)
-    if s2 > 0.0:
-        unit = np.sqrt(phat[1:] / s2)
-    elif prior_norm > 0.0:
-        unit = np.abs(prior) / prior_norm
-    else:
-        return np.zeros(3)
-    signs = np.where(prior >= 0.0, 1.0, -1.0)
-    x0 = (theta_init / t) * unit * signs
+    """Maximum-likelihood residual from Bell-outcome counts: the closed-form
+    inversion, polished by L-BFGS within its sign pattern."""
+    x0 = _invert_bell_counts(counts, t, prior)
+    if not x0.any():
+        return x0
 
     def nll(x):
         p = np.clip(bell_probabilities(x, t), PROBABILITY_LOG_FLOOR, None)
@@ -253,7 +242,7 @@ def _fit_bell_counts(counts: np.ndarray, t: float, prior: np.ndarray) -> np.ndar
         raise MleNonconvergence(
             f"likelihood fit did not converge within {MLE_MAX_ITERATIONS} iterations"
         )
-    return np.abs(res.x) * signs
+    return np.copysign(res.x, x0)
 
 
 def estimate_step_bell(
@@ -270,14 +259,13 @@ def estimate_step_bell(
     return _fit_bell_counts(counts.astype(float), t, prior)
 
 
-def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, draws, aborted):
+def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, draws):
     """One measurement of every rep's residual: (estimates, trace_cov, counts).
     Gaussian: residual + C^{1/2} z, with C along each residual direction at the
     operating magnitude and z the reps' normals in draws; trace_cov is tr C.
     A residual that is exactly zero takes the direction of config.beta_true.
-    Bell: each rep not aborted fits n outcomes sampled from its generator in
-    draws, toward its prior; a fit that does not converge flags it in aborted.
-    An aborted rep's estimate is zero, so its beta_hat stays where it was.
+    Bell: each rep fits n outcomes sampled from its generator in draws,
+    toward its prior.
     """
     if config.backend == "gaussian":
         direction = np.where((residual == 0.0).all(axis=1, keepdims=True), config.beta_true, residual)
@@ -287,14 +275,11 @@ def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, draws, 
         cov = iteration_covariance(direction * (magnitude / norm)[:, None], n, t)
         return residual + estimate_step_gaussian(cov, draws), np.trace(cov.m, axis1=1, axis2=2), None
     estimates = np.zeros_like(residual)
-    counts = [None] * len(residual)
-    for r in np.flatnonzero(~aborted):
-        sampled = sample_counts(bell_probabilities(residual[r], t[r]), int(n[r]), draws[r])
-        counts[r] = tuple(sampled.tolist())
-        try:
-            estimates[r] = _fit_bell_counts(sampled.astype(float), t[r], prior[r])
-        except MleNonconvergence:
-            aborted[r] = True
+    counts = []
+    for r, rng in enumerate(draws):
+        sampled = sample_counts(bell_probabilities(residual[r], t[r]), int(n[r]), rng)
+        counts.append(tuple(sampled.tolist()))
+        estimates[r] = _fit_bell_counts(sampled.astype(float), t[r], prior[r])
     return estimates, None, counts
 
 
@@ -302,9 +287,8 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
     """Run reps 0..reps-1 of the experiment as one batch, rep r on the stream
     (config.seed, r), and return their traces in rep order.
 
-    A likelihood fit that fails to converge aborts its rep only: the rep
-    keeps the iterations it completed and its estimate, and its trace is
-    flagged aborted. run_repetitions is the validated entry point; both names
+    A likelihood fit that does not converge raises MleNonconvergence and
+    ends the run. run_repetitions is the validated entry point; both names
     stay public because the benchmark traces each as a span of its own.
     """
     # The plan bounds m before any normals are drawn: it ends where V_m underflows.
@@ -320,7 +304,6 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
     beta_true = np.asarray(config.beta_true, dtype=float)
 
     beta_hat = np.zeros((reps, 3))
-    aborted = np.zeros(reps, dtype=bool)
     history = []
     prev_trace_cov = None
     for rec in plan.records:
@@ -333,7 +316,7 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
         if k >= 2 and config.time_refinement:
             second, _, _ = _measure(
                 config, prev_residual, np.full(reps, float(config.resolved_extra())), prev_t,
-                prev_magnitude, prev_estimate, next(draws), aborted,
+                prev_magnitude, prev_estimate, next(draws),
             )
             omega_tilde = np.sqrt(np.vecdot(prev_estimate - second, prev_estimate - second))
             refined = omega_tilde > 0.0
@@ -342,9 +325,7 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
             # The same time budget n * t_plan, in a count that stays a valid trial count.
             n_k = np.where(refined, np.clip(np.round(config.n * t_plan / t_k), 1.0, MAX_TRIALS), n_k)
             magnitude = np.where(refined, omega_tilde, magnitude)
-        estimate, trace_cov, counts = _measure(
-            config, residual, n_k, t_k, magnitude, prior, next(draws), aborted
-        )
+        estimate, trace_cov, counts = _measure(config, residual, n_k, t_k, magnitude, prior, next(draws))
 
         res_sq = np.vecdot(residual, residual)
         # A huge residual overflows d_factor to inf, which the CLI rejects.
@@ -353,17 +334,17 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
         beta_hat = beta_hat + estimate
         err = beta_hat - beta_true
         columns = zip(
-            aborted.tolist(), control.tolist(), t_k.tolist(), n_k.tolist(), res_sq.tolist(),
+            control.tolist(), t_k.tolist(), n_k.tolist(), res_sq.tolist(),
             [None] * reps if trace_cov is None else trace_cov.tolist(), d_factor.tolist(),
             counts or [None] * reps, beta_hat.tolist(), np.sqrt(np.vecdot(err, err)).tolist(),
         )
         history.append([
-            None if stopped else IterationOutcome(
+            IterationOutcome(
                 k=k, control=tuple(c), t=t, n_used=int(n), dE2_planned=dE2_plan,
                 residual_norm_sq=s, trace_cov=tc, d_factor=d, counts=cnt,
                 beta_hat=tuple(b), error_norm=e,
             )
-            for stopped, c, t, n, s, tc, d, cnt, b, e in columns
+            for c, t, n, s, tc, d, cnt, b, e in columns
         ])
         prev_residual, prev_t, prev_magnitude = residual, t_k, magnitude
         prev_estimate, prev_trace_cov = estimate, trace_cov
@@ -371,10 +352,10 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
     sq_error = np.vecdot(err, err).tolist()
     return [
         ExperimentTrace(
-            rep=r, iterations=tuple(h[r] for h in history if h[r] is not None), beta_hat=tuple(b),
-            planned_v_m=plan.v_m, realized_sq_error=sq_error[r], aborted=stopped,
+            rep=r, iterations=tuple(h[r] for h in history), beta_hat=tuple(b),
+            planned_v_m=plan.v_m, realized_sq_error=sq_error[r],
         )
-        for r, (b, stopped) in enumerate(zip(beta_hat.tolist(), aborted.tolist()))
+        for r, b in enumerate(beta_hat.tolist())
     ]
 
 

@@ -191,10 +191,12 @@ def bell_cfi(model: HamiltonianModel, alpha, t: float) -> np.ndarray:
 
 
 def phase_candidates_full(theta0: float, target: float) -> list:
-    """Every Bell-fit phase candidate of blocks j = 0 .. top, in block order.
+    """Every Bell-fit phase candidate of blocks j = 0 .. top, in block order:
+    the phases pi i +/- theta0 >= 0 that share the Bell probabilities of theta0.
 
-    The production search builds only the blocks next to target; its nearest
-    candidate (first on ties) must equal the nearest one of this list.
+    The production fit picks the nearest to target in closed form; off exact
+    ties that pick must equal the nearest one of this list, and on a tie it
+    must be a candidate at the same distance up to rounding.
     """
     top = int(math.ceil((target + math.pi) / (2.0 * math.pi))) + 1
     cands = []

@@ -626,6 +626,11 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
         ["schedule", "--v0", "1", "--n", "1", "--m", "100000000000"],
         ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "100000000000", "--seed", "1"],
         ["robustness", "total", "--m", "1025", "--samples", "10000", "--seed", "0"],
+        # Grid ends where linspace's steps leave the float range.
+        ["variance-curve", "--alpha", "0.5,0,-0.25", "--n", "100", "--t-start", "1", "--t-stop", "inf",
+         "--points", "2"],
+        ["variance-curve", "--alpha", "1.25,0,0", "--n", "100", "--t-start", "1",
+         "--t-stop", "1.7976931348623157e+308", "--points", "28"],
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -663,6 +668,97 @@ def test_any_trial_count_exits_zero_or_two(argv, n):
         assert err.getvalue().count("\n") == 1
 
 
+def _number(text):
+    return st.floats(-3.0, 3.0).map(repr) | st.floats(allow_nan=True, allow_infinity=True).map(repr) | st.just(text)
+
+
+def _count(past, top):
+    """An integer in [-3, top], or one in [past, 10^400]: past a cap."""
+    return st.integers(-3, top) | st.integers(past, 10**400)
+
+
+def _vector():
+    return st.tuples(_number("0.5"), _number("0"), _number("-0.25")).map(",".join)
+
+
+def _flags(**drawn):
+    """The drawn flags in = form, which argparse reads as values even when
+    they start with '-'; a None value leaves its optional flag out."""
+    return st.fixed_dictionaries(drawn).map(
+        lambda d: [f"--{name.replace('_', '-')}={value}" for name, value in d.items() if value is not None]
+    )
+
+
+# Every numeric flag of qfim, variance-curve, schedule, robustness and Gaussian
+# simulate, in ranges that keep each call to milliseconds: beyond them a grid,
+# sample count or iteration count exits 2 before it allocates.
+NUMERIC_COMMANDS = st.one_of(
+    st.tuples(st.just(["qfim"]), _flags(
+        model=st.sampled_from(["pauli", "btp"]), alpha=_vector(), t=_number("1.0"), weight=_number("0.5"),
+        format=st.sampled_from(["json", "csv"]),
+    )),
+    st.tuples(st.just(["variance-curve"]), _flags(
+        model=st.sampled_from(["pauli", "btp"]), alpha=_vector(), n=_count(2, 10**4),
+        t_start=_number("0.1"), t_stop=_number("6.0"), points=_count(10**6 + 1, 40),
+    )),
+    st.tuples(st.just(["schedule"]), _flags(
+        v0=_number("1.0"), n=_count(2, 10**4), m=_count(10**6, 40),
+    ) | _flags(v0=_number("1.0"), n=_count(2, 10**4), target=_number("1e-6"))),
+    st.tuples(st.just(["robustness", "single"]), st.tuples(
+        st.floats(-1.0, 6.0), st.floats(0.0, 6.0), st.floats(0.05, 6.0) | st.floats(1e-14, 1e-12)
+    ).map(lambda g: [f"--grid={g[0]!r}:{g[0] + g[1]!r}:{g[2]!r}"])),
+    st.tuples(st.just(["robustness", "total"]), _flags(
+        m=_count(1025, 6), samples=st.integers(-3, 12000) | st.integers(10**8 + 1, 10**400),
+        seed=_count(2**64, 100),
+    )),
+    st.tuples(st.sampled_from([["simulate"], ["simulate", "--refine"]]), _flags(
+        beta0=_vector(), n=_count(2, 10**4), m=_count(10**6, 5), seed=_count(2**64, 100),
+        reps=_count(10**5 + 1, 8), extra_trials=st.none() | _count(2, 10**4),
+        bound=st.none() | _number("1.0"), guess=st.none() | _vector(),
+    )),
+).map(lambda parts: parts[0] + parts[1])
+
+
+@settings(deadline=None, max_examples=150, database=None)
+@given(argv=NUMERIC_COMMANDS)
+def test_any_numeric_flags_exit_cleanly(argv):
+    # In process, a traceback is an exception that reaches this test, and a
+    # warning is one while the call runs.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code in (2, 3)
+        assert err.getvalue().startswith(("error:", "internal error:"))
+        assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qfim", "--alpha=-0.8,0.4,0.3", "--t", "2"],
+        ["variance-curve", "--alpha=-0.6,0,0.8", "--n", "100", "--t-start", "0.1", "--t-stop", "6.0",
+         "--points", "5"],
+        ["simulate", "--beta0=-0.8,0.4,0.3", "--n", "200", "--m", "2", "--seed", "1"],
+        ["simulate", "--beta0", "0.8,-0.4,0.3", "--guess=-1,0,0", "--n", "200", "--m", "2", "--seed", "1"],
+    ],
+)
+def test_negative_first_component_takes_the_equals_form(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
+    # Written apart, the vector reads as a flag and argparse rejects the call.
+    i = next(i for i, arg in enumerate(argv) if "=-" in arg)
+    apart = argv[:i] + argv[i].split("=", 1) + argv[i + 1:]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(apart)
+    assert excinfo.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("error")
 def test_simulate_zero_residual_is_a_perfect_iteration(capsys):
     # On this deep schedule an estimate equals the true field to the last bit;
@@ -697,6 +793,18 @@ def test_extreme_schedule_exits_cleanly(capsys, argv, expected):
     else:
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_schedule_target_far_below_v0(capsys):
+    # target_v / v0 underflows to zero on both calls: the first plan stays in
+    # the float range, the second reaches a subnormal v_k first.
+    code, out, _ = run_cli(capsys, "schedule", "--v0", "1e300", "--n", "1000", "--target", "1e-30")
+    assert code == 0
+    assert json.loads(out)["schedule"]["v_m"] <= 1e-30
+    code, out, err = run_cli(capsys, "schedule", "--v0", "2", "--n", "1000", "--target", "5e-324")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: schedule underflows")
 
 
 def test_non_finite_result_writes_no_csv(capsys, tmp_path):

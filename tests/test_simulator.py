@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from hamest import adaptive, core, qfim, robustness, simulator
+from hamest import adaptive, cli, core, qfim, robustness, simulator
 from hamest.errors import DomainError, MleNonconvergence
 from hamest.util import sample_stream
 from reference_routes import phase_candidates_full
@@ -173,27 +175,68 @@ def test_bell_step_domain():
         simulator.estimate_step_bell((0.1, 0.0, 0.0), 200, 0.0, (0.1, 0.0, 0.0), sample_stream(0, 0))
 
 
-def test_phase_window_picks_the_full_list_nearest():
-    # The Bell fit builds only the candidate blocks next to the target phase;
-    # its nearest candidate, ties included, must be that of the full list.
-    def nearest(cands, target):
-        return min(cands, key=lambda c: abs(c - target))
+def _nearest(cands, target):
+    return min(cands, key=lambda c: abs(c - target))
 
+
+def test_nearest_phase_is_the_full_list_nearest():
+    # The closed form pi j + sign(target - pi j) theta0 picks, bit for bit,
+    # the nearest of every Bell-fit phase candidate.
     half_pi = math.pi / 2.0
     rng = np.random.default_rng(41)
+    for _ in range(2000):
+        theta0, target = rng.uniform(0.0, half_pi), math.exp(rng.uniform(math.log(1e-3), math.log(3e3)))
+        nearest = _nearest(phase_candidates_full(theta0, target), target)
+        assert simulator._nearest_phase(theta0, target) == nearest
+    # Targets on block edges, quarter points and exact midpoints between
+    # candidates: ties in real arithmetic, which rounding may break either way.
     cases = [
-        (rng.uniform(0.0, half_pi), math.exp(rng.uniform(math.log(1e-3), math.log(3e3))))
-        for _ in range(2000)
+        (theta0, 2.0 * math.pi * (j + frac))
+        for theta0 in (0.0, half_pi / 2.0, half_pi, 0.3)
+        for j in range(6)
+        for frac in (0.0, 0.125, 0.25, 0.5, 0.75, 1.0)
     ]
-    # Targets on block edges, quarter points and exact midpoints between candidates.
-    for theta0 in (0.0, half_pi / 2.0, half_pi, 0.3):
-        for j in range(6):
-            for frac in (0.0, 0.125, 0.25, 0.5, 0.75, 1.0):
-                cases.append((theta0, 2.0 * math.pi * (j + frac)))
-    cases += [(0.3, 0.0), (0.0, 0.0), (half_pi, 1e-300)]
-    for theta0, target in cases:
-        window = simulator._phase_candidates(theta0, target)
-        assert nearest(window, target) == nearest(phase_candidates_full(theta0, target), target)
+    for theta0, target in cases + [(0.3, 0.0), (0.0, 0.0), (half_pi, 1e-300)]:
+        full = phase_candidates_full(theta0, target)
+        phase = simulator._nearest_phase(theta0, target)
+        assert phase in full
+        assert abs(phase - target) <= abs(_nearest(full, target) - target) + 8.0 * math.ulp(target + math.pi)
+    # The tie rule: target / pi = j + 1/2 rounds j half to even, and a target
+    # at pi j takes + theta0.
+    assert simulator._nearest_phase(0.3, 2.5 * math.pi) == 2.0 * math.pi + 0.3
+    assert simulator._nearest_phase(0.3, 3.5 * math.pi) == 4.0 * math.pi - 0.3
+    assert simulator._nearest_phase(0.3, 2.0 * math.pi) == 2.0 * math.pi + 0.3
+    assert simulator._nearest_phase(0.3, 0.0) == 0.3
+    assert simulator._nearest_phase(0.0, 0.0) == 0.0
+
+
+@settings(deadline=None, max_examples=200, database=None)
+@given(
+    theta0=st.floats(min_value=0.0, max_value=math.pi / 2.0),
+    target=st.floats(min_value=0.0, max_value=3e3),
+)
+def test_nearest_phase_is_a_nearest_candidate(theta0, target):
+    # Off exact ties the pick is the full list's nearest; near one, rounding
+    # may pick the other candidate, at the same distance to a few ulps (at
+    # most 3 ulps of target + pi over 10^5 targets within 4 ulps of a tie).
+    full = phase_candidates_full(theta0, target)
+    phase = simulator._nearest_phase(theta0, target)
+    assert phase in full
+    assert abs(phase - target) <= abs(_nearest(full, target) - target) + 8.0 * math.ulp(target + math.pi)
+
+
+def test_fit_stays_at_the_closed_form_inversion():
+    # The Bell model is saturated, so the inversion is the likelihood maximum
+    # and the L-BFGS polish moves it by less than 1e-7 relative (9.4e-8
+    # measured) on 300 of criterion 12's draws.
+    delta_beta, t, n = np.array([0.012, -0.007, 0.009]), 5.0, 100_000
+    p = simulator.bell_probabilities(delta_beta, t)
+    for r in range(300):
+        counts = simulator.sample_counts(p, n, sample_stream(2024, r)).astype(float)
+        closed = simulator._invert_bell_counts(counts, t, delta_beta)
+        fit = simulator._fit_bell_counts(counts, t, delta_beta)
+        assert np.linalg.norm(fit - closed) <= 1e-7 * np.linalg.norm(closed)
+        assert np.array_equal(np.sign(fit), np.sign(delta_beta))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +304,6 @@ def test_single_iteration_trace():
     assert it.error_norm == pytest.approx(
         math.dist(trace.beta_hat, cfg.beta_true), rel=1e-15
     )
-    assert not trace.aborted
 
 
 def test_trace_bookkeeping():
@@ -352,41 +394,30 @@ def test_refined_process_follows_total_penalty_law():
     assert stats.ks_2samp(realized, reference).statistic < 0.05
 
 
-def test_nonconvergent_fit_aborts(monkeypatch):
-    def explode(counts, t, prior):
-        raise MleNonconvergence("forced")
-
-    monkeypatch.setattr(simulator, "_fit_bell_counts", explode)
-    cfg = ref_config(backend="bell", n=200, seed=1)
-    trace = simulator.run_repetitions(cfg, 1)[0]
-    assert trace.aborted
-    assert trace.iterations == ()
-    assert trace.beta_hat == (0.0, 0.0, 0.0)
-    assert trace.realized_sq_error == pytest.approx(
-        float(np.dot(BETA_REFERENCE, BETA_REFERENCE)), rel=1e-15
-    )
-
-
-def test_nonconvergent_fit_aborts_only_its_rep(monkeypatch):
-    # Rep 0's fit fails at iteration 2: it keeps iteration 1 and its estimate,
-    # and the other reps run on exactly as without the failure.
-    cfg = ref_config(backend="bell", n=200, seed=1)
-    clean = simulator.run_repetitions(cfg, 3)
+def test_nonconvergent_fit_ends_the_run(monkeypatch, capsys, tmp_path):
+    # A fit that does not converge at iteration 2 ends the whole run: the
+    # library raises, and the CLI exits 3 with one line and no output.
     fit = simulator._fit_bell_counts
-    failed = []
 
-    def fail_once_at_iteration_2(counts, t, prior):
-        if not failed and not np.any(prior):
-            failed.append(t)
+    def fail_at_iteration_2(counts, t, prior):
+        if not np.any(prior):
             raise MleNonconvergence("forced")
         return fit(counts, t, prior)
 
-    monkeypatch.setattr(simulator, "_fit_bell_counts", fail_once_at_iteration_2)
-    traces = simulator.run_repetitions(cfg, 3)
-    assert traces[0].aborted
-    assert traces[0].iterations == clean[0].iterations[:1]
-    assert traces[0].beta_hat == clean[0].iterations[0].beta_hat
-    assert traces[1:] == clean[1:]
+    monkeypatch.setattr(simulator, "_fit_bell_counts", fail_at_iteration_2)
+    with pytest.raises(MleNonconvergence):
+        simulator.run_repetitions(ref_config(backend="bell", n=200, seed=1), 3)
+    path = tmp_path / "reps.csv"
+    code = cli.main([
+        "simulate", "--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "2", "--backend", "bell",
+        "--seed", "1", "--reps", "3", "--csv", str(path),
+    ])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert err.count("\n") == 1
+    assert not path.exists()
 
 
 def test_btp_parameters_meet_their_bounds_end_to_end():
@@ -428,6 +459,5 @@ def test_bell_trace_carries_counts():
 def test_bell_mean_ratio_tracks_plan():
     cfg = ref_config(m=1, n=2000, backend="bell", seed=6)
     traces = simulator.run_repetitions(cfg, 200)
-    assert not any(t.aborted for t in traces)
     ratio = np.mean([t.realized_sq_error for t in traces]) / traces[0].planned_v_m
     assert 0.8 < ratio < 1.25
