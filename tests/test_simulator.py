@@ -394,6 +394,18 @@ def test_refined_process_follows_total_penalty_law():
     assert stats.ks_2samp(realized, reference).statistic < 0.05
 
 
+def test_nonconvergent_fit_aborts(monkeypatch):
+    # A fit that fails at iteration 1 aborts the run: the error reaches the
+    # caller unchanged instead of becoming a zero-estimate trace.
+    def explode(counts, t, prior):
+        raise MleNonconvergence("forced")
+
+    monkeypatch.setattr(simulator, "_fit_bell_counts", explode)
+    cfg = ref_config(backend="bell", n=200, seed=1)
+    with pytest.raises(MleNonconvergence, match="^forced$"):
+        simulator.run_repetitions(cfg, 1)
+
+
 def test_nonconvergent_fit_ends_the_run(monkeypatch, capsys, tmp_path):
     # A fit that does not converge at iteration 2 ends the whole run: the
     # library raises, and the CLI exits 3 with one line and no output.
