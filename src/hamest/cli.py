@@ -89,17 +89,8 @@ def _check_grid_size(points) -> None:
 
 
 def _check_threads(args) -> None:
-    """Validate --threads / HAMEST_THREADS for every command, kept for
-    compatibility: commands run serially."""
-    if args.threads is not None:
-        value = args.threads
-    else:
-        raw = os.environ.get("HAMEST_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise DomainError(f"HAMEST_THREADS must be an integer, got {raw!r}")
-    if value < 1:
+    """Validate --threads for every command, kept for compatibility: commands run serially."""
+    if args.threads is not None and args.threads < 1:
         raise DomainError("thread count must be >= 1")
 
 
@@ -210,6 +201,16 @@ def _cmd_robustness_total(args) -> int:
     return 0
 
 
+def _rep_rows(record, reps: int) -> list:
+    """One dict per rep from a record whose arrays have the rep axis first;
+    a scalar or None field repeats in every dict."""
+    columns = {
+        name: value.tolist() if isinstance(value, np.ndarray) else [value] * reps
+        for name, value in vars(record).items()
+    }
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
 def _cmd_simulate(args) -> int:
     config = ExperimentConfig(
         beta_true=args.beta0,
@@ -222,28 +223,30 @@ def _cmd_simulate(args) -> int:
         beta0_bound=args.bound,
         beta0_guess=args.guess,
     )
-    traces = run_repetitions(config, args.reps)
+    trace = run_repetitions(config, args.reps)
     with np.errstate(over="ignore"):
-        mean_sq_error = float(np.mean([t.realized_sq_error for t in traces]))
-        ratio = float(mean_sq_error / traces[0].planned_v_m)
+        mean_sq_error = float(np.mean(trace.realized_sq_error))
+        ratio = float(mean_sq_error / trace.planned_v_m)
+    beta_hat, sq_error = trace.beta_hat.tolist(), trace.realized_sq_error.tolist()
+    iterations = [_rep_rows(it, args.reps) for it in trace.iterations]
     doc = {
         "command": "simulate",
         "params": vars(config),
         "seed": config.seed,
         "rows": [
             {
-                "rep": t.rep,
-                "beta_hat": list(t.beta_hat),
-                "realized_sq_error": t.realized_sq_error,
-                "planned_v_m": t.planned_v_m,
+                "rep": r,
+                "beta_hat": beta_hat[r],
+                "realized_sq_error": sq_error[r],
+                "planned_v_m": trace.planned_v_m,
                 "aborted": False,  # a schema-1 field: a fit that does not converge ends the run
-                "iterations": [vars(i) for i in t.iterations],
+                "iterations": [rows[r] for rows in iterations],
             }
-            for t in traces
+            for r in range(args.reps)
         ],
         "summary": {
             "mean_sq_error": mean_sq_error,
-            "planned_v_m": traces[0].planned_v_m,
+            "planned_v_m": trace.planned_v_m,
             "ratio": ratio,
         },
     }
@@ -253,10 +256,7 @@ def _cmd_simulate(args) -> int:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             w = _csv_writer(fh)
             w.writerow(["rep", "beta_hat_1", "beta_hat_2", "beta_hat_3", "realized_sq_error"])
-            for t in traces:
-                w.writerow(
-                    [t.rep, _fmt(t.beta_hat[0]), _fmt(t.beta_hat[1]), _fmt(t.beta_hat[2]), _fmt(t.realized_sq_error)]
-                )
+            w.writerows([r, *map(_fmt, b), _fmt(e)] for r, (b, e) in enumerate(zip(beta_hat, sq_error)))
     sys.stdout.write(text)
     return 0
 
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="thread count, validated (an integer >= 1) for compatibility; results "
-        "and speed do not depend on it (default: HAMEST_THREADS env var, else 1)",
+        "and speed do not depend on it (default: 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

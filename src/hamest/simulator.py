@@ -28,9 +28,11 @@ the planned dE2 of each iteration and the planned endpoint V_m all come from
 adaptive.plan_schedule, seeded with v0 = bound^2. With time_refinement
 enabled, the time for iteration k is re-derived from a fresh estimate at the
 previous settings while holding that iteration's total time budget
-n * t_planned fixed. The reps are the batch axis of this loop; rep r draws
-from its own stream (seed, r) as a run of it alone would, so its row does
-not depend on --reps.
+n * t_planned fixed, in a trial count no smaller than the backend's floor.
+The reps are the batch axis of this loop and of its result: one
+ExperimentTrace of m IterationOutcome records, each array rep-axis first.
+Rep r is row r and draws from its own stream (seed, r) as a run of it alone
+would, so its row does not depend on the rep count.
 
 scipy.optimize is imported inside the Bell fit, on its first call, so that
 importing hamest and running every other command never loads scipy.
@@ -49,7 +51,7 @@ from .util import MAX_TRIALS, check_seed, check_trials, sample_stream
 PROBABILITY_LOG_FLOOR = 1e-300
 MLE_MAX_ITERATIONS = 200
 BELL_MIN_TRIALS = 100
-# Largest repetition count: peak memory grows by about 19 kB per rep, 2 GB at the cap.
+# Largest repetition count: peak memory grows by about 20 kB per rep, 2 GB at the cap.
 MAX_REPS = 10**5
 
 
@@ -128,33 +130,42 @@ class ExperimentConfig:
     def resolved_pi0(self) -> float:
         return float(self.pi0) if self.pi0 is not None else g0()
 
+    def min_trials(self) -> int:
+        """The smallest count a measurement takes: a Bell fit needs BELL_MIN_TRIALS."""
+        return BELL_MIN_TRIALS if self.backend == "bell" else 1
+
     def resolved_extra(self) -> int:
         extra = int(self.extra_trials) if self.extra_trials is not None else int(self.n)
-        return max(extra, BELL_MIN_TRIALS) if self.backend == "bell" else extra
+        return max(extra, self.min_trials())
 
 
 @dataclass(frozen=True)
 class IterationOutcome:
+    """Iteration k of R reps. Past the scalars k and dE2_planned, each field is
+    an array with the rep axis first: (R, 3) control and beta_hat, (R, 4)
+    counts (None for Gaussian), and (R,) the rest (trace_cov None for Bell)."""
+
     k: int
-    control: tuple
-    t: float
-    n_used: int
+    control: np.ndarray
+    t: np.ndarray
+    n_used: np.ndarray
     dE2_planned: float
-    residual_norm_sq: float
-    trace_cov: float | None
-    d_factor: float
-    counts: tuple | None
-    beta_hat: tuple
-    error_norm: float
+    residual_norm_sq: np.ndarray
+    trace_cov: np.ndarray | None
+    d_factor: np.ndarray
+    counts: np.ndarray | None
+    beta_hat: np.ndarray
+    error_norm: np.ndarray
 
 
 @dataclass(frozen=True)
 class ExperimentTrace:
-    rep: int
+    """R reps: one IterationOutcome per iteration, then (R, 3) beta_hat and (R,) realized_sq_error."""
+
     iterations: tuple
-    beta_hat: tuple
+    beta_hat: np.ndarray
     planned_v_m: float
-    realized_sq_error: float
+    realized_sq_error: np.ndarray
 
 
 def bell_probabilities(delta_beta, t: float) -> np.ndarray:
@@ -275,17 +286,16 @@ def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, draws):
         cov = iteration_covariance(direction * (magnitude / norm)[:, None], n, t)
         return residual + estimate_step_gaussian(cov, draws), np.trace(cov.m, axis1=1, axis2=2), None
     estimates = np.zeros_like(residual)
-    counts = []
+    counts = np.zeros((len(residual), 4), dtype=np.int64)
     for r, rng in enumerate(draws):
-        sampled = sample_counts(bell_probabilities(residual[r], t[r]), int(n[r]), rng)
-        counts.append(tuple(sampled.tolist()))
-        estimates[r] = _fit_bell_counts(sampled.astype(float), t[r], prior[r])
+        counts[r] = sample_counts(bell_probabilities(residual[r], t[r]), int(n[r]), rng)
+        estimates[r] = _fit_bell_counts(counts[r].astype(float), t[r], prior[r])
     return estimates, None, counts
 
 
-def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
+def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> ExperimentTrace:
     """Run reps 0..reps-1 of the experiment as one batch, rep r on the stream
-    (config.seed, r), and return their traces in rep order.
+    (config.seed, r), and return their trace: rep r is row r of its arrays.
 
     A likelihood fit that does not converge raises MleNonconvergence and
     ends the run. run_repetitions is the validated entry point; both names
@@ -322,8 +332,9 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
             refined = omega_tilde > 0.0
             with np.errstate(divide="ignore"):
                 t_k = np.where(refined, config.resolved_pi0() / omega_tilde, t_plan)
-            # The same time budget n * t_plan, in a count that stays a valid trial count.
-            n_k = np.where(refined, np.clip(np.round(config.n * t_plan / t_k), 1.0, MAX_TRIALS), n_k)
+            # The same time budget n * t_plan, in a count the backend can measure with.
+            n_refined = np.clip(np.round(config.n * t_plan / t_k), config.min_trials(), MAX_TRIALS)
+            n_k = np.where(refined, n_refined, n_k)
             magnitude = np.where(refined, omega_tilde, magnitude)
         estimate, trace_cov, counts = _measure(config, residual, n_k, t_k, magnitude, prior, next(draws))
 
@@ -333,35 +344,20 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> list:
             d_factor = res_sq / prev_trace_cov if prev_trace_cov is not None else 4.0 * res_sq / dE2_plan
         beta_hat = beta_hat + estimate
         err = beta_hat - beta_true
-        columns = zip(
-            control.tolist(), t_k.tolist(), n_k.tolist(), res_sq.tolist(),
-            [None] * reps if trace_cov is None else trace_cov.tolist(), d_factor.tolist(),
-            counts or [None] * reps, beta_hat.tolist(), np.sqrt(np.vecdot(err, err)).tolist(),
-        )
-        history.append([
-            IterationOutcome(
-                k=k, control=tuple(c), t=t, n_used=int(n), dE2_planned=dE2_plan,
-                residual_norm_sq=s, trace_cov=tc, d_factor=d, counts=cnt,
-                beta_hat=tuple(b), error_norm=e,
-            )
-            for c, t, n, s, tc, d, cnt, b, e in columns
-        ])
+        history.append(IterationOutcome(
+            k=k, control=control, t=t_k, n_used=n_k.astype(np.int64), dE2_planned=dE2_plan,
+            residual_norm_sq=res_sq, trace_cov=trace_cov, d_factor=d_factor, counts=counts,
+            beta_hat=beta_hat, error_norm=np.sqrt(np.vecdot(err, err)),
+        ))
         prev_residual, prev_t, prev_magnitude = residual, t_k, magnitude
         prev_estimate, prev_trace_cov = estimate, trace_cov
 
-    sq_error = np.vecdot(err, err).tolist()
-    return [
-        ExperimentTrace(
-            rep=r, iterations=tuple(h[r] for h in history), beta_hat=tuple(b),
-            planned_v_m=plan.v_m, realized_sq_error=sq_error[r],
-        )
-        for r, b in enumerate(beta_hat.tolist())
-    ]
+    return ExperimentTrace(tuple(history), beta_hat, plan.v_m, np.vecdot(err, err))
 
 
-def run_repetitions(config: ExperimentConfig, reps: int) -> list:
+def run_repetitions(config: ExperimentConfig, reps: int) -> ExperimentTrace:
     """Run 1 <= reps <= MAX_REPS repetitions, rep r on stream (seed, r), and
-    return their traces in rep order: the entry point the CLI calls."""
+    return their trace, rep r in row r: the entry point the CLI calls."""
     if not 1 <= reps <= MAX_REPS:
         raise DomainError(f"repetition count must lie in [1, {MAX_REPS}], got {reps}")
     return run_adaptive_experiment(config, reps)

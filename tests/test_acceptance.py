@@ -235,8 +235,8 @@ def test_criterion_10_penalty_beats_even_odds():
 def test_criterion_11_gaussian_end_to_end_bias():
     t0 = time.perf_counter()
     config = simulator.ExperimentConfig(beta_true=(0.8, -0.4, 0.3), m=4, n=1000, seed=11)
-    traces = simulator.run_repetitions(config, 500)
-    ratio = float(np.mean([t.realized_sq_error for t in traces]) / traces[0].planned_v_m)
+    trace = simulator.run_repetitions(config, 500)
+    ratio = float(np.mean(trace.realized_sq_error) / trace.planned_v_m)
     elapsed = time.perf_counter() - t0
     report(
         11,

@@ -534,6 +534,18 @@ def test_refined_trial_count_stays_in_range(capsys):
     assert all(1 <= n <= 2**53 for n in used)
 
 
+def test_refined_bell_count_keeps_the_fit_floor(capsys):
+    # Holding the time budget n * t would take some refined Bell counts down to
+    # 10 trials here; they stop at the fit's floor of 100, and some reach it.
+    code, out, _ = run_cli(
+        capsys, "simulate", "--beta0", "0.05,-0.03,0.04", "--n", "100", "--m", "3", "--backend", "bell",
+        "--refine", "--reps", "200", "--seed", "1",
+    )
+    assert code == 0
+    used = [it["n_used"] for rep in json.loads(out)["rows"] for it in rep["iterations"]]
+    assert min(used) == 100
+
+
 def test_simulate_seed_required():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "1"])
@@ -689,9 +701,9 @@ def _flags(**drawn):
     )
 
 
-# Every numeric flag of qfim, variance-curve, schedule, robustness and Gaussian
-# simulate, in ranges that keep each call to milliseconds: beyond them a grid,
-# sample count or iteration count exits 2 before it allocates.
+# Every numeric flag of qfim, variance-curve, schedule, robustness and simulate
+# on both backends, in ranges that keep each call to milliseconds: beyond them a
+# grid, sample count or iteration count exits 2 before it allocates.
 NUMERIC_COMMANDS = st.one_of(
     st.tuples(st.just(["qfim"]), _flags(
         model=st.sampled_from(["pauli", "btp"]), alpha=_vector(), t=_number("1.0"), weight=_number("0.5"),
@@ -714,6 +726,13 @@ NUMERIC_COMMANDS = st.one_of(
     st.tuples(st.sampled_from([["simulate"], ["simulate", "--refine"]]), _flags(
         beta0=_vector(), n=_count(2, 10**4), m=_count(10**6, 5), seed=_count(2**64, 100),
         reps=_count(10**5 + 1, 8), extra_trials=st.none() | _count(2, 10**4),
+        bound=st.none() | _number("1.0"), guess=st.none() | _vector(),
+    )),
+    # Bell draws valid counts, seeds and n on both sides of the fit floor, so
+    # that about a third of its calls reach the fits.
+    st.tuples(st.sampled_from([["simulate", "--backend=bell"], ["simulate", "--backend=bell", "--refine"]]), _flags(
+        beta0=_vector(), n=st.integers(50, 10**4), m=st.integers(1, 3), seed=st.integers(0, 2**64 - 1),
+        reps=st.integers(1, 2), extra_trials=st.none() | st.integers(1, 10**4),
         bound=st.none() | _number("1.0"), guess=st.none() | _vector(),
     )),
 ).map(lambda parts: parts[0] + parts[1])
@@ -913,19 +932,6 @@ def test_shared_parser_gives_fresh_process_output(capsys, tmp_path):
     assert (tmp_path / "in_process.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
-def test_threads_env_override(capsys, monkeypatch):
-    argv = ["robustness", "total", "--m", "3", "--samples", "10000", "--seed", "5"]
-    code, base, _ = run_cli(capsys, *argv)
-    assert code == 0
-    monkeypatch.setenv("HAMEST_THREADS", "4")
-    _, enved, _ = run_cli(capsys, *argv)
-    assert enved == base
-    monkeypatch.setenv("HAMEST_THREADS", "soup")
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert "HAMEST_THREADS" in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -936,11 +942,7 @@ def test_threads_env_override(capsys, monkeypatch):
         ["robustness", "single", "--grid", "0.1:0.3:0.1"],
     ],
 )
-def test_every_command_validates_threads(capsys, monkeypatch, argv):
+def test_every_command_validates_threads(capsys, argv):
     code, out, err = run_cli(capsys, "--threads", "0", *argv)
     assert (code, out) == (2, "")
     assert err == "error: thread count must be >= 1\n"
-    monkeypatch.setenv("HAMEST_THREADS", "soup")
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: HAMEST_THREADS")

@@ -346,6 +346,8 @@ def test_reparameterize_round_trip():
         ca = qfim.reparameterize_covariance(c, jac, "beta_to_alpha")
         # contravariant transform keeps the Cramer-Rao pairing intact
         assert_allclose(ca.m, np.linalg.inv(4 * fa.m), rtol=1e-8, atol=1e-12)
+        back = qfim.reparameterize_covariance(ca, jac, "alpha_to_beta")
+        assert np.abs(back.m - c.m).max() < 1e-10 * max(1.0, np.abs(c.m).max())
 
 
 def test_reparameterize_singular_jacobian():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -239,6 +240,18 @@ def test_fit_stays_at_the_closed_form_inversion():
         assert np.array_equal(np.sign(fit), np.sign(delta_beta))
 
 
+def test_all_phi_plus_counts_fit_zero_without_a_polish(monkeypatch):
+    # Every outcome Phi+ under a zero prior puts the phase at 0: the inversion
+    # gives the zero residual, and the fit returns it before L-BFGS.
+    def no_polish(*args, **kwargs):
+        raise AssertionError("minimize called")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", no_polish)
+    counts = np.array([500.0, 0.0, 0.0, 0.0])
+    assert simulator._invert_bell_counts(counts, 1.3, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    assert simulator._fit_bell_counts(counts, 1.3, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -292,45 +305,59 @@ def test_config_validation(overrides):
 
 def test_single_iteration_trace():
     cfg = ref_config(m=1, seed=9)
-    trace = simulator.run_repetitions(cfg, 1)[0]
+    trace = simulator.run_repetitions(cfg, 1)
     assert len(trace.iterations) == 1
     it = trace.iterations[0]
     v0 = float(np.dot(BETA_REFERENCE, BETA_REFERENCE))
-    assert it.control == (0.0, 0.0, 0.0)
-    assert it.t == adaptive.optimal_time(4.0 * v0)
-    assert it.d_factor == 1.0  # default bound equals the true magnitude
-    assert it.trace_cov == pytest.approx(trace.planned_v_m, rel=1e-12)
+    assert it.control.tolist() == [[0.0, 0.0, 0.0]]
+    assert it.t.tolist() == [adaptive.optimal_time(4.0 * v0)]
+    assert it.d_factor.tolist() == [1.0]  # default bound equals the true magnitude
+    assert it.trace_cov[0] == pytest.approx(trace.planned_v_m, rel=1e-12)
     assert trace.planned_v_m == pytest.approx(v0 * adaptive.gain(adaptive.g0()) / cfg.n, rel=1e-12)
-    assert it.error_norm == pytest.approx(
-        math.dist(trace.beta_hat, cfg.beta_true), rel=1e-15
+    assert it.error_norm[0] == pytest.approx(
+        math.dist(trace.beta_hat[0], cfg.beta_true), rel=1e-15
     )
 
 
 def test_trace_bookkeeping():
     cfg = ref_config(m=3, seed=2)
-    trace = simulator.run_repetitions(cfg, 1)[0]
+    trace = simulator.run_repetitions(cfg, 1)
     contraction = adaptive.gain(adaptive.g0()) / cfg.n
     v0 = float(np.dot(BETA_REFERENCE, BETA_REFERENCE))
     for idx, it in enumerate(trace.iterations, start=1):
         assert it.k == idx
-        assert it.n_used == cfg.n
+        assert it.n_used.tolist() == [cfg.n]
         assert it.dE2_planned == pytest.approx(4.0 * v0 * contraction ** (idx - 1), rel=1e-12)
-    assert trace.iterations[-1].beta_hat == trace.beta_hat
-    err = np.asarray(trace.beta_hat) - np.asarray(cfg.beta_true)
-    assert trace.realized_sq_error == pytest.approx(float(err @ err), rel=1e-12)
+    assert trace.iterations[-1].beta_hat.tolist() == trace.beta_hat.tolist()
+    err = trace.beta_hat[0] - np.asarray(cfg.beta_true)
+    assert trace.realized_sq_error[0] == pytest.approx(float(err @ err), rel=1e-12)
     # each control cancels the previous estimate
     assert_allclose(trace.iterations[1].control, np.negative(trace.iterations[0].beta_hat))
 
 
 def test_mean_ratio_tracks_plan():
-    traces = simulator.run_repetitions(ref_config(), 300)
-    ratio = np.mean([t.realized_sq_error for t in traces]) / traces[0].planned_v_m
+    trace = simulator.run_repetitions(ref_config(), 300)
+    ratio = np.mean(trace.realized_sq_error) / trace.planned_v_m
     assert 0.7 < ratio < 1.4
 
 
+def _leading_rows(record, reps=None):
+    """A record's fields, each array as the bytes of its first reps rows."""
+    return {
+        name: value[:reps].tobytes() if isinstance(value, np.ndarray) else value
+        for name, value in vars(record).items()
+        if name != "iterations"
+    }
+
+
 def test_repetition_worker_independence():
-    traces = simulator.run_repetitions(ref_config(), 8)
-    assert [t.rep for t in traces] == list(range(8))
+    # Rep r draws from its own stream (seed, r): the first rows of a longer
+    # run are the shorter run, bit for bit, on every backend.
+    for cfg in (ref_config(m=3), ref_config(m=3, time_refinement=True), ref_config(backend="bell")):
+        short, long = simulator.run_repetitions(cfg, 3), simulator.run_repetitions(cfg, 8)
+        assert short.beta_hat.shape == (3, 3)
+        for a, b in zip((short, *short.iterations), (long, *long.iterations), strict=True):
+            assert _leading_rows(a) == _leading_rows(b, 3)
 
 
 def test_repetition_validation():
@@ -340,11 +367,11 @@ def test_repetition_validation():
 
 def test_refinement_keeps_time_budget():
     cfg = ref_config(m=3, seed=5, time_refinement=True)
-    trace = simulator.run_repetitions(cfg, 1)[0]
+    trace = simulator.run_repetitions(cfg, 1)
     for it in trace.iterations[1:]:
         t_plan = adaptive.optimal_time(it.dE2_planned)
-        assert it.t != t_plan
-        assert it.n_used == max(1, round(cfg.n * t_plan / it.t))
+        assert it.t.item() != t_plan
+        assert it.n_used.item() == max(1, round(cfg.n * t_plan / it.t.item()))
 
 
 @pytest.mark.parametrize("refine,calls", [(False, 3), (True, 5)])
@@ -364,12 +391,12 @@ def test_one_covariance_per_gaussian_measurement(monkeypatch, refine, calls):
 def test_iteration_deviation_factors_follow_law():
     # d_factor of iterations 2..m against the control-error law, two-sample KS
     cfg = simulator.ExperimentConfig(beta_true=BETA_REFERENCE, m=3, n=1000, seed=42)
-    traces = simulator.run_repetitions(cfg, 10_000)
+    trace = simulator.run_repetitions(cfg, 10_000)
     ref_rng = sample_stream(999, 0)
     params = robustness.deviation_params()
     reference = robustness._deviation_factors(ref_rng.standard_normal((200_000, 3)), params)
     for k in (1, 2):
-        factors = np.array([t.iterations[k].d_factor for t in traces])
+        factors = trace.iterations[k].d_factor
         assert stats.ks_2samp(factors, reference).statistic < 0.012
 
 
@@ -384,8 +411,8 @@ def test_refined_process_follows_total_penalty_law():
         time_refinement=True,
         extra_trials=500_000,
     )
-    traces = simulator.run_repetitions(cfg, 10_000)
-    realized = np.array([t.iterations[-1].trace_cov / t.planned_v_m for t in traces])
+    trace = simulator.run_repetitions(cfg, 10_000)
+    realized = trace.iterations[-1].trace_cov / trace.planned_v_m
     reference = np.empty(100_000)
     for j in range(reference.size):
         rng = sample_stream(77, j)
@@ -441,7 +468,7 @@ def test_btp_parameters_meet_their_bounds_end_to_end():
     alpha = np.array([1.0, 0.4, 0.3])
     beta = model.pauli_map(alpha)
     cfg = simulator.ExperimentConfig(beta_true=tuple(beta), m=4, n=1000, seed=5)
-    b = np.array([t.beta_hat for t in simulator.run_repetitions(cfg, 4000)])
+    b = simulator.run_repetitions(cfg, 4000).beta_hat
     mag = np.linalg.norm(b, axis=1)
     phi = np.arctan2(b[:, 1], b[:, 0])
     phi = alpha[2] + (phi - alpha[2] + math.pi) % (2.0 * math.pi) - math.pi
@@ -461,15 +488,14 @@ def test_btp_parameters_meet_their_bounds_end_to_end():
 
 def test_bell_trace_carries_counts():
     cfg = ref_config(m=1, n=2000, backend="bell", seed=6)
-    trace = simulator.run_repetitions(cfg, 1)[0]
-    it = trace.iterations[0]
+    it = simulator.run_repetitions(cfg, 1).iterations[0]
     assert it.trace_cov is None
-    assert len(it.counts) == 4
-    assert sum(it.counts) == cfg.n
+    assert it.counts.shape == (1, 4)
+    assert it.counts.sum() == cfg.n
 
 
 def test_bell_mean_ratio_tracks_plan():
     cfg = ref_config(m=1, n=2000, backend="bell", seed=6)
-    traces = simulator.run_repetitions(cfg, 200)
-    ratio = np.mean([t.realized_sq_error for t in traces]) / traces[0].planned_v_m
+    trace = simulator.run_repetitions(cfg, 200)
+    ratio = np.mean(trace.realized_sq_error) / trace.planned_v_m
     assert 0.8 < ratio < 1.25

@@ -228,6 +228,8 @@ def test_envelope_domain_errors():
     bad = variance.XiCoefficients(xi1=np.ones(3), xi2=np.ones(3), xi3=0.0, gap=1.0)
     with pytest.raises(SingularQfim):
         variance.variance_envelope(bad, 1.0, 8)
+    with pytest.raises(SingularQfim):
+        variance.variance_infimum(bad, 8)
 
 
 @pytest.mark.filterwarnings("error")
