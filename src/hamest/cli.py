@@ -7,12 +7,15 @@ penalties (a `single` deviation grid or a `total` Monte Carlo), and
 `simulate` runs the full protocol.
 
 Output conventions: JSON documents follow one record shape (schema_version,
-command, params, rows, plus command-specific sections) and serialize floats
-with repr, the shortest round-trip form; CSV uses a header row, comma
-separators, LF line endings, UTF-8. Vector-valued flags take comma-separated
-components (`--alpha 0.1,0.2,0.3`) and deviation grids take START:STOP:STEP.
-A vector whose first component is negative must follow an `=`
-(`--alpha=-0.8,0.4,0.3`): argparse reads a separate `-0.8,...` as a flag.
+command, params, rows, plus command-specific sections) in the layout of
+json.dumps(indent=2) and serialize floats with repr, the shortest round-trip
+form. `simulate` writes its rows straight from the trace's columns into one
+json.dumps template of a row, the same bytes json.dumps gives for the rows
+as dicts. CSV uses a header row, comma separators, LF line endings, UTF-8.
+Vector-valued flags take comma-separated components (`--alpha 0.1,0.2,0.3`)
+and deviation grids take START:STOP:STEP. A vector whose first component is
+negative must follow an `=` (`--alpha=-0.8,0.4,0.3`): argparse reads a
+separate `-0.8,...` as a flag.
 Outputs contain no timestamps, so a rerun with the same arguments is
 byte-identical. Stochastic subcommands require an explicit --seed. Exit
 codes: 0 on success, 2 on domain or argument validation errors, 3 on
@@ -39,6 +42,9 @@ SCHEMA_VERSION = 1
 # Largest time or deviation grid a command evaluates: 8 MB per float column.
 MAX_GRID_POINTS = 10**6
 _VECTOR_HELP = "comma-separated components; a negative first one needs '=', as in --{}=-0.8,0.4,0.3"
+_NOT_FINITE = "result is not finite and cannot be written as JSON"
+# Placeholders of the simulate writer: a per-rep number, and the list of rows.
+_LEAF, _ROWS = "<leaf>", "<rows>"
 
 
 def _json_text(doc: dict) -> str:
@@ -48,7 +54,7 @@ def _json_text(doc: dict) -> str:
     try:
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError:
-        raise DomainError("result is not finite and cannot be written as JSON") from None
+        raise DomainError(_NOT_FINITE) from None
 
 
 def _csv_writer(stream):
@@ -201,14 +207,20 @@ def _cmd_robustness_total(args) -> int:
     return 0
 
 
-def _rep_rows(record, reps: int) -> list:
-    """One dict per rep from a record whose arrays have the rep axis first;
-    a scalar or None field repeats in every dict."""
-    columns = {
-        name: value.tolist() if isinstance(value, np.ndarray) else [value] * reps
-        for name, value in vars(record).items()
-    }
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+def _per_rep(value, columns: list):
+    """The row template's entry for one field. An array with the rep axis
+    first becomes placeholders shaped like one rep's entry and appends its
+    columns, one list of Python numbers per placeholder in placeholder order,
+    to columns; any other value is shared by every rep and is its own entry."""
+    if not isinstance(value, np.ndarray):
+        return value
+    if value.dtype.kind == "f" and not np.isfinite(value).all():
+        raise DomainError(_NOT_FINITE)
+    if value.ndim == 1:
+        columns.append(value.tolist())
+        return _LEAF
+    columns.extend(value.T.tolist())
+    return [_LEAF] * value.shape[1]
 
 
 def _cmd_simulate(args) -> int:
@@ -227,36 +239,43 @@ def _cmd_simulate(args) -> int:
     with np.errstate(over="ignore"):
         mean_sq_error = float(np.mean(trace.realized_sq_error))
         ratio = float(mean_sq_error / trace.planned_v_m)
-    beta_hat, sq_error = trace.beta_hat.tolist(), trace.realized_sq_error.tolist()
-    iterations = [_rep_rows(it, args.reps) for it in trace.iterations]
+    # Every row has rep 0's layout: json.dumps writes it once, with a
+    # placeholder at each per-rep number, and each rep fills the placeholders
+    # from its own entries of the columns, in the same order.
+    columns = []
+    row = {
+        "rep": _per_rep(np.arange(args.reps), columns),
+        "beta_hat": _per_rep(trace.beta_hat, columns),
+        "realized_sq_error": _per_rep(trace.realized_sq_error, columns),
+        "planned_v_m": trace.planned_v_m,
+        "aborted": False,  # a schema-1 field: a fit that does not converge ends the run
+        "iterations": [
+            {name: _per_rep(value, columns) for name, value in vars(it).items()} for it in trace.iterations
+        ],
+    }
     doc = {
         "command": "simulate",
         "params": vars(config),
         "seed": config.seed,
-        "rows": [
-            {
-                "rep": r,
-                "beta_hat": beta_hat[r],
-                "realized_sq_error": sq_error[r],
-                "planned_v_m": trace.planned_v_m,
-                "aborted": False,  # a schema-1 field: a fit that does not converge ends the run
-                "iterations": [rows[r] for rows in iterations],
-            }
-            for r in range(args.reps)
-        ],
+        "rows": [_ROWS, row, _ROWS],
         "summary": {
             "mean_sq_error": mean_sq_error,
             "planned_v_m": trace.planned_v_m,
             "ratio": ratio,
         },
     }
+    head, middle, tail = _json_text(doc).split(json.dumps(_ROWS))
+    separator = middle[: middle.index("{")]
+    # %r writes a float with float.__repr__ and an int with int.__repr__, as json does.
+    template = middle[len(separator) : -len(separator)].replace("%", "%%").replace(json.dumps(_LEAF), "%r")
+    text = head + separator.join([template % values for values in zip(*columns)]) + tail
     # A rejected document leaves no CSV, and a closed stdout does not cost one.
-    text = _json_text(doc)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             w = _csv_writer(fh)
             w.writerow(["rep", "beta_hat_1", "beta_hat_2", "beta_hat_3", "realized_sq_error"])
-            w.writerows([r, *map(_fmt, b), _fmt(e)] for r, (b, e) in enumerate(zip(beta_hat, sq_error)))
+            # rep, beta_hat and realized_sq_error are the first five columns; csv writes floats with repr.
+            w.writerows(zip(*columns[:5]))
     sys.stdout.write(text)
     return 0
 

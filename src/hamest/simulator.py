@@ -39,6 +39,7 @@ importing hamest and running every other command never loads scipy.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,7 @@ from .util import MAX_TRIALS, check_seed, check_trials, sample_stream
 PROBABILITY_LOG_FLOOR = 1e-300
 MLE_MAX_ITERATIONS = 200
 BELL_MIN_TRIALS = 100
-# Largest repetition count: peak memory grows by about 20 kB per rep, 2 GB at the cap.
+# Largest repetition count: `simulate` peak memory grows by about 8 kB per rep, 0.8 GB at the cap.
 MAX_REPS = 10**5
 
 
@@ -100,14 +101,18 @@ class ExperimentConfig:
             object.__setattr__(self, "beta0_guess", tuple(guess.tolist()))
         if self.beta0_bound is not None and not self.beta0_bound > 0.0:
             raise DomainError("beta0_bound must be positive")
-        # dE2_1 = 4 bound^2 seeds the schedule: the same rule as plan_schedule.
+        # dE2_1 = 4 bound^2 seeds the schedule: the same rule as plan_schedule,
+        # with v0 = bound^2 a normal float so that neither underflows to zero.
         # The true field and the guess obey it too, so their phases stay finite.
         fields = {"beta_true": self.beta_true, "beta0_guess": self.beta0_guess}
+        bound = self.resolved_bound()
         with np.errstate(over="ignore"):
-            bound = float(self.beta0_bound or np.linalg.norm(self.resolved_guess()))
             sizes = {name: 4.0 * float(np.dot(v, v)) for name, v in fields.items() if v is not None}
-        if not 4.0 * (bound * bound) < math.inf:
-            raise DomainError(f"prior bound must have 4 * bound^2 finite, got {bound}")
+        if not (sys.float_info.min <= bound * bound and 4.0 * (bound * bound) < math.inf):
+            raise DomainError(
+                "prior bound (--bound) must have bound^2 a positive normal float and 4 * bound^2 finite, "
+                f"got {bound}"
+            )
         for name, size in sizes.items():
             if not size < math.inf:
                 raise DomainError(f"{name} must have 4 * |{name}|^2 finite, got {fields[name]}")
@@ -122,10 +127,12 @@ class ExperimentConfig:
     def resolved_bound(self) -> float:
         if self.beta0_bound is not None:
             return float(self.beta0_bound)
-        bound = float(np.linalg.norm(self.resolved_guess()))
-        if bound == 0.0:
-            raise DomainError("prior bound is zero; provide beta0_bound explicitly")
-        return bound
+        guess = self.resolved_guess()
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(guess))
+        # The sum of squares leaves the normal range past about 1e154 and below
+        # about 1e-154; hypot does not, so a bound rejected there keeps its size.
+        return norm if sys.float_info.min <= norm * norm < math.inf else math.hypot(*guess)
 
     def resolved_pi0(self) -> float:
         return float(self.pi0) if self.pi0 is not None else g0()

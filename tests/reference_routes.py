@@ -1,16 +1,21 @@
 """Independent routes to the information quantities, the full-list Bell
-phase search and the per-sample robustness Monte Carlo: the references that
-the tests compare the library's production routes against."""
+phase search, the per-sample robustness Monte Carlo, the exact law of the
+whole-process penalty and the row-by-row `simulate` document: the references
+that the tests compare the library's production routes against."""
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
 
+from hamest.cli import SCHEMA_VERSION
 from hamest.core import HamiltonianModel, model_evaluate, pauli_compose, spectral_decompose
 from hamest.errors import DomainError
 from hamest.qfim import QfimMatrix, _validated_qfim, generator
 from hamest.robustness import MC_BLOCK, deviation_params, ratio_total
-from hamest.simulator import bell_probabilities
+from hamest.simulator import ExperimentConfig, bell_probabilities, run_repetitions
 from hamest.util import fd_step, sample_stream
 from hamest.variance import spectral_sensitivities
 
@@ -223,3 +228,100 @@ def robustness_ratios_per_sample(m: int, samples: int, seed: int) -> np.ndarray:
             devs = [(z1 * z1 + p.a * (z2 * z2 + z3 * z3)) / p.s for z1, z2, z3 in zs.tolist()]
             ratios.append(ratio_total([1.0, *devs]))
     return np.array(ratios)
+
+
+def _log_deviation_density(x: np.ndarray) -> np.ndarray:
+    """log of the density of log D at x, that is log f(e^x) + x with f the
+    deviation_pdf law, in log space: erf(y) for y = sqrt(c e^x) below e^-20
+    is its leading term 2 y / sqrt(pi), and an e^x that overflows gives -inf."""
+    p = deviation_params()
+    log_y = 0.5 * (math.log(p.c) + x)
+    small = log_y < -20.0
+    with np.errstate(over="ignore"):
+        e = np.exp(x)
+        y = np.exp(np.where(small, 0.0, log_y))
+    erf = np.array([math.erf(v) for v in y.tolist()])
+    log_erf = np.where(small, math.log(2.0 / math.sqrt(math.pi)) + log_y, np.log(np.where(small, 1.0, erf)))
+    pref = p.s / (2.0 * math.sqrt(p.a * (p.a - 1.0)))
+    return math.log(pref) - p.s * e / (2.0 * p.a) + log_erf + x
+
+
+def penalty_law(m: int, h: float = 1e-3, lo: float = -60.0, hi: float = 8.0):
+    """Exact P(R_tot < 1), deciles and the density of R_tot at them, for the
+    whole-process penalty of robustness_mc.
+
+    log R_tot = sum_{k=2}^m 2^-(m-k+1) log D_k with iid D_k, so its density is
+    the convolution of m - 1 scaled log-D densities, each sampled on the grid
+    [lo, hi] of step h and convolved by FFT. The CDF is the trapezoid rule on
+    that grid; a plain cumulative sum would be off by half a cell.
+    """
+    n = int(round((hi - lo) / h)) + 1
+    u = lo + h * np.arange(n)
+    size = (m - 1) * (n - 1) + 1
+    spectrum = np.ones(size // 2 + 1, dtype=complex)
+    for k in range(2, m + 1):
+        w = 2.0 ** -(m - k + 1)
+        spectrum *= np.fft.rfft(np.exp(_log_deviation_density(u / w)) / w, size)
+    # FFT rounding leaves tiny negative densities in the tails.
+    g = np.maximum(np.fft.irfft(spectrum, size) * h ** (m - 2), 0.0)
+    z = (m - 1) * lo + h * np.arange(size)
+    cdf = h * (np.cumsum(g) - 0.5 * (g[0] + g))
+    log_deciles = np.interp(np.arange(1, 10) / 10.0, cdf, z)
+    deciles = np.exp(log_deciles)
+    return float(np.interp(0.0, z, cdf)), deciles, np.interp(log_deciles, z, g) / deciles
+
+
+def simulate_reference(args) -> tuple:
+    """stdout and CSV text of `hamest simulate` with parsed arguments args,
+    built row by row: one dict per rep and per iteration, the whole document
+    through json.dumps(indent=2, allow_nan=False)."""
+    config = ExperimentConfig(
+        beta_true=args.beta0,
+        m=args.m,
+        n=args.n,
+        backend=args.backend,
+        seed=args.seed,
+        time_refinement=args.refine,
+        extra_trials=args.extra_trials,
+        beta0_bound=args.bound,
+        beta0_guess=args.guess,
+    )
+    trace = run_repetitions(config, args.reps)
+    with np.errstate(over="ignore"):
+        mean_sq_error = float(np.mean(trace.realized_sq_error))
+        ratio = float(mean_sq_error / trace.planned_v_m)
+    beta_hat, sq_error = trace.beta_hat.tolist(), trace.realized_sq_error.tolist()
+    iterations = []
+    for record in trace.iterations:
+        columns = {
+            name: value.tolist() if isinstance(value, np.ndarray) else [value] * args.reps
+            for name, value in vars(record).items()
+        }
+        iterations.append([dict(zip(columns, row)) for row in zip(*columns.values())])
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "simulate",
+        "params": vars(config),
+        "seed": config.seed,
+        "rows": [
+            {
+                "rep": r,
+                "beta_hat": beta_hat[r],
+                "realized_sq_error": sq_error[r],
+                "planned_v_m": trace.planned_v_m,
+                "aborted": False,
+                "iterations": [rows[r] for rows in iterations],
+            }
+            for r in range(args.reps)
+        ],
+        "summary": {
+            "mean_sq_error": mean_sq_error,
+            "planned_v_m": trace.planned_v_m,
+            "ratio": ratio,
+        },
+    }
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["rep", "beta_hat_1", "beta_hat_2", "beta_hat_3", "realized_sq_error"])
+    w.writerows([r, *map(repr, b), repr(e)] for r, (b, e) in enumerate(zip(beta_hat, sq_error)))
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n", out.getvalue()

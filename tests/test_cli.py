@@ -24,7 +24,7 @@ from hamest.core import get_model
 from hamest.errors import EstimationError
 from hamest.qfim import covariance_from_qfim, qfim_entangled, scalar_bound
 
-from reference_routes import commutativity_residual_explicit, generator_matrices
+from reference_routes import commutativity_residual_explicit, generator_matrices, simulate_reference
 
 HALF_PI = math.pi / 2.0
 # A 401-digit count, beyond every count the CLI accepts and the float range.
@@ -510,6 +510,32 @@ def test_simulate_planned_v_m_is_the_schedule_value(capsys, beta, n, m):
     assert doc["summary"]["planned_v_m"] == v_m
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "1", "--seed", "3", "--reps", "1"],
+        ["--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "2", "--seed", "5", "--reps", "4", "--backend", "bell",
+         "--refine", "--extra-trials", "150"],
+        ["--beta0", "0.8,-0.4,0.3", "--n", "500", "--m", "3", "--seed", "2", "--reps", "3",
+         "--guess=-0.7,-0.5,0.2", "--bound", "1.5"],
+        ["--beta0=-0.0,0.5,-0.2", "--n", "300", "--m", "3", "--seed", "7", "--reps", "3", "--refine"],
+    ]
+    + [
+        ["--beta0=" + ",".join(map(repr, beta)), "--n", str(n), "--m", str(m), "--seed", "4", "--reps", "3"]
+        for beta, n, m in _random_runs(10, 29)
+    ],
+)
+def test_simulate_matches_the_row_by_row_reference(capsys, tmp_path, argv):
+    # The writer fills one json.dumps template per rep from the trace's columns;
+    # the reference builds every row as a dict and dumps the whole document.
+    path = tmp_path / "reps.csv"
+    code, out, _ = run_cli(capsys, "simulate", *argv, "--csv", str(path))
+    assert code == 0
+    text, csv_text = simulate_reference(cli.build_parser().parse_args(["simulate", *argv]))
+    assert out == text
+    assert path.read_text(encoding="utf-8") == csv_text
+
+
 def test_simulate_bell_far_guess_runs(capsys):
     # The Bell fit searches only the phase branches next to |guess| * t, so a
     # guess 1e12 from the field neither exhausts memory nor stalls the run.
@@ -643,6 +669,9 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
          "--points", "2"],
         ["variance-curve", "--alpha", "1.25,0,0", "--n", "100", "--t-start", "1",
          "--t-stop", "1.7976931348623157e+308", "--points", "28"],
+        # Prior bounds whose square leaves the normal floats, by default from |beta0| or given.
+        ["simulate", "--beta0", "1e-200,0,0", "--n", "1000", "--m", "2", "--seed", "1"],
+        ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "2", "--seed", "1", "--bound", "1e-170"],
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -652,6 +681,14 @@ def test_invalid_numeric_input_exits_two(capsys, argv):
     assert out == ""
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [["--beta0", "1e-200,0,0"], ["--beta0", "0.8,-0.4,0.3", "--bound", "1e-170"]])
+def test_tiny_prior_bound_names_the_flag(capsys, flags):
+    # |beta0| is taken without underflow, and bound^2 must be a normal float.
+    code, _, err = run_cli(capsys, "simulate", *flags, "--n", "1000", "--m", "2", "--seed", "1")
+    assert code == 2
+    assert "--bound" in err
 
 
 @pytest.mark.parametrize(
@@ -834,6 +871,14 @@ def test_non_finite_result_writes_no_csv(capsys, tmp_path):
     )
     assert code == 2
     assert out == ""
+    assert not path.exists()
+    # Gaussian: d_factor = 4 |beta0|^2 / (4 bound^2) = 1e600 overflows; the rest of the trace is finite.
+    code, out, err = run_cli(
+        capsys, "simulate", "--beta0", "1e150,0,0", "--bound", "1e-150", "--n", "1000", "--m", "1",
+        "--seed", "1", "--csv", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: result is not finite and cannot be written as JSON\n"
     assert not path.exists()
 
 

@@ -10,7 +10,7 @@ from scipy import integrate
 from hamest import adaptive, robustness
 from hamest.errors import DomainError
 from hamest.util import KeyedStream
-from reference_routes import robustness_ratios_per_sample
+from reference_routes import penalty_law, robustness_ratios_per_sample
 
 DEVIATION_WEIGHT = 1.8177518730791193  # g0^2 csc^2(g0)
 DEVIATION_VARIANCE = 0.7081609204640834  # (2 + 4 a^2) / s^2
@@ -262,6 +262,29 @@ def test_mc_matches_per_sample_reference(m):
     assert s.mean == pytest.approx(ratios.mean(), rel=1e-12)
     assert_allclose(s.deciles, np.quantile(ratios, np.arange(0.1, 0.95, 0.1)), rtol=1e-12, atol=0.0)
     assert s.p_below_one == np.mean(ratios < 1.0)
+
+
+def test_exact_penalty_law_at_two_iterations():
+    # At m = 2, R_tot = sqrt(D_2): P(R_tot < 1) = P(D < 1), by quadrature of the
+    # density. A decile is read from the CDF by linear interpolation between grid
+    # points, which costs about 1e-7 in probability at the default step.
+    p, deciles, density = penalty_law(2)
+    assert p == pytest.approx(integrate.quad(robustness.deviation_pdf, 0.0, 1.0, epsabs=1e-13)[0], abs=1e-8)
+    for q, r, f in zip(np.arange(1, 10) / 10.0, deciles, density):
+        assert integrate.quad(robustness.deviation_pdf, 0.0, r * r, epsabs=1e-13)[0] == pytest.approx(q, abs=1e-6)
+        assert f == pytest.approx(2.0 * r * robustness.deviation_pdf(r * r), rel=1e-6)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_mc_matches_exact_penalty_law(m):
+    # Within 5 standard errors: binomial for P(R_tot < 1), order statistic
+    # sqrt(q (1 - q) / N) / f(r_q) for the deciles.
+    samples = 10**6
+    s = robustness.robustness_mc(m, samples, 31)
+    p, deciles, density = penalty_law(m)
+    assert abs(s.p_below_one - p) < 5.0 * math.sqrt(p * (1.0 - p) / samples)
+    q = np.arange(1, 10) / 10.0
+    assert np.all(np.abs(np.array(s.deciles) - deciles) < 5.0 * np.sqrt(q * (1.0 - q) / samples) / density)
 
 
 def test_mc_median_below_one():

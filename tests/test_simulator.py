@@ -265,9 +265,9 @@ def test_config_defaults_resolve_to_prior():
 
 
 def test_config_zero_prior_needs_explicit_bound():
-    cfg = simulator.ExperimentConfig(beta_true=(0.0, 0.0, 0.0), m=1, n=100)
-    with pytest.raises(DomainError):
-        cfg.resolved_bound()
+    # The default bound |beta0| = 0 is rejected when the config is built.
+    with pytest.raises(DomainError, match="--bound"):
+        simulator.ExperimentConfig(beta_true=(0.0, 0.0, 0.0), m=1, n=100)
     assert simulator.ExperimentConfig(
         beta_true=(0.0, 0.0, 0.0), m=1, n=100, beta0_bound=0.5
     ).resolved_bound() == 0.5
