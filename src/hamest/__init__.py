@@ -70,9 +70,7 @@ from .robustness import (
     deviation_pdf,
     modified_recursion,
     ratio_single,
-    ratio_total,
     robustness_mc,
-    sample_deviation,
 )
 from .simulator import (
     ExperimentConfig,

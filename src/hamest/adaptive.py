@@ -21,7 +21,7 @@ import numpy as np
 from .core import inverse_jacobian
 from .errors import DegenerateInput, DivergentTime, DomainError, NoContraction
 from .qfim import Covariance3
-from .util import check_phase, check_trials, csc_squared, near_pole
+from .util import check_phase, check_trials, csc_squared, first_outside, near_pole
 
 # The objective has one minimum on (0, pi), at g0 ~ 1.2986: this bracket
 # holds it with the objective larger at both ends.
@@ -33,11 +33,15 @@ def _objective(g: float) -> float:
     return 1.0 / g + 2.0 * g * csc_squared(g)
 
 
-def gain(x: float) -> float:
-    """Contraction kernel G(x) = 1 / (4 x^2) + csc^2(x) / 2 on (0, pi)."""
-    if not 0.0 < x < math.pi:
-        raise DomainError(f"gain argument must lie in (0, pi), got {x}")
-    return 1.0 / (4.0 * x * x) + 0.5 * csc_squared(x)
+def gain(x):
+    """Contraction kernel G(x) = 1 / (4 x^2) + csc^2(x) / 2 on (0, pi): a float
+    for a float x, elementwise for an array, bit for bit the same."""
+    bad = first_outside(x, 0.0, math.pi)
+    if bad is not None:
+        raise DomainError(f"gain argument must lie in (0, pi), got {bad}")
+    # Below x ~ 4e-155, 1 / (4 x^2) overflows to inf in an array as in a float.
+    with np.errstate(over="ignore"):
+        return 1.0 / (4.0 * x * x) + 0.5 * csc_squared(x)
 
 
 def solve_g0(tolerance: float = 1e-10) -> float:

@@ -186,12 +186,13 @@ def _cmd_robustness_single(args) -> int:
     start, stop, step = args.grid
     _check_grid_size((stop + 0.5 * step - start) / step)
     grid = np.arange(start, stop + 0.5 * step, step)
-    # Every row is computed first, so a grid point outside the domain writes nothing.
-    rows = [[_fmt(d), _fmt(robustness.ratio_single(d)), _fmt(robustness.deviation_pdf(d))] for d in grid]
+    # Both columns are computed first, so a grid point outside the domain writes nothing.
+    ratios, pdf = robustness.ratio_single(grid), robustness.deviation_pdf(grid)
     with _open_out(args.out) as out:
         w = _csv_writer(out)
         w.writerow(["D", "R", "pdf"])
-        w.writerows(rows)
+        # csv writes a float as its repr, as _fmt does.
+        w.writerows(zip(grid.tolist(), ratios.tolist(), pdf.tolist()))
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .adaptive import deviation_weight, g0, gain
 from .errors import DomainError
-from .util import KeyedStream, check_seed
+from .util import KeyedStream, check_seed, first_outside
 
 # Samples per block of robustness_mc. Each block has its own keyed stream, so
 # this size is part of the seeded output of `robustness total`.
@@ -61,42 +61,34 @@ def _deviation_factors(z: np.ndarray, p: DeviationParams):
     return (z[..., 0] * z[..., 0] + p.a * (z[..., 1] * z[..., 1] + z[..., 2] * z[..., 2])) / p.s
 
 
-def sample_deviation(rng: np.random.Generator) -> float:
-    """Draw one deviation factor D from the control-error law."""
-    return _deviation_factors(rng.standard_normal(3), deviation_params())
-
-
 def deviation_pdf(d):
     """Density of the deviation factor, f(d) = s e^{-s d / 2a} erf(sqrt(c d))
-    / (2 sqrt(a (a - 1))); zero for d <= 0. Accepts scalars or arrays."""
+    / (2 sqrt(a (a - 1))); zero for d <= 0, NaN for NaN. A float for a float
+    d, elementwise for an array."""
     p = deviation_params()
     pref = p.s / (2.0 * math.sqrt(p.a * (p.a - 1.0)))
-
-    def _scalar(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return pref * math.exp(-p.s * x / (2.0 * p.a)) * math.erf(math.sqrt(p.c * x))
-
     arr = np.asarray(d, dtype=float)
-    if arr.ndim == 0:
-        return _scalar(float(arr))
-    out = np.empty(arr.shape)
-    flat_in = arr.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = _scalar(float(flat_in[i]))
-    return out
+    # numpy has no erf, so each point takes math.exp and math.erf as a float.
+    pdf = [
+        0.0 if x <= 0.0 else pref * math.exp(-p.s * x / (2.0 * p.a)) * math.erf(math.sqrt(p.c * x))
+        for x in arr.ravel().tolist()
+    ]
+    return pdf[0] if arr.ndim == 0 else np.reshape(pdf, arr.shape)
 
 
-def ratio_single(d: float) -> float:
+def ratio_single(d):
     """Variance penalty of one iteration whose time was planned before the
     control error: R(D) = D gain(sqrt(D) g0) / gain(g0) for D in
-    (0, (pi / g0)^2). The planned phase sqrt(D) g0 must stay below pi."""
+    (0, (pi / g0)^2). The planned phase sqrt(D) g0 must stay below pi. A
+    float for a float D, elementwise for an array, bit for bit the same; an
+    array raises on its first point outside the domain."""
     g = g0()
     d_max = (math.pi / g) ** 2
-    if not 0.0 < d < d_max:
-        raise DomainError(f"deviation factor must lie in (0, {d_max:.6f}), got {d}")
-    return d * gain(math.sqrt(d) * g) / gain(g)
+    bad = first_outside(d, 0.0, d_max)
+    if bad is not None:
+        raise DomainError(f"deviation factor must lie in (0, {d_max:.6f}), got {bad}")
+    root = np.sqrt(d) if isinstance(d, np.ndarray) else math.sqrt(d)
+    return d * gain(root * g) / gain(g)
 
 
 def modified_recursion(dE2: float, d: float, total_time: float) -> float:
@@ -110,27 +102,6 @@ def modified_recursion(dE2: float, d: float, total_time: float) -> float:
         raise DomainError(f"total time must be positive, got {total_time}")
     g = g0()
     return 2.0 * g * gain(g) / total_time * math.sqrt(d * dE2)
-
-
-def ratio_total(deviations) -> float:
-    """Whole-process variance penalty after m re-optimized iterations:
-
-        R_tot = prod_k D_k^(1 / 2^(m - k + 1)).
-
-    deviations holds (D_1, ..., D_m) with D_1 = 1 (the first iteration has no
-    control to err on)."""
-    devs = np.asarray(deviations, dtype=float)
-    if devs.ndim != 1 or devs.size < 1:
-        raise DomainError("deviations must be a nonempty 1-d sequence")
-    if abs(devs[0] - 1.0) > 1e-9:
-        raise DomainError(f"the first deviation factor must be 1, got {devs[0]}")
-    if not np.all(devs > 0.0):
-        raise DomainError("deviation factors must be positive")
-    m = devs.size
-    log_total = 0.0
-    for k in range(1, m + 1):
-        log_total += math.log(devs[k - 1]) / 2.0 ** (m - k + 1)
-    return math.exp(log_total)
 
 
 def robustness_mc(m: int, samples: int, seed: int) -> RobustnessSummary:

@@ -287,7 +287,13 @@ def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, draws):
     """
     if config.backend == "gaussian":
         direction = np.where((residual == 0.0).all(axis=1, keepdims=True), config.beta_true, residual)
-        norm = np.sqrt(np.vecdot(direction, direction))
+        sq = np.vecdot(direction, direction)
+        norm = np.sqrt(sq)
+        small = sq < sys.float_info.min
+        if np.any(small):
+            # Below about 1e-154 the square loses digits or underflows to 0;
+            # hypot scales as it goes, and a zero row stays 0.
+            norm[small] = np.hypot.reduce(direction[small], axis=1)
         if np.any(norm == 0.0):
             raise DomainError("residual direction is undefined at zero residual")
         cov = iteration_covariance(direction * (magnitude / norm)[:, None], n, t)

@@ -28,6 +28,15 @@ def csc_squared(x):
     return float(1.0 / (s * s))
 
 
+def first_outside(x, lo, hi):
+    """The first entry of x outside the open interval (lo, hi), NaN included,
+    or None: x itself for a float x, a float in C order for an array."""
+    if isinstance(x, np.ndarray):
+        outside = x[~((lo < x) & (x < hi))]
+        return float(outside[0]) if outside.size else None
+    return None if lo < x < hi else x
+
+
 # Largest trial count: every count up to it is exact as a float.
 MAX_TRIALS = 2**53
 

@@ -1,7 +1,8 @@
 """Independent routes to the information quantities, the full-list Bell
-phase search, the per-sample robustness Monte Carlo, the exact law of the
-whole-process penalty and the row-by-row `simulate` document: the references
-that the tests compare the library's production routes against."""
+phase search, the scalar deviation draw and whole-process penalty, the
+per-sample robustness Monte Carlo, the exact law of the whole-process penalty
+and the row-by-row `simulate` document: the references that the tests compare
+the library's production routes against."""
 
 import csv
 import io
@@ -14,7 +15,7 @@ from hamest.cli import SCHEMA_VERSION
 from hamest.core import HamiltonianModel, model_evaluate, pauli_compose, spectral_decompose
 from hamest.errors import DomainError
 from hamest.qfim import QfimMatrix, _validated_qfim, generator
-from hamest.robustness import MC_BLOCK, deviation_params, ratio_total
+from hamest.robustness import MC_BLOCK, deviation_params
 from hamest.simulator import ExperimentConfig, bell_probabilities, run_repetitions
 from hamest.util import fd_step, sample_stream
 from hamest.variance import spectral_sensitivities
@@ -211,6 +212,35 @@ def phase_candidates_full(theta0: float, target: float) -> list:
         cands.append(2.0 * math.pi * j + (math.pi - theta0))
         cands.append(2.0 * math.pi * j + (math.pi + theta0))
     return [c for c in cands if c >= 0.0]
+
+
+def sample_deviation(rng: np.random.Generator) -> float:
+    """One deviation factor D = (z1^2 + a (z2^2 + z3^2)) / s from three
+    standard normals of rng: the draw that robustness_mc makes in blocks."""
+    p = deviation_params()
+    z1, z2, z3 = rng.standard_normal(3).tolist()
+    return (z1 * z1 + p.a * (z2 * z2 + z3 * z3)) / p.s
+
+
+def ratio_total(deviations) -> float:
+    """Whole-process variance penalty after m re-optimized iterations:
+
+        R_tot = prod_k D_k^(1 / 2^(m - k + 1)).
+
+    deviations holds (D_1, ..., D_m) with D_1 = 1 (the first iteration has no
+    control to err on)."""
+    devs = np.asarray(deviations, dtype=float)
+    if devs.ndim != 1 or devs.size < 1:
+        raise DomainError("deviations must be a nonempty 1-d sequence")
+    if abs(devs[0] - 1.0) > 1e-9:
+        raise DomainError(f"the first deviation factor must be 1, got {devs[0]}")
+    if not np.all(devs > 0.0):
+        raise DomainError("deviation factors must be positive")
+    m = devs.size
+    log_total = 0.0
+    for k in range(1, m + 1):
+        log_total += math.log(devs[k - 1]) / 2.0 ** (m - k + 1)
+    return math.exp(log_total)
 
 
 def robustness_ratios_per_sample(m: int, samples: int, seed: int) -> np.ndarray:

@@ -194,7 +194,7 @@ def test_criterion_09_deviation_distribution():
     variance_d = (2.0 + 4.0 * params.a**2) / params.s**2
     rng = np.random.default_rng(9)
     n = 1_000_000
-    # One batched draw, bit-identical to n sequential sample_deviation(rng) calls.
+    # One batched draw, bit-identical to n sequential reference_routes.sample_deviation(rng) calls.
     draws = robustness._deviation_factors(rng.standard_normal((n, 3)), params)
     mean_err = abs(draws.mean() - 1.0)
     mean_tol = 3.0 * math.sqrt(variance_d / n)

@@ -47,6 +47,29 @@ def test_gain_domain(x):
         adaptive.gain(x)
 
 
+def test_gain_array_equals_float_calls():
+    # Across the series threshold, up to the last float below pi, and down to
+    # 1e-160, where 1 / (4 x^2) overflows to inf (ratio_single's phases reach 2.6e-162).
+    x = np.concatenate([
+        np.geomspace(1e-160, 1e-3, 4000),
+        np.linspace(1e-3, math.pi, 6000, endpoint=False),
+        [1e-4, np.nextafter(1e-4, 0.0), np.nextafter(math.pi, 0.0)],
+    ])
+    batched = adaptive.gain(x)
+    assert batched.tobytes() == np.array([adaptive.gain(v) for v in x.tolist()]).tobytes()
+    assert math.isinf(batched[0])
+    assert isinstance(adaptive.gain(1.0), float)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.pi, 4.0, math.nan])
+def test_gain_array_names_its_first_entry_outside(bad):
+    with pytest.raises(DomainError) as scalar:
+        adaptive.gain(bad)
+    with pytest.raises(DomainError) as batched:
+        adaptive.gain(np.array([[1.0, 2.0], [bad, 5.0]]))
+    assert str(batched.value) == str(scalar.value)
+
+
 def test_solve_g0_reference_value():
     assert adaptive.solve_g0(1e-6) == pytest.approx(G0_REFERENCE, abs=1e-3)
 

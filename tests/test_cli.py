@@ -331,6 +331,30 @@ def test_robustness_single_fine_grid(capsys):
     assert np.all(np.diff(penalties) > 0.0)
 
 
+@pytest.mark.parametrize(
+    "grid,digest",
+    [
+        ("0.01:5.8:0.01", "01e0bc0e9c0fd45408ab6a4e7853a7140cf02d54b6810c0be71af92e732ab9e8"),
+        ("1e-300:5.8:0.001", "c3a60c0d7e6476ecb4199165483a5f92f0aa14c138cdf896e1800e404aba426f"),
+    ],
+)
+def test_robustness_single_output_pinned(capsys, grid, digest):
+    code, out, _ = run_cli(capsys, "robustness", "single", "--grid", grid)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_robustness_single_computes_each_column_in_one_call(capsys, monkeypatch):
+    calls = []
+    for name in ("ratio_single", "deviation_pdf"):
+        route = getattr(robustness, name)
+        monkeypatch.setattr(robustness, name, lambda d, route=route, name=name: calls.append(name) or route(d))
+    code, out, _ = run_cli(capsys, "robustness", "single", "--grid", "0.01:5.8:0.01")
+    assert code == 0
+    assert out.count("\n") == 581
+    assert calls == ["ratio_single", "deviation_pdf"]
+
+
 def test_robustness_single_domain_exit(capsys):
     code, _, err = run_cli(capsys, "robustness", "single", "--grid", "5.8:6.0:0.1")
     assert code == 2
@@ -689,6 +713,20 @@ def test_tiny_prior_bound_names_the_flag(capsys, flags):
     code, _, err = run_cli(capsys, "simulate", *flags, "--n", "1000", "--m", "2", "--seed", "1")
     assert code == 2
     assert "--bound" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_residual_keeps_its_direction(capsys):
+    # |beta|^2 = 1e-400 underflows; the residual's norm must not.
+    code, out, err = run_cli(
+        capsys, "simulate", "--beta0", "1e-200,0,0", "--bound", "1e-100", "--n", "1000", "--m", "2", "--seed", "1"
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    iterations = doc["rows"][0]["iterations"]
+    assert len(iterations) == 2
+    assert all(math.isfinite(it["trace_cov"]) and it["trace_cov"] > 0.0 for it in iterations)
+    assert 0.0 < doc["summary"]["ratio"] < math.inf
 
 
 @pytest.mark.parametrize(

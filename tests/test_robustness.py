@@ -10,7 +10,7 @@ from scipy import integrate
 from hamest import adaptive, robustness
 from hamest.errors import DomainError
 from hamest.util import KeyedStream
-from reference_routes import penalty_law, robustness_ratios_per_sample
+from reference_routes import penalty_law, ratio_total, robustness_ratios_per_sample, sample_deviation
 
 DEVIATION_WEIGHT = 1.8177518730791193  # g0^2 csc^2(g0)
 DEVIATION_VARIANCE = 0.7081609204640834  # (2 + 4 a^2) / s^2
@@ -59,13 +59,17 @@ def test_pdf_vanishes_at_and_below_origin():
 
 
 def test_pdf_array_matches_scalar():
-    xs = np.array([-0.5, 0.0, 0.3, 1.0, 4.7])
-    assert_allclose(
-        robustness.deviation_pdf(xs),
-        [robustness.deviation_pdf(float(x)) for x in xs],
-        rtol=0.0,
-        atol=0.0,
-    )
+    xs = np.concatenate([
+        [-0.5, 0.0, 0.3, 1.0, 4.7],
+        np.linspace(-1.0, 60.0, 10_000),
+        [0.0, -0.0, -1e-300, 1e-300, 5e-324, np.nan, np.inf, -np.inf],
+    ])
+    batched = robustness.deviation_pdf(xs)
+    assert batched.tobytes() == np.array([robustness.deviation_pdf(x) for x in xs.tolist()]).tobytes()
+    assert batched[-8:-5].tolist() == [0.0, 0.0, 0.0]
+    assert math.isnan(batched[-3])
+    assert robustness.deviation_pdf(xs[None, :]).tobytes() == batched.tobytes()
+    assert isinstance(robustness.deviation_pdf(1.0), float)
 
 
 def test_pdf_normalization():
@@ -85,7 +89,7 @@ def test_pdf_first_moment():
 def test_batched_draws_equal_sequential_draws():
     # The tests draw their large samples in one batch; it must equal sample_deviation draw by draw.
     rng = np.random.default_rng(SAMPLE_SEED)
-    sequential = np.array([robustness.sample_deviation(rng) for _ in range(20_000)])
+    sequential = np.array([sample_deviation(rng) for _ in range(20_000)])
     rng = np.random.default_rng(SAMPLE_SEED)
     params = robustness.deviation_params()
     batched = robustness._deviation_factors(rng.standard_normal((20_000, 3)), params)
@@ -150,6 +154,43 @@ def test_ratio_single_domain(d):
         robustness.ratio_single(d)
 
 
+def test_ratio_single_array_equals_float_calls_bitwise():
+    # From 1e-300 to the last points whose planned phase stays below pi, and the
+    # subnormals, where 1 / (4 x^2) overflows and R is inf.
+    d_max = (math.pi / adaptive.g0()) ** 2
+    d = np.concatenate([
+        np.geomspace(1e-300, 1e-2, 3000),
+        np.linspace(1e-2, d_max, 7000, endpoint=False),
+        [5e-324, 1e-310, d_max * (1.0 - 1e-15), d_max * (1.0 - 1e-12)],
+    ])
+    batched = robustness.ratio_single(d)
+    assert batched.tobytes() == np.array([robustness.ratio_single(x) for x in d.tolist()]).tobytes()
+    assert np.isinf(batched[-4:-2]).all() and np.isfinite(batched[:-4]).all()
+    assert isinstance(robustness.ratio_single(1.0), float)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.3, 7.0, math.nan])
+def test_ratio_single_array_raises_on_its_first_bad_point(bad):
+    with pytest.raises(DomainError) as scalar:
+        robustness.ratio_single(bad)
+    with pytest.raises(DomainError) as batched:
+        robustness.ratio_single(np.array([0.5, 1.0, bad, 8.0, -1.0]))
+    assert str(batched.value) == str(scalar.value)
+
+
+def test_ratio_single_array_checks_the_phase_after_the_domain():
+    # The last float below (pi / g0)^2 passes the D check, but its phase rounds to pi.
+    edge = np.nextafter((math.pi / adaptive.g0()) ** 2, 0.0)
+    with pytest.raises(DomainError) as scalar:
+        robustness.ratio_single(edge)
+    assert str(scalar.value).startswith("gain argument")
+    with pytest.raises(DomainError) as batched:
+        robustness.ratio_single(np.array([0.5, edge, 2.0, edge]))
+    assert str(batched.value) == str(scalar.value)
+    with pytest.raises(DomainError, match="deviation factor .* got 8.0"):
+        robustness.ratio_single(np.array([0.5, edge, 8.0]))
+
+
 # ---------------------------------------------------------------------------
 # re-optimized recursion
 
@@ -187,11 +228,11 @@ def test_modified_recursion_domain(dE2, d, total_time):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_ratio_total_no_deviation(m):
-    assert robustness.ratio_total(np.ones(m)) == 1.0
+    assert ratio_total(np.ones(m)) == 1.0
 
 
 def test_ratio_total_single_step_square_root():
-    assert robustness.ratio_total([1.0, 4.0]) == pytest.approx(2.0, rel=1e-15)
+    assert ratio_total([1.0, 4.0]) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_ratio_total_matches_composed_recursions():
@@ -199,13 +240,13 @@ def test_ratio_total_matches_composed_recursions():
     # taking the quotient of the endpoints must reproduce the closed form.
     rng = np.random.default_rng(5)
     m = 5
-    devs = np.concatenate([[1.0], [robustness.sample_deviation(rng) for _ in range(m - 1)]])
+    devs = np.concatenate([[1.0], [sample_deviation(rng) for _ in range(m - 1)]])
     times = rng.uniform(5.0, 50.0, size=m - 1)
     noisy, ideal = 0.9, 0.9
     for k in range(1, m):
         noisy = robustness.modified_recursion(noisy, devs[k], times[k - 1])
         ideal = robustness.modified_recursion(ideal, 1.0, times[k - 1])
-    assert noisy / ideal == pytest.approx(robustness.ratio_total(devs), rel=1e-12)
+    assert noisy / ideal == pytest.approx(ratio_total(devs), rel=1e-12)
 
 
 @pytest.mark.parametrize("k,m", [(2, 4), (3, 4), (4, 4), (2, 2)])
@@ -215,7 +256,7 @@ def test_ratio_total_scaling_in_one_factor(k, m):
     scaled = devs.copy()
     scaled[k - 1] *= 3.0
     expected = 3.0 ** (1.0 / 2.0 ** (m - k + 1))
-    assert robustness.ratio_total(scaled) / robustness.ratio_total(devs) == pytest.approx(
+    assert ratio_total(scaled) / ratio_total(devs) == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -225,7 +266,7 @@ def test_ratio_total_scaling_in_one_factor(k, m):
 )
 def test_ratio_total_domain(devs):
     with pytest.raises(DomainError):
-        robustness.ratio_total(devs)
+        ratio_total(devs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from scipy import stats
 from hamest import adaptive, cli, core, qfim, robustness, simulator
 from hamest.errors import DomainError, MleNonconvergence
 from hamest.util import sample_stream
-from reference_routes import phase_candidates_full
+from reference_routes import phase_candidates_full, ratio_total, sample_deviation
 
 BETA_REFERENCE = (0.8, -0.4, 0.3)
 
@@ -148,7 +148,7 @@ def test_gaussian_step_deviation_law():
     factors = np.array([simulator.estimate_step_gaussian(cov, rng.standard_normal(3)) for _ in range(4000)])
     factors = np.einsum("ij,ij->i", factors, factors) / trace
     law_rng = sample_stream(24, 0)
-    law = np.array([robustness.sample_deviation(law_rng) for _ in range(4000)])
+    law = np.array([sample_deviation(law_rng) for _ in range(4000)])
     assert stats.ks_2samp(factors, law).pvalue > 0.01
 
 
@@ -416,8 +416,8 @@ def test_refined_process_follows_total_penalty_law():
     reference = np.empty(100_000)
     for j in range(reference.size):
         rng = sample_stream(77, j)
-        devs = [1.0, robustness.sample_deviation(rng), robustness.sample_deviation(rng)]
-        reference[j] = robustness.ratio_total(devs)
+        devs = [1.0, sample_deviation(rng), sample_deviation(rng)]
+        reference[j] = ratio_total(devs)
     assert stats.ks_2samp(realized, reference).statistic < 0.05
 
 
