@@ -39,9 +39,13 @@ def gain(x):
     bad = first_outside(x, 0.0, math.pi)
     if bad is not None:
         raise DomainError(f"gain argument must lie in (0, pi), got {bad}")
-    # Below x ~ 4e-155, 1 / (4 x^2) overflows to inf in an array as in a float.
-    with np.errstate(over="ignore"):
-        return 1.0 / (4.0 * x * x) + 0.5 * csc_squared(x)
+    # A float takes the array route as a 0-d array: below x ~ 1.6e-162, x^2 is
+    # 0, which a Python float division raises on. Below x ~ 7.5e-155, csc^2(x)
+    # ~ 1 / x^2 overflows, or divides by 0, to inf.
+    a = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        g = 1.0 / (4.0 * a * a) + 0.5 * csc_squared(a)
+    return g if isinstance(x, np.ndarray) else float(g)
 
 
 def solve_g0(tolerance: float = 1e-10) -> float:

@@ -88,7 +88,14 @@ def ratio_single(d):
     if bad is not None:
         raise DomainError(f"deviation factor must lie in (0, {d_max:.6f}), got {bad}")
     root = np.sqrt(d) if isinstance(d, np.ndarray) else math.sqrt(d)
-    return d * gain(root * g) / gain(g)
+    r = d * gain(root * g) / gain(g)
+    # Below D ~ 3.3e-309, csc^2(x) ~ 1 / x^2 in gain(sqrt(D) g0) overflows to
+    # inf, though R(D) tends to 3 / (4 g0^2 gain(g0)) as D -> 0.
+    overflow = np.isinf(r)
+    if np.any(overflow):
+        tiny = np.asarray(d)[overflow].tolist()[0]
+        raise DomainError(f"R(D) overflows for D below about 3.3e-309, got {tiny!r}")
+    return r
 
 
 def modified_recursion(dE2: float, d: float, total_time: float) -> float:

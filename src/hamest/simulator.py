@@ -16,8 +16,9 @@ Two measurement backends share the same adaptive loop:
   zero (a deep schedule can reach one) takes the true field's direction.
 * "bell" samples Bell-basis outcome counts from the exact probabilities and
   estimates the residual field by maximum likelihood: four frequencies fix
-  three parameters, so the estimate inverts them in closed form, and an
-  L-BFGS polish barely moves it. The Bell probabilities are even in every
+  three parameters, so the estimate inverts them in closed form. L-BFGS,
+  given the likelihood's closed-form score, stops there after one evaluation
+  and returns the inversion. The Bell probabilities are even in every
   component of the residual, so the likelihood has an eight-fold sign
   degeneracy plus a phase-branch degeneracy; both are resolved toward the
   prior for the iteration.
@@ -239,22 +240,37 @@ def _invert_bell_counts(counts: np.ndarray, t: float, prior: np.ndarray) -> np.n
     return (theta / t) * unit * np.where(prior >= 0.0, 1.0, -1.0)
 
 
+def _bell_nll(x: np.ndarray, counts: np.ndarray, t: float):
+    """Negative log-likelihood of Bell-outcome counts at residual x, and its
+    score. With p = (cos^2 phi, sin^2 phi x_i^2 / w^2), w = |x|, phi = w t and
+    S = c_1 + c_2 + c_3, the score is
+    -2 [c_j / x_j + (t (S cot phi - c_0 tan phi) - S / w) x_j / w],
+    with c_j / x_j taken as 0 where c_j = 0."""
+    p = np.clip(bell_probabilities(x, t), PROBABILITY_LOG_FLOOR, None)
+    # hypot scales as it goes: x @ x underflows for the tiny residuals of a deep schedule.
+    w = math.hypot(*x)
+    phi = w * t
+    s = float(counts[1:].sum())
+    radial = t * (s / math.tan(phi) - counts[0] * math.tan(phi)) - s / w
+    per_axis = np.divide(counts[1:], x, out=np.zeros(3), where=counts[1:] != 0.0)
+    return -float(counts @ np.log(p)), -2.0 * (per_axis + radial * x / w)
+
+
 def _fit_bell_counts(counts: np.ndarray, t: float, prior: np.ndarray) -> np.ndarray:
     """Maximum-likelihood residual from Bell-outcome counts: the closed-form
-    inversion, polished by L-BFGS within its sign pattern."""
+    inversion, which L-BFGS checks against the likelihood's score. The model
+    is saturated, so the score there is at the rounding level and L-BFGS
+    returns the inversion after one evaluation."""
     x0 = _invert_bell_counts(counts, t, prior)
     if not x0.any():
         return x0
-
-    def nll(x):
-        p = np.clip(bell_probabilities(x, t), PROBABILITY_LOG_FLOOR, None)
-        return -float(counts @ np.log(p))
 
     # Imported here, not at module level: scipy.optimize takes most of hamest's import time.
     import scipy.optimize
 
     res = scipy.optimize.minimize(
-        nll, x0, method="L-BFGS-B", options={"maxiter": MLE_MAX_ITERATIONS}
+        _bell_nll, x0, args=(counts, t), jac=True, method="L-BFGS-B",
+        options={"maxiter": MLE_MAX_ITERATIONS},
     )
     if res.status == 1:
         raise MleNonconvergence(

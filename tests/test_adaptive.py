@@ -47,17 +47,21 @@ def test_gain_domain(x):
         adaptive.gain(x)
 
 
+@pytest.mark.filterwarnings("error")
 def test_gain_array_equals_float_calls():
     # Across the series threshold, up to the last float below pi, and down to
-    # 1e-160, where 1 / (4 x^2) overflows to inf (ratio_single's phases reach 2.6e-162).
+    # 5e-324: below about 7.5e-155 csc^2(x) overflows, and below about 1.6e-162
+    # x^2 is 0; both give inf, in a float as in an array, with no warning.
     x = np.concatenate([
+        [5e-324, 1e-320, 1e-200, 1.5e-162],
         np.geomspace(1e-160, 1e-3, 4000),
         np.linspace(1e-3, math.pi, 6000, endpoint=False),
         [1e-4, np.nextafter(1e-4, 0.0), np.nextafter(math.pi, 0.0)],
     ])
     batched = adaptive.gain(x)
     assert batched.tobytes() == np.array([adaptive.gain(v) for v in x.tolist()]).tobytes()
-    assert math.isinf(batched[0])
+    assert np.isinf(batched[:5]).all()
+    assert adaptive.gain(5e-324) == math.inf
     assert isinstance(adaptive.gain(1.0), float)
 
 

@@ -355,6 +355,14 @@ def test_robustness_single_computes_each_column_in_one_call(capsys, monkeypatch)
     assert calls == ["ratio_single", "deviation_pdf"]
 
 
+def test_robustness_single_overflow_exit(capsys):
+    # R(D) is finite as D -> 0, but its formula overflows below D ~ 3.3e-309:
+    # the command names the point instead of writing inf.
+    code, out, err = run_cli(capsys, "robustness", "single", "--grid", "1e-310:1:0.5")
+    assert (code, out) == (2, "")
+    assert err == "error: R(D) overflows for D below about 3.3e-309, got 1e-310\n"
+
+
 def test_robustness_single_domain_exit(capsys):
     code, _, err = run_cli(capsys, "robustness", "single", "--grid", "5.8:6.0:0.1")
     assert code == 2
@@ -452,10 +460,10 @@ def test_simulate_bell_below_fit_floor(capsys):
     [
         ([], "42a46a6218c54522417abcebd5a92ccaf6ff4942dd38b3ba0d57d55f385a8466"),
         (["--refine"], "a80b79e2f65c498eb41b781f24de7a5a656116309f6dc440a28aefc8aa131a5b"),
-        (["--backend", "bell"], "2c0259efd8e14c3c6774d0b385bd7b77faff9f21e54f1411bee612353b1faa01"),
+        (["--backend", "bell"], "2b3337d1778d4e2d52ca006267d626cdf7e68c001e83c2f9b79be74d8e630937"),
         (
             ["--backend", "bell", "--refine"],
-            "c490a3896bb8014d6e021dd71a83921e65ef195585100537f93e4a5373b2db8a",
+            "2615f7a8fa06b776ee75d56d714a849c244ed507f6af2d88de6a4715e53dbb01",
         ),
     ],
 )
@@ -806,8 +814,8 @@ NUMERIC_COMMANDS = st.one_of(
     # Bell draws valid counts, seeds and n on both sides of the fit floor, so
     # that about a third of its calls reach the fits.
     st.tuples(st.sampled_from([["simulate", "--backend=bell"], ["simulate", "--backend=bell", "--refine"]]), _flags(
-        beta0=_vector(), n=st.integers(50, 10**4), m=st.integers(1, 3), seed=st.integers(0, 2**64 - 1),
-        reps=st.integers(1, 2), extra_trials=st.none() | st.integers(1, 10**4),
+        beta0=_vector(), n=st.integers(50, 10**4), m=st.integers(1, 4), seed=st.integers(0, 2**64 - 1),
+        reps=st.integers(1, 8), extra_trials=st.none() | st.integers(1, 10**4),
         bound=st.none() | _number("1.0"), guess=st.none() | _vector(),
     )),
 ).map(lambda parts: parts[0] + parts[1])

@@ -155,18 +155,30 @@ def test_ratio_single_domain(d):
 
 
 def test_ratio_single_array_equals_float_calls_bitwise():
-    # From 1e-300 to the last points whose planned phase stays below pi, and the
-    # subnormals, where 1 / (4 x^2) overflows and R is inf.
+    # From the smallest D whose R is finite, through 1e-300, to the last points
+    # whose planned phase stays below pi.
     d_max = (math.pi / adaptive.g0()) ** 2
     d = np.concatenate([
+        [3.29861612251727e-309, 1e-308],
         np.geomspace(1e-300, 1e-2, 3000),
         np.linspace(1e-2, d_max, 7000, endpoint=False),
-        [5e-324, 1e-310, d_max * (1.0 - 1e-15), d_max * (1.0 - 1e-12)],
+        [d_max * (1.0 - 1e-15), d_max * (1.0 - 1e-12)],
     ])
     batched = robustness.ratio_single(d)
     assert batched.tobytes() == np.array([robustness.ratio_single(x) for x in d.tolist()]).tobytes()
-    assert np.isinf(batched[-4:-2]).all() and np.isfinite(batched[:-4]).all()
+    assert np.isfinite(batched).all()
     assert isinstance(robustness.ratio_single(1.0), float)
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 1e-310, 3.298616122517264e-309])
+def test_ratio_single_raises_where_it_overflows(tiny):
+    # Below D ~ 3.3e-309 the csc^2 term of gain(sqrt(D) g0) overflows; R is
+    # not written as inf. An array names its first such point, as a float does.
+    with pytest.raises(DomainError, match=f"overflows .* got {tiny!r}$") as scalar:
+        robustness.ratio_single(tiny)
+    with pytest.raises(DomainError) as batched:
+        robustness.ratio_single(np.array([0.5, 1e-300, tiny, 1e-320]))
+    assert str(batched.value) == str(scalar.value)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.3, 7.0, math.nan])

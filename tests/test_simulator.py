@@ -227,17 +227,55 @@ def test_nearest_phase_is_a_nearest_candidate(theta0, target):
 
 
 def test_fit_stays_at_the_closed_form_inversion():
-    # The Bell model is saturated, so the inversion is the likelihood maximum
-    # and the L-BFGS polish moves it by less than 1e-7 relative (9.4e-8
-    # measured) on 300 of criterion 12's draws.
+    # The Bell model is saturated, so the inversion is the likelihood maximum:
+    # its score is at the rounding level, and L-BFGS returns it bit for bit on
+    # 300 of criterion 12's draws.
     delta_beta, t, n = np.array([0.012, -0.007, 0.009]), 5.0, 100_000
     p = simulator.bell_probabilities(delta_beta, t)
     for r in range(300):
         counts = simulator.sample_counts(p, n, sample_stream(2024, r)).astype(float)
         closed = simulator._invert_bell_counts(counts, t, delta_beta)
         fit = simulator._fit_bell_counts(counts, t, delta_beta)
-        assert np.linalg.norm(fit - closed) <= 1e-7 * np.linalg.norm(closed)
+        assert np.array_equal(fit, closed)
         assert np.array_equal(np.sign(fit), np.sign(delta_beta))
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_score_matches_central_differences(side):
+    # Random points away from the optimum: mixed signs, one zero count, and
+    # phases on both sides of pi/2. A 1e-6 central difference of the same nll
+    # agrees to 1e-7 of the largest component (8e-10 measured).
+    rng = np.random.default_rng(17)
+    for i in range(50):
+        x = rng.uniform(0.05, 1.0, 3) * rng.choice([-1.0, 1.0], 3)
+        phase = rng.uniform(0.2, 1.4) if side == "below" else rng.uniform(1.75, 3.0)
+        t = phase / np.linalg.norm(x)
+        counts = rng.integers(50, 1000, 4).astype(float)
+        counts[1 + i % 3] = 0.0
+        _, score = simulator._bell_nll(x, counts, t)
+        h = 1e-6
+        central = np.array([
+            simulator._bell_nll(x + e, counts, t)[0] - simulator._bell_nll(x - e, counts, t)[0]
+            for e in h * np.eye(3)
+        ]) / (2.0 * h)
+        assert np.max(np.abs(score - central)) <= 1e-7 * np.max(np.abs(score))
+
+
+def test_bell_fit_samples_and_evaluates_once_per_rep(monkeypatch):
+    # The bell-fit benchmark's field: one probability call samples the counts
+    # and one evaluates the seed, where the score stops L-BFGS.
+    calls = []
+    probabilities = simulator.bell_probabilities
+
+    def counted(*args):
+        calls.append(args)
+        return probabilities(*args)
+
+    monkeypatch.setattr(simulator, "bell_probabilities", counted)
+    cfg = simulator.ExperimentConfig(beta_true=(0.05, -0.03, 0.04), m=1, n=100_000, backend="bell", seed=4)
+    reps = 20
+    simulator.run_repetitions(cfg, reps)
+    assert len(calls) <= 2 * reps
 
 
 def test_all_phi_plus_counts_fit_zero_without_a_polish(monkeypatch):
