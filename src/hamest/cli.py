@@ -18,8 +18,8 @@ negative must follow an `=` (`--alpha=-0.8,0.4,0.3`): argparse reads a
 separate `-0.8,...` as a flag.
 Outputs contain no timestamps, so a rerun with the same arguments is
 byte-identical. Stochastic subcommands require an explicit --seed. Exit
-codes: 0 on success, 2 on domain or argument validation errors, 3 on
-internal invariant failures.
+codes: 0 on success, 2 on domain or argument validation errors or an
+output path that cannot be written, 3 on internal invariant failures.
 """
 
 import argparse
@@ -57,12 +57,19 @@ def _json_text(doc: dict) -> str:
         raise DomainError(_NOT_FINITE) from None
 
 
-def _csv_writer(stream):
-    return csv.writer(stream, lineterminator="\n")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path, header: list, rows) -> None:
+    """Write the header and rows as CSV to path, or to stdout when path is
+    None. csv writes a Python float with repr, the shortest round-trip form.
+    A file that cannot be opened or written is a DomainError that names it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
+            w = csv.writer(out, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+    except OSError as exc:
+        if not path:
+            raise  # a closed stdout ends quietly in main
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _triple(text: str) -> tuple:
@@ -100,12 +107,6 @@ def _check_threads(args) -> None:
         raise DomainError("thread count must be >= 1")
 
 
-def _open_out(path):
-    if path:
-        return open(path, "w", encoding="utf-8", newline="")
-    return contextlib.nullcontext(sys.stdout)
-
-
 def _cmd_qfim(args) -> int:
     model = get_model(args.model)
     # One generator build gives both the QFIM and the commutativity residual.
@@ -117,14 +118,11 @@ def _cmd_qfim(args) -> int:
     except SingularQfim as exc:
         singular_reason = str(exc)
     if args.format == "csv":
-        w = _csv_writer(sys.stdout)
-        w.writerow(["section", "i", "c1", "c2", "c3"])
-        for i in range(3):
-            w.writerow(["qfim", i + 1] + [_fmt(v) for v in f.m[i]])
+        rows = [["qfim", i] + row for i, row in enumerate(f.m.tolist(), 1)]
         if cov is not None:
-            for i in range(3):
-                w.writerow(["covariance", i + 1] + [_fmt(v) for v in cov[i]])
-            w.writerow(["scalar_bound", 1, _fmt(bound), "", ""])
+            rows += [["covariance", i] + row for i, row in enumerate(cov.tolist(), 1)]
+            rows.append(["scalar_bound", 1, bound, "", ""])
+        _write_csv(None, ["section", "i", "c1", "c2", "c3"], rows)
     else:
         doc = {
             "command": "qfim",
@@ -160,13 +158,7 @@ def _cmd_variance_curve(args) -> int:
     if not np.all(np.isfinite(grid)):
         raise DomainError("the time grid leaves the float range")
     rows = variance.variance_curve(model, args.alpha, grid, args.n)
-    with _open_out(args.out) as out:
-        w = _csv_writer(out)
-        w.writerow(["t", "v1", "v2", "v3", "envelope", "infimum", "flag"])
-        for r in rows:
-            w.writerow(
-                [_fmt(r.t), _fmt(r.v1), _fmt(r.v2), _fmt(r.v3), _fmt(r.envelope), _fmt(r.infimum), r.flag]
-            )
+    _write_csv(args.out, ["t", "v1", "v2", "v3", "envelope", "infimum", "flag"], (vars(r).values() for r in rows))
     return 0
 
 
@@ -188,23 +180,15 @@ def _cmd_robustness_single(args) -> int:
     grid = np.arange(start, stop + 0.5 * step, step)
     # Both columns are computed first, so a grid point outside the domain writes nothing.
     ratios, pdf = robustness.ratio_single(grid), robustness.deviation_pdf(grid)
-    with _open_out(args.out) as out:
-        w = _csv_writer(out)
-        w.writerow(["D", "R", "pdf"])
-        # csv writes a float as its repr, as _fmt does.
-        w.writerows(zip(grid.tolist(), ratios.tolist(), pdf.tolist()))
+    _write_csv(args.out, ["D", "R", "pdf"], zip(grid.tolist(), ratios.tolist(), pdf.tolist()))
     return 0
 
 
 def _cmd_robustness_total(args) -> int:
     summary = robustness.robustness_mc(args.m, args.samples, args.seed)
-    with _open_out(args.out) as out:
-        w = _csv_writer(out)
-        w.writerow(["statistic", "value"])
-        w.writerow(["mean", _fmt(summary.mean)])
-        w.writerow(["p_below_one", _fmt(summary.p_below_one)])
-        for decile, value in zip(range(10, 100, 10), summary.deciles):
-            w.writerow([f"decile_{decile}", _fmt(value)])
+    rows = [("mean", summary.mean), ("p_below_one", summary.p_below_one)]
+    rows += [(f"decile_{decile}", value) for decile, value in zip(range(10, 100, 10), summary.deciles)]
+    _write_csv(args.out, ["statistic", "value"], rows)
     return 0
 
 
@@ -270,13 +254,11 @@ def _cmd_simulate(args) -> int:
     # %r writes a float with float.__repr__ and an int with int.__repr__, as json does.
     template = middle[len(separator) : -len(separator)].replace("%", "%%").replace(json.dumps(_LEAF), "%r")
     text = head + separator.join([template % values for values in zip(*columns)]) + tail
-    # A rejected document leaves no CSV, and a closed stdout does not cost one.
+    # A rejected document leaves no CSV, and an unwritable CSV leaves stdout empty.
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            w = _csv_writer(fh)
-            w.writerow(["rep", "beta_hat_1", "beta_hat_2", "beta_hat_3", "realized_sq_error"])
-            # rep, beta_hat and realized_sq_error are the first five columns; csv writes floats with repr.
-            w.writerows(zip(*columns[:5]))
+        # rep, beta_hat and realized_sq_error are the first five columns.
+        header = ["rep", "beta_hat_1", "beta_hat_2", "beta_hat_3", "realized_sq_error"]
+        _write_csv(args.csv, header, zip(*columns[:5]))
     sys.stdout.write(text)
     return 0
 

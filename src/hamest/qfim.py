@@ -32,6 +32,7 @@ from .core import HamiltonianModel, inverse_jacobian, model_evaluate
 from .errors import DomainError, EstimationError, SingularQfim
 from .util import check_phase, check_trials
 
+# Asymmetry must satisfy max |m - m^T| <= 1e-10 * max(1, max |m|), as rounding scales.
 QFIM_SYMMETRY_ATOL = 1e-10
 # Minimum eigenvalue must satisfy min >= -1e-10 * max(1, max eigenvalue).
 QFIM_PSD_RTOL = 1e-10
@@ -57,7 +58,7 @@ def _validated_qfim(m) -> QfimMatrix:
     if not np.all(np.isfinite(m)):
         raise DomainError("QFIM entries are not finite; the evolution time or field is too large")
     asym = np.max(np.abs(m - m.T))
-    if asym > QFIM_SYMMETRY_ATOL:
+    if asym > QFIM_SYMMETRY_ATOL * max(1.0, np.max(np.abs(m))):
         raise EstimationError(f"QFIM symmetry violated by {asym:.3e}")
     m = 0.5 * (m + m.T)
     eigs = np.linalg.eigvalsh(m)
@@ -151,8 +152,10 @@ def scalar_bound(w, f: QfimMatrix, n: int) -> float:
     """Weighted precision bound Tr(W F^{-1}) / n."""
     check_trials(n)
     w = np.asarray(w, dtype=float)
-    if w.shape != (3, 3) or np.max(np.abs(w - w.T)) > QFIM_SYMMETRY_ATOL:
-        raise DomainError("weight matrix must be 3x3 symmetric")
+    if w.shape != (3, 3) or not np.all(np.isfinite(w)):
+        raise DomainError("weight matrix must be 3x3 and finite")
+    if np.max(np.abs(w - w.T)) > QFIM_SYMMETRY_ATOL * max(1.0, np.max(np.abs(w))):
+        raise DomainError("weight matrix must be symmetric")
     return float(np.trace(w @ _invert_qfim(f)) / n)
 
 

@@ -784,48 +784,63 @@ def _flags(**drawn):
     )
 
 
+# A known model or an unknown name.
+_MODEL = st.sampled_from(["pauli", "btp", "ising"])
+# A file flag: unset, a writable file, a path in a missing directory, or the
+# directory itself, under the directory that _OUT_DIR stands for.
+_OUT_DIR = "<out-dir>"
+_OUT = st.sampled_from([None, f"{_OUT_DIR}/out.csv", f"{_OUT_DIR}/missing/out.csv", _OUT_DIR])
+
+
 # Every numeric flag of qfim, variance-curve, schedule, robustness and simulate
-# on both backends, in ranges that keep each call to milliseconds: beyond them a
-# grid, sample count or iteration count exits 2 before it allocates.
+# on both backends, with --model and the file flags, in ranges that keep each
+# call to milliseconds: beyond them a grid, sample count or iteration count
+# exits 2 before it allocates.
 NUMERIC_COMMANDS = st.one_of(
     st.tuples(st.just(["qfim"]), _flags(
-        model=st.sampled_from(["pauli", "btp"]), alpha=_vector(), t=_number("1.0"), weight=_number("0.5"),
+        model=_MODEL, alpha=_vector(), t=_number("1.0"), weight=_number("0.5"),
         format=st.sampled_from(["json", "csv"]),
     )),
     st.tuples(st.just(["variance-curve"]), _flags(
-        model=st.sampled_from(["pauli", "btp"]), alpha=_vector(), n=_count(2, 10**4),
-        t_start=_number("0.1"), t_stop=_number("6.0"), points=_count(10**6 + 1, 40),
+        model=_MODEL, alpha=_vector(), n=_count(2, 10**4),
+        t_start=_number("0.1"), t_stop=_number("6.0"), points=_count(10**6 + 1, 40), out=_OUT,
     )),
     st.tuples(st.just(["schedule"]), _flags(
         v0=_number("1.0"), n=_count(2, 10**4), m=_count(10**6, 40),
     ) | _flags(v0=_number("1.0"), n=_count(2, 10**4), target=_number("1e-6"))),
     st.tuples(st.just(["robustness", "single"]), st.tuples(
-        st.floats(-1.0, 6.0), st.floats(0.0, 6.0), st.floats(0.05, 6.0) | st.floats(1e-14, 1e-12)
-    ).map(lambda g: [f"--grid={g[0]!r}:{g[0] + g[1]!r}:{g[2]!r}"])),
+        st.floats(-1.0, 6.0), st.floats(0.0, 6.0), st.floats(0.05, 6.0) | st.floats(1e-14, 1e-12), _flags(out=_OUT)
+    ).map(lambda g: [f"--grid={g[0]!r}:{g[0] + g[1]!r}:{g[2]!r}"] + g[3])),
     st.tuples(st.just(["robustness", "total"]), _flags(
         m=_count(1025, 6), samples=st.integers(-3, 12000) | st.integers(10**8 + 1, 10**400),
-        seed=_count(2**64, 100),
+        seed=_count(2**64, 100), out=_OUT,
     )),
     st.tuples(st.sampled_from([["simulate"], ["simulate", "--refine"]]), _flags(
         beta0=_vector(), n=_count(2, 10**4), m=_count(10**6, 5), seed=_count(2**64, 100),
         reps=_count(10**5 + 1, 8), extra_trials=st.none() | _count(2, 10**4),
-        bound=st.none() | _number("1.0"), guess=st.none() | _vector(),
+        bound=st.none() | _number("1.0"), guess=st.none() | _vector(), csv=_OUT,
     )),
     # Bell draws valid counts, seeds and n on both sides of the fit floor, so
     # that about a third of its calls reach the fits.
     st.tuples(st.sampled_from([["simulate", "--backend=bell"], ["simulate", "--backend=bell", "--refine"]]), _flags(
         beta0=_vector(), n=st.integers(50, 10**4), m=st.integers(1, 4), seed=st.integers(0, 2**64 - 1),
         reps=st.integers(1, 8), extra_trials=st.none() | st.integers(1, 10**4),
-        bound=st.none() | _number("1.0"), guess=st.none() | _vector(),
+        bound=st.none() | _number("1.0"), guess=st.none() | _vector(), csv=_OUT,
     )),
 ).map(lambda parts: parts[0] + parts[1])
 
 
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("out")
+
+
 @settings(deadline=None, max_examples=150, database=None)
 @given(argv=NUMERIC_COMMANDS)
-def test_any_numeric_flags_exit_cleanly(argv):
+def test_any_numeric_flags_exit_cleanly(out_dir, argv):
     # In process, a traceback is an exception that reaches this test, and a
     # warning is one while the call runs.
+    argv = [arg.replace(_OUT_DIR, str(out_dir)) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -926,6 +941,27 @@ def test_non_finite_result_writes_no_csv(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == "error: result is not finite and cannot be written as JSON\n"
     assert not path.exists()
+
+
+FILE_FLAG_COMMANDS = [
+    ["variance-curve", "--alpha", "0.6,0,0.8", "--n", "100", "--t-start", "0.1", "--t-stop", "6.0",
+     "--points", "5", "--out"],
+    ["robustness", "single", "--grid", "0.1:0.2:0.1", "--out"],
+    ["robustness", "total", "--m", "2", "--samples", "10000", "--seed", "1", "--out"],
+    ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "1", "--seed", "3", "--csv"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", FILE_FLAG_COMMANDS, ids=["variance-curve", "robustness-single", "robustness-total", "simulate"]
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_file_flag_exits_two(capsys, tmp_path, argv, where):
+    path = str(tmp_path / "missing" / "out.csv") if where == "missing-directory" else str(tmp_path)
+    code, out, err = run_cli(capsys, *argv, path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1
 
 
 def _module_env():

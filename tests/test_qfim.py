@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hamest import core, qfim, variance
-from hamest.errors import DomainError, SingularJacobian, SingularQfim
+from hamest.errors import DomainError, EstimationError, SingularJacobian, SingularQfim
 
 from reference_routes import (
     bell_cfi,
@@ -348,6 +348,41 @@ def test_reparameterize_round_trip():
         assert_allclose(ca.m, np.linalg.inv(4 * fa.m), rtol=1e-8, atol=1e-12)
         back = qfim.reparameterize_covariance(ca, jac, "alpha_to_beta")
         assert np.abs(back.m - c.m).max() < 1e-10 * max(1.0, np.abs(c.m).max())
+
+
+def _btp_product(alpha, t):
+    """The btp Jacobian J at alpha, the Pauli QFIM F at its field, and J^T F J."""
+    ev = core.model_evaluate(core.get_model("btp"), alpha)
+    f = qfim.qfim_entangled(core.get_model("pauli"), ev.f, t)
+    return ev.jac, f, ev.jac.T @ f.m @ ev.jac
+
+
+# J^T F J rounds to an asymmetry of 1.1e-10 and 2.6e-10 here, past 1e-10 in absolute terms.
+@pytest.mark.parametrize("alpha,t", [((1000.0, 0.4, 0.3), 1.0), ((1.0, 0.4, 0.3), 1000.0)])
+def test_reparameterize_tolerates_rounding_at_scale(alpha, t):
+    jac, f, product = _btp_product(alpha, t)
+    out = qfim.reparameterize_qfim(f, jac, "beta_to_alpha")
+    assert np.array_equal(out.m, 0.5 * (product + product.T))
+    # The weight-matrix check takes the same rule.
+    assert qfim.scalar_bound(product, qfim.QfimMatrix(m=np.eye(3)), 1) == pytest.approx(np.trace(product))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
+def test_real_asymmetry_raises_at_every_scale(scale):
+    m = scale * np.diag([1.0, 2.0, 3.0])
+    m[0, 1] += 1e-6 * np.abs(m).max()
+    with pytest.raises(EstimationError, match="symmetry violated"):
+        qfim.reparameterize_qfim(qfim.QfimMatrix(m=m), np.eye(3), "beta_to_alpha")
+    with pytest.raises(DomainError, match="symmetric"):
+        qfim.scalar_bound(m, qfim.QfimMatrix(m=np.eye(3)), 1)
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
+def test_scalar_bound_rejects_non_finite_weight(entry):
+    w = np.eye(3)
+    w[entry] = math.inf
+    with pytest.raises(DomainError, match="finite"):
+        qfim.scalar_bound(w, qfim.QfimMatrix(m=np.eye(3)), 1)
 
 
 def test_reparameterize_singular_jacobian():
