@@ -316,17 +316,12 @@ def alpha_variance_bounds(jac, v_m: float, v_oc: float) -> AlphaVarianceBounds:
     (12A - 3) / (1 + 2A) * kappa with kappa = v_m / v_oc. At the matched
     budget kappa = (1 + 2A) / 3 the factor collapses to 4A - 1.
     """
-    jac = np.asarray(jac, dtype=float)
-    if jac.shape != (3, 3):
-        raise DomainError("Jacobian must be 3x3")
     k_inv = inverse_jacobian(jac)
     if not v_m > 0.0 or not v_oc > 0.0:
         raise DomainError("variance scales must be positive")
-    nu_max = np.max(k_inv**2, axis=1)
-    products = np.abs(k_inv[:, :, None] * k_inv[:, None, :])
-    diag = np.arange(3)
-    products[:, diag, diag] = 0.0
-    mu_max = products.max(axis=(1, 2))
+    # Rounding is monotone, so the largest products come from the largest |K_ir|.
+    top = np.sort(np.abs(k_inv), axis=1)
+    nu_max, mu_max = top[:, 2] ** 2, top[:, 2] * top[:, 1]
     a = deviation_weight()
     upper = (2.0 * mu_max * (a - 1.0) / (1.0 + 2.0 * a) + nu_max) * v_m
     lower_oc = nu_max * v_oc / 3.0

@@ -19,7 +19,9 @@ separate `-0.8,...` as a flag.
 Outputs contain no timestamps, so a rerun with the same arguments is
 byte-identical. Stochastic subcommands require an explicit --seed. Exit
 codes: 0 on success, 2 on domain or argument validation errors or an
-output path that cannot be written, 3 on internal invariant failures.
+output path that cannot be written, 3 on internal invariant failures. Every
+failure, argparse's rejections included, writes one line to stderr: `error:`
+for exit 2, `internal error:` for exit 3.
 """
 
 import argparse
@@ -263,11 +265,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose rejections, its subparsers' included, are one
+    `error:` line on stderr and exit 2, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The shared argument parser: built on the first call, then returned
     again, so each main call parses without rebuilding the tree."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamest",
         description="Adaptive estimation of a qubit Hamiltonian's field components.",
     )

@@ -22,7 +22,8 @@ from .util import fd_step
 # Below ||b||*|t| = 1e-8 the sin(x)/x form of the propagator switches to its
 # series limit to avoid cancellation.
 EVOLVE_SERIES_THRESHOLD = 1e-8
-SINGULAR_JACOBIAN_TOL = 1e-12
+# A matrix is singular when its smallest singular value is <= INVERTIBLE_RTOL times its largest.
+INVERTIBLE_RTOL = 1e-12
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 
@@ -148,10 +149,13 @@ def model_evaluate(model: HamiltonianModel, alpha) -> ModelEvaluation:
 
 
 def inverse_jacobian(jac) -> np.ndarray:
-    """J^{-1}, raising SingularJacobian when |det J| < SINGULAR_JACOBIAN_TOL."""
+    """J^{-1} of a finite 3x3 J, raising SingularJacobian when J is singular under INVERTIBLE_RTOL."""
     jac = np.asarray(jac, dtype=float)
-    if abs(np.linalg.det(jac)) < SINGULAR_JACOBIAN_TOL:
-        raise SingularJacobian("Jacobian is singular")
+    if jac.shape != (3, 3) or not np.all(np.isfinite(jac)):
+        raise DomainError("Jacobian must be a finite 3x3 matrix")
+    s = np.linalg.svd(jac, compute_uv=False)
+    if s[-1] <= INVERTIBLE_RTOL * s[0]:
+        raise SingularJacobian(f"Jacobian is singular (singular values {s[-1]:.3e} .. {s[0]:.3e})")
     return np.linalg.inv(jac)
 
 

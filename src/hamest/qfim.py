@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HamiltonianModel, inverse_jacobian, model_evaluate
+from .core import INVERTIBLE_RTOL, HamiltonianModel, inverse_jacobian, model_evaluate
 from .errors import DomainError, EstimationError, SingularQfim
 from .util import check_phase, check_trials
 
@@ -36,7 +36,6 @@ from .util import check_phase, check_trials
 QFIM_SYMMETRY_ATOL = 1e-10
 # Minimum eigenvalue must satisfy min >= -1e-10 * max(1, max eigenvalue).
 QFIM_PSD_RTOL = 1e-10
-QFIM_INVERTIBLE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -134,8 +133,9 @@ def weak_commutativity_residual(model: HamiltonianModel, alpha, t: float, x: flo
 
 
 def _invert_qfim(f: QfimMatrix) -> np.ndarray:
+    # core's invertibility rule, with the eigenvalues of the PSD QFIM as its singular values.
     eigs = np.linalg.eigvalsh(f.m)
-    if eigs[0] <= QFIM_INVERTIBLE_RTOL * max(abs(eigs[-1]), 1e-300):
+    if eigs[0] <= INVERTIBLE_RTOL * max(abs(eigs[-1]), 1e-300):
         raise SingularQfim(
             f"QFIM is not invertible (eigenvalues {eigs[0]:.3e} .. {eigs[-1]:.3e})"
         )
@@ -159,32 +159,15 @@ def scalar_bound(w, f: QfimMatrix, n: int) -> float:
     return float(np.trace(w @ _invert_qfim(f)) / n)
 
 
-def reparameterize_qfim(f: QfimMatrix, jac, direction: str) -> QfimMatrix:
-    """Transform a QFIM between the original and Pauli parameterizations.
-
-    The Jacobian convention is fixed: J[i][j] = d beta_i / d alpha_j.
-    direction "beta_to_alpha" maps F_beta to F_alpha = J^T F_beta J;
-    "alpha_to_beta" applies the inverse transform (J must be invertible).
-    """
+def reparameterize_qfim(f: QfimMatrix, jac) -> QfimMatrix:
+    """F_alpha = J^T F_beta J, with J[i][j] = d beta_i / d alpha_j. The
+    reverse map is the same call with core.inverse_jacobian(jac)."""
     jac = np.asarray(jac, dtype=float)
-    if direction == "beta_to_alpha":
-        m = jac.T @ f.m @ jac
-    elif direction == "alpha_to_beta":
-        inv = inverse_jacobian(jac)
-        m = inv.T @ f.m @ inv
-    else:
-        raise DomainError(f"unknown direction {direction!r}")
-    return _validated_qfim(m)
+    return _validated_qfim(jac.T @ f.m @ jac)
 
 
-def reparameterize_covariance(c: Covariance3, jac, direction: str) -> Covariance3:
-    """Covariances transform contravariantly: C_alpha = J^{-1} C_beta J^{-T}."""
-    jac = np.asarray(jac, dtype=float)
-    if direction == "beta_to_alpha":
-        inv = inverse_jacobian(jac)
-        m = inv @ c.m @ inv.T
-    elif direction == "alpha_to_beta":
-        m = jac @ c.m @ jac.T
-    else:
-        raise DomainError(f"unknown direction {direction!r}")
-    return Covariance3(m=m)
+def reparameterize_covariance(c: Covariance3, jac) -> Covariance3:
+    """Covariances transform contravariantly: C_alpha = J^{-1} C_beta J^{-T}.
+    The reverse map is the same call with core.inverse_jacobian(jac)."""
+    inv = inverse_jacobian(jac)
+    return Covariance3(m=inv @ c.m @ inv.T)

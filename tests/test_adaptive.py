@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hamest import adaptive, qfim
+from hamest import adaptive, core, qfim
 from hamest.errors import (
     DegenerateInput,
     DivergentTime,
@@ -433,7 +433,7 @@ def test_bounds_jacobian_scaling():
 
 
 def test_bounds_mu_max_matches_pair_loop():
-    # mu_max_i = max over r != s of |K_ir K_is|, K = J^{-1}, bit for bit.
+    # mu_max_i = max over r != s of |K_ir K_is| and nu_max_i = max_r K_ir^2, K = J^{-1}, bit for bit.
     rng = np.random.default_rng(17)
     for _ in range(200):
         jac = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0)
@@ -441,7 +441,9 @@ def test_bounds_mu_max_matches_pair_loop():
             continue
         k = np.linalg.inv(jac)
         ref = [max(abs(k[i, r] * k[i, s]) for r in range(3) for s in range(3) if r != s) for i in range(3)]
-        assert adaptive.alpha_variance_bounds(jac, 1.0, 1.0).mu_max.tolist() == ref
+        bounds = adaptive.alpha_variance_bounds(jac, 1.0, 1.0)
+        assert bounds.mu_max.tolist() == ref
+        assert bounds.nu_max.tolist() == [max(k[i, r] * k[i, r] for r in range(3)) for i in range(3)]
 
 
 def test_bounds_kappa_and_singular():
@@ -449,6 +451,14 @@ def test_bounds_kappa_and_singular():
     assert b.kappa == pytest.approx(2.0, rel=1e-14)
     with pytest.raises(SingularJacobian):
         adaptive.alpha_variance_bounds(np.diag([1.0, 1.0, 0.0]), 1.0, 1.0)
+
+
+def test_bounds_at_a_weak_btp_field():
+    # det J = B^2 cos(theta) = 9.2e-13, and J is well conditioned: the bounds exist.
+    jac = core.model_evaluate(core.get_model("btp"), (1e-6, 0.4, 0.3)).jac
+    b = adaptive.alpha_variance_bounds(jac, 1.0, 1.0)
+    for v in (b.mu_max, b.nu_max, b.upper, b.lower_oc):
+        assert np.all(np.isfinite(v)) and np.all(v > 0.0)
 
 
 def test_deviation_weight_value():

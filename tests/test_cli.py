@@ -792,14 +792,22 @@ _OUT_DIR = "<out-dir>"
 _OUT = st.sampled_from([None, f"{_OUT_DIR}/out.csv", f"{_OUT_DIR}/missing/out.csv", _OUT_DIR])
 
 
+def _argv(parts, drop):
+    """The command words and their flags, less the flag at index drop (if any):
+    a left-out required flag is an argparse rejection."""
+    command, flags = parts
+    return command + [flag for i, flag in enumerate(flags) if i != drop]
+
+
 # Every numeric flag of qfim, variance-curve, schedule, robustness and simulate
 # on both backends, with --model and the file flags, in ranges that keep each
 # call to milliseconds: beyond them a grid, sample count or iteration count
-# exits 2 before it allocates.
-NUMERIC_COMMANDS = st.one_of(
+# exits 2 before it allocates. Unknown --format and --backend choices, grids
+# with STOP < START or STEP <= 0 and a left-out flag reach argparse's rejections.
+NUMERIC_COMMANDS = st.builds(_argv, st.one_of(
     st.tuples(st.just(["qfim"]), _flags(
         model=_MODEL, alpha=_vector(), t=_number("1.0"), weight=_number("0.5"),
-        format=st.sampled_from(["json", "csv"]),
+        format=st.sampled_from(["json", "csv", "xml"]),
     )),
     st.tuples(st.just(["variance-curve"]), _flags(
         model=_MODEL, alpha=_vector(), n=_count(2, 10**4),
@@ -809,13 +817,14 @@ NUMERIC_COMMANDS = st.one_of(
         v0=_number("1.0"), n=_count(2, 10**4), m=_count(10**6, 40),
     ) | _flags(v0=_number("1.0"), n=_count(2, 10**4), target=_number("1e-6"))),
     st.tuples(st.just(["robustness", "single"]), st.tuples(
-        st.floats(-1.0, 6.0), st.floats(0.0, 6.0), st.floats(0.05, 6.0) | st.floats(1e-14, 1e-12), _flags(out=_OUT)
+        st.floats(-1.0, 6.0), st.floats(0.0, 6.0) | st.floats(-6.0, -0.05),
+        st.floats(0.05, 6.0) | st.floats(1e-14, 1e-12) | st.floats(-1.0, 0.0), _flags(out=_OUT),
     ).map(lambda g: [f"--grid={g[0]!r}:{g[0] + g[1]!r}:{g[2]!r}"] + g[3])),
     st.tuples(st.just(["robustness", "total"]), _flags(
         m=_count(1025, 6), samples=st.integers(-3, 12000) | st.integers(10**8 + 1, 10**400),
         seed=_count(2**64, 100), out=_OUT,
     )),
-    st.tuples(st.sampled_from([["simulate"], ["simulate", "--refine"]]), _flags(
+    st.tuples(st.sampled_from([["simulate"], ["simulate", "--refine"], ["simulate", "--backend=fast"]]), _flags(
         beta0=_vector(), n=_count(2, 10**4), m=_count(10**6, 5), seed=_count(2**64, 100),
         reps=_count(10**5 + 1, 8), extra_trials=st.none() | _count(2, 10**4),
         bound=st.none() | _number("1.0"), guess=st.none() | _vector(), csv=_OUT,
@@ -827,7 +836,7 @@ NUMERIC_COMMANDS = st.one_of(
         reps=st.integers(1, 8), extra_trials=st.none() | st.integers(1, 10**4),
         bound=st.none() | _number("1.0"), guess=st.none() | _vector(), csv=_OUT,
     )),
-).map(lambda parts: parts[0] + parts[1])
+), st.none() | st.integers(0, 29))
 
 
 @pytest.fixture(scope="module")
@@ -844,7 +853,11 @@ def test_any_numeric_flags_exit_cleanly(out_dir, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's rejection
+            code = exc.code
+            assert (code, out.getvalue()) == (2, "")
     if code == 0:
         assert err.getvalue() == ""
     else:
@@ -874,6 +887,29 @@ def test_negative_first_component_takes_the_equals_form(capsys, argv):
         cli.main(apart)
     assert excinfo.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "1", "--seed", "1", "--backend", "foo"],
+        ["qfim", "--alpha", "0.8,-0.4,0.3", "--t", "1", "--format", "xml"],
+        ["robustness", "single", "--grid", "1:0:1"],
+        ["robustness", "single", "--grid", "0:1:0"],
+        ["robustness", "total", "--m", "3", "--samples", "100"],
+        ["robustness"],
+        ["frobnicate"],
+        [],
+        ["qfim", "--alpha", "0.8,-0.4,0.3", "--t", "1", "--bogus"],
+    ],
+)
+def test_argparse_rejection_is_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (excinfo.value.code, out) == (2, "")
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error")

@@ -200,6 +200,32 @@ def test_btp_polar_degeneracy():
         core.inverse_jacobian(ev.jac)
 
 
+def _btp_jac(alpha):
+    return core.model_evaluate(core.get_model("btp"), alpha).jac
+
+
+# Each determinant is below 1e-12, yet each matrix is far from singular.
+@pytest.mark.parametrize("jac", [1e-5 * np.eye(3), _btp_jac((1e-6, 0.4, 0.3)), _btp_jac((1e-9, 0.4, 0.3))])
+def test_inverse_jacobian_is_scale_free(jac):
+    assert abs(np.linalg.det(jac)) < 1e-12
+    ref = np.linalg.inv(jac)
+    assert np.abs(core.inverse_jacobian(jac) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("b_amp", [2.0, 1e-6])
+def test_inverse_jacobian_rejects_singular_at_any_scale(b_amp):
+    with pytest.raises(SingularJacobian):
+        core.inverse_jacobian(_btp_jac((b_amp, math.pi / 2, 0.3)))
+    with pytest.raises(SingularJacobian):
+        core.inverse_jacobian(b_amp * np.diag([1.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("jac", [np.eye(2), np.full((3, 3), math.nan), np.diag([math.inf, 1.0, 1.0])])
+def test_inverse_jacobian_rejects_malformed(jac):
+    with pytest.raises(DomainError, match="finite 3x3"):
+        core.inverse_jacobian(jac)
+
+
 def test_btp_domain():
     with pytest.raises(DomainError):
         core.model_evaluate(core.get_model("btp"), (0.0, 0.1, 0.2))

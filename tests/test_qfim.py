@@ -322,13 +322,13 @@ def test_scalar_bound_single_diagonal():
 
 def test_reparameterize_identity():
     f = qfim.qfim_entangled(core.get_model("pauli"), (0.5, -0.2, 0.9), 1.1)
-    out = qfim.reparameterize_qfim(f, np.eye(3), "beta_to_alpha")
+    out = qfim.reparameterize_qfim(f, np.eye(3))
     assert_allclose(out.m, f.m, atol=1e-14)
 
 
 def test_reparameterize_scaling():
     f = qfim.qfim_entangled(core.get_model("pauli"), (0.5, -0.2, 0.9), 1.1)
-    out = qfim.reparameterize_qfim(f, 3.0 * np.eye(3), "beta_to_alpha")
+    out = qfim.reparameterize_qfim(f, 3.0 * np.eye(3))
     assert_allclose(out.m, 9.0 * f.m, rtol=1e-12)
 
 
@@ -340,13 +340,13 @@ def test_reparameterize_round_trip():
         jac = rng.normal(size=(3, 3))
         if abs(np.linalg.det(jac)) < 0.1:
             continue
-        fa = qfim.reparameterize_qfim(f, jac, "beta_to_alpha")
-        back = qfim.reparameterize_qfim(fa, jac, "alpha_to_beta")
+        fa = qfim.reparameterize_qfim(f, jac)
+        back = qfim.reparameterize_qfim(fa, core.inverse_jacobian(jac))
         assert np.abs(back.m - f.m).max() < 1e-10 * max(1.0, np.abs(f.m).max())
-        ca = qfim.reparameterize_covariance(c, jac, "beta_to_alpha")
+        ca = qfim.reparameterize_covariance(c, jac)
         # contravariant transform keeps the Cramer-Rao pairing intact
         assert_allclose(ca.m, np.linalg.inv(4 * fa.m), rtol=1e-8, atol=1e-12)
-        back = qfim.reparameterize_covariance(ca, jac, "alpha_to_beta")
+        back = qfim.reparameterize_covariance(ca, core.inverse_jacobian(jac))
         assert np.abs(back.m - c.m).max() < 1e-10 * max(1.0, np.abs(c.m).max())
 
 
@@ -361,7 +361,7 @@ def _btp_product(alpha, t):
 @pytest.mark.parametrize("alpha,t", [((1000.0, 0.4, 0.3), 1.0), ((1.0, 0.4, 0.3), 1000.0)])
 def test_reparameterize_tolerates_rounding_at_scale(alpha, t):
     jac, f, product = _btp_product(alpha, t)
-    out = qfim.reparameterize_qfim(f, jac, "beta_to_alpha")
+    out = qfim.reparameterize_qfim(f, jac)
     assert np.array_equal(out.m, 0.5 * (product + product.T))
     # The weight-matrix check takes the same rule.
     assert qfim.scalar_bound(product, qfim.QfimMatrix(m=np.eye(3)), 1) == pytest.approx(np.trace(product))
@@ -372,7 +372,7 @@ def test_real_asymmetry_raises_at_every_scale(scale):
     m = scale * np.diag([1.0, 2.0, 3.0])
     m[0, 1] += 1e-6 * np.abs(m).max()
     with pytest.raises(EstimationError, match="symmetry violated"):
-        qfim.reparameterize_qfim(qfim.QfimMatrix(m=m), np.eye(3), "beta_to_alpha")
+        qfim.reparameterize_qfim(qfim.QfimMatrix(m=m), np.eye(3))
     with pytest.raises(DomainError, match="symmetric"):
         qfim.scalar_bound(m, qfim.QfimMatrix(m=np.eye(3)), 1)
 
@@ -389,10 +389,10 @@ def test_reparameterize_singular_jacobian():
     f = qfim.qfim_entangled(core.get_model("pauli"), (0.5, -0.2, 0.9), 1.1)
     bad = np.diag([1.0, 1.0, 0.0])
     with pytest.raises(SingularJacobian):
-        qfim.reparameterize_qfim(f, bad, "alpha_to_beta")
+        qfim.reparameterize_qfim(f, core.inverse_jacobian(bad))
     c = qfim.covariance_from_qfim(f, 4)
     with pytest.raises(SingularJacobian):
-        qfim.reparameterize_covariance(c, bad, "beta_to_alpha")
+        qfim.reparameterize_covariance(c, bad)
 
 
 # ---------------------------------------------------------------------------
