@@ -11,7 +11,12 @@ command, params, rows, plus command-specific sections) in the layout of
 json.dumps(indent=2) and serialize floats with repr, the shortest round-trip
 form. `simulate` writes its rows straight from the trace's columns into one
 json.dumps template of a row, the same bytes json.dumps gives for the rows
-as dicts. CSV uses a header row, comma separators, LF line endings, UTF-8.
+as dicts. A column that holds the same bits in every rep is written once
+into the template; a column bit-equal to an earlier one, or to an earlier
+float column's negation, reuses that column's strings (sign flipped for the
+negation), so repr runs once per distinct column and rep. Rows are formatted
+and written in chunks of reps, so memory beyond the trace stays bounded.
+CSV uses a header row, comma separators, LF line endings, UTF-8.
 Vector-valued flags take comma-separated components (`--alpha 0.1,0.2,0.3`)
 and deviation grids take START:STOP:STEP. A vector whose first component is
 negative must follow an `=` (`--alpha=-0.8,0.4,0.3`): argparse reads a
@@ -47,6 +52,8 @@ _VECTOR_HELP = "comma-separated components; a negative first one needs '=', as i
 _NOT_FINITE = "result is not finite and cannot be written as JSON"
 # Placeholders of the simulate writer: a per-rep number, and the list of rows.
 _LEAF, _ROWS = "<leaf>", "<rows>"
+# Reps per chunk of `simulate` rows formatted and written at once.
+_CHUNK_REPS = 1000
 
 
 def _json_text(doc: dict) -> str:
@@ -62,7 +69,8 @@ def _json_text(doc: dict) -> str:
 def _write_csv(path, header: list, rows) -> None:
     """Write the header and rows as CSV to path, or to stdout when path is
     None. csv writes a Python float with repr, the shortest round-trip form.
-    A file that cannot be opened or written is a DomainError that names it."""
+    A file that cannot be opened or written is a DomainError that names it
+    with repr, so a line break in the path stays on the one error line."""
     try:
         with open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
             w = csv.writer(out, lineterminator="\n")
@@ -71,7 +79,7 @@ def _write_csv(path, header: list, rows) -> None:
     except OSError as exc:
         if not path:
             raise  # a closed stdout ends quietly in main
-        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise DomainError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _triple(text: str) -> tuple:
@@ -194,20 +202,71 @@ def _cmd_robustness_total(args) -> int:
     return 0
 
 
-def _per_rep(value, columns: list):
+def _bits(column):
+    """A float or int column as unsigned integers of its width: equal bits,
+    equal entries, with 0.0 and -0.0 apart."""
+    return column.view(f"u{column.itemsize}")
+
+
+class _RepColumns:
+    """The sources of the `simulate` row template's placeholders, in
+    placeholder order: a column to format with repr, or (j, flip), the
+    strings of the formatted column at placeholder j, signs flipped if flip."""
+
+    def __init__(self):
+        self.sources = []
+        self._formatted = {}  # (dtype kind, hash of the bits) -> placeholder
+
+    def _find(self, kind, bits):
+        """The placeholder of the formatted column of this kind with these bits, or None."""
+        j = self._formatted.get((kind, hash(bits.tobytes())))
+        return j if j is not None and np.array_equal(_bits(self.sources[j]), bits) else None
+
+    def add(self, column):
+        """The template entry of one column: a number when every rep holds
+        the same bits, otherwise a placeholder whose source is appended."""
+        bits, kind = _bits(column), column.dtype.kind
+        if (bits == bits[0]).all():
+            return column[0].item()
+        # repr(-x) is repr(x) with its sign flipped, 0.0 and -0.0 included;
+        # for an int it is not (-0 is written 0), so ints are never negated.
+        if (j := self._find(kind, bits)) is not None:
+            self.sources.append((j, False))
+        elif kind == "f" and (j := self._find(kind, _bits(-column))) is not None:
+            self.sources.append((j, True))
+        else:
+            self._formatted.setdefault((kind, hash(bits.tobytes())), len(self.sources))
+            self.sources.append(column)
+        return _LEAF
+
+    def strings(self, start, stop):
+        """Each placeholder's strings for reps start..stop-1."""
+        strings = []
+        for source in self.sources:
+            if isinstance(source, np.ndarray):
+                strings.append(list(map(repr, source[start:stop].tolist())))
+            else:
+                j, flip = source
+                strings.append([s[1:] if s[0] == "-" else "-" + s for s in strings[j]] if flip else strings[j])
+        return strings
+
+
+def _per_rep(value, columns: _RepColumns):
     """The row template's entry for one field. An array with the rep axis
-    first becomes placeholders shaped like one rep's entry and appends its
-    columns, one list of Python numbers per placeholder in placeholder order,
-    to columns; any other value is shared by every rep and is its own entry."""
+    first becomes entries shaped like one rep's, one per column: a column
+    whose reps all hold the same bits is a shared number that json.dumps
+    writes into the template once; any other is a placeholder, and its
+    source goes to columns. repr then runs at most once per distinct column
+    and rep: a column bit-equal to an earlier one reuses its strings, and a
+    float column equal to an earlier one's negation reuses them with the
+    sign flipped. Any other value is shared by every rep and is its own entry."""
     if not isinstance(value, np.ndarray):
         return value
     if value.dtype.kind == "f" and not np.isfinite(value).all():
         raise DomainError(_NOT_FINITE)
     if value.ndim == 1:
-        columns.append(value.tolist())
-        return _LEAF
-    columns.extend(value.T.tolist())
-    return [_LEAF] * value.shape[1]
+        return columns.add(value)
+    return [columns.add(column) for column in value.T]
 
 
 def _cmd_simulate(args) -> int:
@@ -229,7 +288,7 @@ def _cmd_simulate(args) -> int:
     # Every row has rep 0's layout: json.dumps writes it once, with a
     # placeholder at each per-rep number, and each rep fills the placeholders
     # from its own entries of the columns, in the same order.
-    columns = []
+    columns = _RepColumns()
     row = {
         "rep": _per_rep(np.arange(args.reps), columns),
         "beta_hat": _per_rep(trace.beta_hat, columns),
@@ -253,15 +312,20 @@ def _cmd_simulate(args) -> int:
     }
     head, middle, tail = _json_text(doc).split(json.dumps(_ROWS))
     separator = middle[: middle.index("{")]
-    # %r writes a float with float.__repr__ and an int with int.__repr__, as json does.
-    template = middle[len(separator) : -len(separator)].replace("%", "%%").replace(json.dumps(_LEAF), "%r")
-    text = head + separator.join([template % values for values in zip(*columns)]) + tail
+    template = middle[len(separator) : -len(separator)].replace("%", "%%").replace(json.dumps(_LEAF), "%s")
     # A rejected document leaves no CSV, and an unwritable CSV leaves stdout empty.
     if args.csv:
-        # rep, beta_hat and realized_sq_error are the first five columns.
         header = ["rep", "beta_hat_1", "beta_hat_2", "beta_hat_3", "realized_sq_error"]
-        _write_csv(args.csv, header, zip(*columns[:5]))
-    sys.stdout.write(text)
+        rows = zip(range(args.reps), *trace.beta_hat.T.tolist(), trace.realized_sq_error.tolist())
+        _write_csv(args.csv, header, rows)
+    # The rows go out in chunks of _CHUNK_REPS reps, so the strings held at
+    # once do not grow with reps. Only a single rep can have no placeholder.
+    sys.stdout.write(head)
+    for start in range(0, args.reps, _CHUNK_REPS):
+        strings = columns.strings(start, start + _CHUNK_REPS)
+        rows = [template % values for values in zip(*strings)] if strings else [template % ()]
+        sys.stdout.write((separator if start else "") + separator.join(rows))
+    sys.stdout.write(tail)
     return 0
 
 
@@ -270,6 +334,10 @@ class _Parser(argparse.ArgumentParser):
     `error:` line on stderr and exit 2, without the usage block."""
 
     def error(self, message):
+        # argparse echoes some arguments raw, as in `unrecognized arguments:`;
+        # a character that is not printable, a line break included, is
+        # escaped as repr writes it.
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
         self.exit(2, f"error: {message}\n")
 
 

@@ -53,7 +53,7 @@ from .util import MAX_TRIALS, check_seed, check_trials, sample_stream
 PROBABILITY_LOG_FLOOR = 1e-300
 MLE_MAX_ITERATIONS = 200
 BELL_MIN_TRIALS = 100
-# Largest repetition count: `simulate` peak memory grows by about 8 kB per rep, 0.8 GB at the cap.
+# Largest repetition count: `simulate` peak memory grows by about 2 kB per rep, 0.22 GB at the cap.
 MAX_REPS = 10**5
 
 

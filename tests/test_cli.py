@@ -542,8 +542,7 @@ def test_simulate_planned_v_m_is_the_schedule_value(capsys, beta, n, m):
     assert doc["summary"]["planned_v_m"] == v_m
 
 
-@pytest.mark.parametrize(
-    "argv",
+SIMULATE_CASES = (
     [
         ["--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "1", "--seed", "3", "--reps", "1"],
         ["--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "2", "--seed", "5", "--reps", "4", "--backend", "bell",
@@ -555,17 +554,40 @@ def test_simulate_planned_v_m_is_the_schedule_value(capsys, beta, n, m):
     + [
         ["--beta0=" + ",".join(map(repr, beta)), "--n", str(n), "--m", str(m), "--seed", "4", "--reps", "3"]
         for beta, n, m in _random_runs(10, 29)
-    ],
+    ]
+    + [
+        # beta_hat_2 and beta_hat_3 are 0.0 in every rep: shared columns, still in the CSV.
+        ["--backend", "bell", "--beta0", "0.05,0,0", "--n", "1000", "--m", "1", "--seed", "1", "--reps", "5"],
+        ["--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "2", "--seed", "3", "--reps", "2"],
+        # The refined int n_used differs between reps.
+        ["--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "3", "--seed", "11", "--reps", "7", "--refine"],
+    ]
 )
-def test_simulate_matches_the_row_by_row_reference(capsys, tmp_path, argv):
-    # The writer fills one json.dumps template per rep from the trace's columns;
-    # the reference builds every row as a dict and dumps the whole document.
+
+
+def assert_simulate_matches_reference(capsys, tmp_path, argv):
     path = tmp_path / "reps.csv"
     code, out, _ = run_cli(capsys, "simulate", *argv, "--csv", str(path))
     assert code == 0
     text, csv_text = simulate_reference(cli.build_parser().parse_args(["simulate", *argv]))
     assert out == text
     assert path.read_text(encoding="utf-8") == csv_text
+
+
+@pytest.mark.parametrize("argv", SIMULATE_CASES)
+def test_simulate_matches_the_row_by_row_reference(capsys, tmp_path, argv):
+    # The writer fills one json.dumps template per rep from the trace's columns;
+    # the reference builds every row as a dict and dumps the whole document.
+    assert_simulate_matches_reference(capsys, tmp_path, argv)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("argv", SIMULATE_CASES)
+def test_simulate_chunk_seams_match_the_reference(capsys, tmp_path, monkeypatch, argv, chunk):
+    # Rows are formatted and written in chunks of reps; the seams between
+    # chunks must not show in the bytes.
+    monkeypatch.setattr(cli, "_CHUNK_REPS", chunk)
+    assert_simulate_matches_reference(capsys, tmp_path, argv)
 
 
 def test_simulate_bell_far_guess_runs(capsys):
@@ -901,6 +923,8 @@ def test_negative_first_component_takes_the_equals_form(capsys, argv):
         ["frobnicate"],
         [],
         ["qfim", "--alpha", "0.8,-0.4,0.3", "--t", "1", "--bogus"],
+        # argparse echoes an unrecognized argument raw; its line break is escaped.
+        ["qfim", "--alpha", "1,0,0", "--t", "1", "a\nb"],
     ],
 )
 def test_argparse_rejection_is_one_error_line(capsys, argv):
@@ -991,12 +1015,17 @@ FILE_FLAG_COMMANDS = [
 @pytest.mark.parametrize(
     "argv", FILE_FLAG_COMMANDS, ids=["variance-curve", "robustness-single", "robustness-total", "simulate"]
 )
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "line-break"])
 def test_unwritable_file_flag_exits_two(capsys, tmp_path, argv, where):
-    path = str(tmp_path / "missing" / "out.csv") if where == "missing-directory" else str(tmp_path)
+    path = {
+        "missing-directory": str(tmp_path / "missing" / "out.csv"),
+        "directory": str(tmp_path),
+        "line-break": str(tmp_path / "no\ndir" / "x.csv"),
+    }[where]
     code, out, err = run_cli(capsys, *argv, path)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot write {path}: ")
+    # The path is written with repr, so a line break in it stays escaped.
+    assert err.startswith(f"error: cannot write {path!r}: ")
     assert err.count("\n") == 1
 
 

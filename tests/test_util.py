@@ -1,6 +1,7 @@
 """Numeric helpers: csc^2 and its series branch for floats and arrays, the
 trial-count rule, FD steps, keyed RNG streams, phase policy."""
 
+import json
 import math
 
 import numpy as np
@@ -74,6 +75,18 @@ def test_sample_stream_keyed_determinism():
     d = sample_stream(13, 7).standard_normal(8)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("seed,index", [(0, 0), (12, 7), (3, 99_999), (2**64 - 1, 2**64 - 1)])
+def test_sample_stream_is_the_philox_keyed_stream(seed, index):
+    # sample_stream passes its key through a seed-sequence object, not key=;
+    # the state and the draws are Philox(key=[seed, index])'s all the same.
+    ours, reference = sample_stream(seed, index), np.random.Generator(np.random.Philox(key=[seed, index]))
+    state = [json.dumps(g.bit_generator.state, default=np.ndarray.tolist) for g in (ours, reference)]
+    assert state[0] == state[1]
+    assert np.array_equal(ours.standard_normal(1000).view(np.uint64), reference.standard_normal(1000).view(np.uint64))
+    p = [0.1, 0.2, 0.3, 0.4]
+    assert np.array_equal(ours.multinomial(12345, p), reference.multinomial(12345, p))
 
 
 def test_keyed_stream_matches_fresh_streams():
