@@ -32,13 +32,15 @@ previous settings while holding that iteration's total time budget
 n * t_planned fixed, in a trial count no smaller than the backend's floor.
 The reps are the batch axis of this loop and of its result: one
 ExperimentTrace of m IterationOutcome records, each array rep-axis first.
-Rep r is row r and draws from its own stream (seed, r) as a run of it alone
-would, so its row does not depend on the rep count.
+Measurement j, counted in run order (refinement before main), draws for all
+reps from the one stream (seed, j) in rep order: row r does not depend on the
+rep count, and a run with a smaller m is a prefix of a larger one.
 
 scipy.optimize is imported inside the Bell fit, on its first call, so that
 importing hamest and running every other command never loads scipy.
 """
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -53,7 +55,7 @@ from .util import MAX_TRIALS, check_seed, check_trials, sample_stream
 PROBABILITY_LOG_FLOOR = 1e-300
 MLE_MAX_ITERATIONS = 200
 BELL_MIN_TRIALS = 100
-# Largest repetition count: `simulate` peak memory grows by about 2 kB per rep, 0.22 GB at the cap.
+# Largest repetition count: `simulate` peak memory grows by about 0.8 kB per rep, 0.12 GB at the cap.
 MAX_REPS = 10**5
 
 
@@ -293,13 +295,13 @@ def estimate_step_bell(
     return _fit_bell_counts(counts.astype(float), t, prior)
 
 
-def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, draws):
+def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, rng):
     """One measurement of every rep's residual: (estimates, trace_cov, counts).
     Gaussian: residual + C^{1/2} z, with C along each residual direction at the
-    operating magnitude and z the reps' normals in draws; trace_cov is tr C.
+    operating magnitude and z one (R, 3) normal draw from rng; trace_cov is tr C.
     A residual that is exactly zero takes the direction of config.beta_true.
-    Bell: each rep fits n outcomes sampled from its generator in draws,
-    toward its prior.
+    Bell: rep by rep, each fits n outcomes sampled from rng toward its prior;
+    the counts are the bits of one multinomial call on the stacked n and p.
     """
     if config.backend == "gaussian":
         direction = np.where((residual == 0.0).all(axis=1, keepdims=True), config.beta_true, residual)
@@ -313,18 +315,19 @@ def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, draws):
         if np.any(norm == 0.0):
             raise DomainError("residual direction is undefined at zero residual")
         cov = iteration_covariance(direction * (magnitude / norm)[:, None], n, t)
-        return residual + estimate_step_gaussian(cov, draws), np.trace(cov.m, axis1=1, axis2=2), None
+        z = rng.standard_normal(residual.shape)
+        return residual + estimate_step_gaussian(cov, z), np.trace(cov.m, axis1=1, axis2=2), None
     estimates = np.zeros_like(residual)
     counts = np.zeros((len(residual), 4), dtype=np.int64)
-    for r, rng in enumerate(draws):
+    for r in range(len(residual)):
         counts[r] = sample_counts(bell_probabilities(residual[r], t[r]), int(n[r]), rng)
         estimates[r] = _fit_bell_counts(counts[r].astype(float), t[r], prior[r])
     return estimates, None, counts
 
 
 def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> ExperimentTrace:
-    """Run reps 0..reps-1 of the experiment as one batch, rep r on the stream
-    (config.seed, r), and return their trace: rep r is row r of its arrays.
+    """Run reps 0..reps-1 of the experiment as one batch, measurement j on the
+    stream (config.seed, j), and return their trace: rep r is row r of its arrays.
 
     A likelihood fit that does not converge raises MleNonconvergence and
     ends the run. run_repetitions is the validated entry point; both names
@@ -333,13 +336,8 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> ExperimentTr
     # The plan bounds m before any normals are drawn: it ends where V_m underflows.
     bound = config.resolved_bound()
     plan = plan_schedule(bound * bound, config.n, target_m=config.m)
-    measurements = 2 * config.m - 1 if config.time_refinement else config.m
-    streams = [sample_stream(config.seed, r) for r in range(reps)]
-    draws = iter([streams] * measurements)
-    if config.backend == "gaussian":
-        # Rep r draws the normals of all its measurements in one call, in
-        # measurement order: the refinement measurement before the main one.
-        draws = iter(np.stack([g.standard_normal((measurements, 3)) for g in streams], axis=1))
+    # One stream per measurement, in run order: the refinement measurement before the main one.
+    streams = (sample_stream(config.seed, j) for j in itertools.count())
     beta_true = np.asarray(config.beta_true, dtype=float)
 
     beta_hat = np.zeros((reps, 3))
@@ -355,7 +353,7 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> ExperimentTr
         if k >= 2 and config.time_refinement:
             second, _, _ = _measure(
                 config, prev_residual, np.full(reps, float(config.resolved_extra())), prev_t,
-                prev_magnitude, prev_estimate, next(draws),
+                prev_magnitude, prev_estimate, next(streams),
             )
             omega_tilde = np.sqrt(np.vecdot(prev_estimate - second, prev_estimate - second))
             refined = omega_tilde > 0.0
@@ -365,7 +363,7 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> ExperimentTr
             n_refined = np.clip(np.round(config.n * t_plan / t_k), config.min_trials(), MAX_TRIALS)
             n_k = np.where(refined, n_refined, n_k)
             magnitude = np.where(refined, omega_tilde, magnitude)
-        estimate, trace_cov, counts = _measure(config, residual, n_k, t_k, magnitude, prior, next(draws))
+        estimate, trace_cov, counts = _measure(config, residual, n_k, t_k, magnitude, prior, next(streams))
 
         res_sq = np.vecdot(residual, residual)
         # A huge residual overflows d_factor to inf, which the CLI rejects.
@@ -385,8 +383,8 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> ExperimentTr
 
 
 def run_repetitions(config: ExperimentConfig, reps: int) -> ExperimentTrace:
-    """Run 1 <= reps <= MAX_REPS repetitions, rep r on stream (seed, r), and
-    return their trace, rep r in row r: the entry point the CLI calls."""
+    """Run 1 <= reps <= MAX_REPS repetitions, measurement j on stream (seed, j),
+    and return their trace, rep r in row r: the entry point the CLI calls."""
     if not 1 <= reps <= MAX_REPS:
         raise DomainError(f"repetition count must lie in [1, {MAX_REPS}], got {reps}")
     return run_adaptive_experiment(config, reps)

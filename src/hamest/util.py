@@ -76,8 +76,8 @@ class _Key(np.random.bit_generator.ISeedSequence):
 
 
 def sample_stream(seed, index):
-    """RNG stream keyed by (seed, index); index numbers a simulator rep or a
-    Monte Carlo block. The generator is counter-based, so streams for distinct
+    """RNG stream keyed by (seed, index); index numbers a simulator measurement
+    or a Monte Carlo block. The generator is counter-based, so streams for distinct
     keys are independent and each can be redrawn on its own, in any order.
 
     The key reaches Philox through a seed-sequence object, not its key=

@@ -458,12 +458,12 @@ def test_simulate_bell_below_fit_floor(capsys):
 @pytest.mark.parametrize(
     "extra,digest",
     [
-        ([], "42a46a6218c54522417abcebd5a92ccaf6ff4942dd38b3ba0d57d55f385a8466"),
-        (["--refine"], "a80b79e2f65c498eb41b781f24de7a5a656116309f6dc440a28aefc8aa131a5b"),
-        (["--backend", "bell"], "2b3337d1778d4e2d52ca006267d626cdf7e68c001e83c2f9b79be74d8e630937"),
+        ([], "a51af61c425a5914ef923af37d2088ecb408364e50e61040f9a900e28180ae43"),
+        (["--refine"], "d85f7b56161c4e145f32841d18771e19ee72a3470f4b9fb672735030c70861bb"),
+        (["--backend", "bell"], "bed12b528c369f6b1bc9414a7f8308fe8687560be9f932f68a7eb5808b123859"),
         (
             ["--backend", "bell", "--refine"],
-            "2615f7a8fa06b776ee75d56d714a849c244ed507f6af2d88de6a4715e53dbb01",
+            "28c221d80c870933f34dc8031670caac6e4759f2d0d9bdc17d3dae83d22f25e0",
         ),
     ],
 )
@@ -477,8 +477,8 @@ def test_simulate_output_pinned(capsys, extra, digest):
 @pytest.mark.parametrize(
     "extra,digest",
     [
-        ([], "da728630f8d5528eb8730d52b73c83939927b108648a382c57940b9bba71f34a"),
-        (["--refine"], "20c705623667663ce84122f911103d12ecaee74d68b26cba5873d14312a5363b"),
+        ([], "ad44324910e042bd76e99ae95e55d7b5b679ef91d22a214799a4725aa699a3e6"),
+        (["--refine"], "b7383bac315b3db86108672ceb80381520738b4645c0cd55b048ba957b36e810"),
     ],
 )
 def test_simulate_readme_output_pinned(capsys, extra, digest):
@@ -490,7 +490,7 @@ def test_simulate_readme_output_pinned(capsys, extra, digest):
 
 @pytest.mark.parametrize("extra", [[], ["--refine"], ["--backend", "bell"]])
 def test_rows_do_not_depend_on_reps(capsys, extra):
-    # Rep r draws from its own stream (seed, r), so a longer run only appends rows.
+    # One stream per measurement, drawn in rep order, so a longer run only appends rows.
     argv = ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "3", "--seed", "11", *extra]
     _, short, _ = run_cli(capsys, *argv, "--reps", "2")
     _, long, _ = run_cli(capsys, *argv, "--reps", "5")

@@ -1,6 +1,7 @@
 """Bell-basis sampling, per-step estimators, and the adaptive experiment loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,13 +390,77 @@ def _leading_rows(record, reps=None):
 
 
 def test_repetition_worker_independence():
-    # Rep r draws from its own stream (seed, r): the first rows of a longer
-    # run are the shorter run, bit for bit, on every backend.
+    # Each measurement draws for the reps from one stream, in rep order: the
+    # first rows of a longer run are the shorter run, bit for bit, on every
+    # backend. Measurement j's key does not depend on m, so the iterations of
+    # a run with m = 2 are the first two of a run with m = 3.
     for cfg in (ref_config(m=3), ref_config(m=3, time_refinement=True), ref_config(backend="bell")):
         short, long = simulator.run_repetitions(cfg, 3), simulator.run_repetitions(cfg, 8)
         assert short.beta_hat.shape == (3, 3)
         for a, b in zip((short, *short.iterations), (long, *long.iterations), strict=True):
             assert _leading_rows(a) == _leading_rows(b, 3)
+    for refine in (False, True):
+        short = simulator.run_repetitions(ref_config(m=2, time_refinement=refine), 3)
+        long = simulator.run_repetitions(ref_config(m=3, time_refinement=refine), 8)
+        for a, b in zip(short.iterations, long.iterations[:2], strict=True):
+            assert _leading_rows(a) == _leading_rows(b, 3)
+
+
+@pytest.mark.parametrize("backend", ["gaussian", "bell"])
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("reps", [1, 5])
+def test_one_stream_per_measurement(monkeypatch, backend, refine, reps):
+    # Measurement j draws every rep's normals, or counts, from the one stream
+    # (seed, j): the refinement measurement before the main one.
+    made, normals, counts = [], [], {}
+    step, sample = simulator.estimate_step_gaussian, simulator.sample_counts
+
+    def recording_stream(seed, index):
+        made.append(((seed, index), sample_stream(seed, index)))
+        return made[-1][1]
+
+    def recording_step(cov, z):
+        normals.append(z)
+        return step(cov, z)
+
+    def recording_counts(p, n, rng):
+        drawn = sample(p, n, rng)
+        key = next(key for key, g in made if g is rng)
+        counts.setdefault(key, []).append((np.asarray(p) / np.sum(p), n, drawn))
+        return drawn
+
+    monkeypatch.setattr(simulator, "sample_stream", recording_stream)
+    monkeypatch.setattr(simulator, "estimate_step_gaussian", recording_step)
+    monkeypatch.setattr(simulator, "sample_counts", recording_counts)
+    cfg = ref_config(m=3, backend=backend, time_refinement=refine)
+    simulator.run_repetitions(cfg, reps)
+    keys = [(cfg.seed, j) for j in range(2 * cfg.m - 1 if refine else cfg.m)]
+    assert [key for key, _ in made] == keys
+    if backend == "gaussian":
+        assert len(normals) == len(keys)
+        for key, z in zip(keys, normals, strict=True):
+            assert np.array_equal(z, sample_stream(*key).standard_normal((reps, 3)))
+        return
+    assert list(counts) == keys
+    for key, draws in counts.items():
+        p, n, drawn = (np.array(column) for column in zip(*draws, strict=True))
+        assert np.array_equal(drawn, sample_stream(*key).multinomial(n, p))
+
+
+def test_trace_memory_stays_near_its_arrays():
+    # At 20 000 reps of the README Gaussian run the peak traced allocation
+    # stays within 3x the trace's own arrays: no per-rep generators or draws
+    # outlive the measurement that uses them.
+    cfg = simulator.ExperimentConfig(beta_true=BETA_REFERENCE, m=4, n=1000, seed=11)
+    tracemalloc.start()
+    try:
+        trace = simulator.run_repetitions(cfg, 20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    records = (trace, *trace.iterations)
+    held = sum(v.nbytes for r in records for v in vars(r).values() if isinstance(v, np.ndarray))
+    assert peak < 3 * held
 
 
 def test_repetition_validation():
