@@ -83,15 +83,32 @@ def deviation_weight() -> float:
     return g * g * csc_squared(g)
 
 
-def iteration_covariance(delta_beta, n, t) -> Covariance3:
+@dataclass(frozen=True)
+class AxialCovariance:
+    """Covariance a P_par + b P_perp, axial about the unit vectors u: P_par = u u^T
+    and P_perp = I - P_par. For a stack, a and b have its shape (...), u (..., 3)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    u: np.ndarray
+
+    @property
+    def m(self) -> np.ndarray:
+        """The covariance as a matrix, or a stack of them of shape (..., 3, 3)."""
+        p_par = self.u[..., :, None] * self.u[..., None, :]
+        return self.a[..., None, None] * p_par + self.b[..., None, None] * (np.eye(3) - p_par)
+
+
+def iteration_covariance(delta_beta, n, t) -> AxialCovariance:
     """Covariance of one iteration's estimate of the residual field delta_beta.
 
-    C = (1 / 4n) [ P_par / t^2 + w^2 csc^2(w t) P_perp ],  w = |delta_beta|,
-    with P_par the projector onto the residual direction. A stack of residuals
-    (..., 3), with n and t scalars or of shape (...), gives C of shape (..., 3, 3).
+    C = a P_par + b P_perp,  a = 1 / (4n t^2),  b = w^2 csc^2(w t) / (4n),
+    w = |delta_beta|, with P_par the projector onto the residual direction u.
+    A stack of residuals (..., 3), with n and t scalars or of shape (...), gives
+    a and b of shape (...) and u of shape (..., 3).
     """
     delta_beta = np.asarray(delta_beta, dtype=float)
-    n, t = np.asarray(n)[..., None, None], np.asarray(t, dtype=float)[..., None, None]
+    n, t = np.asarray(n), np.asarray(t, dtype=float)
     if delta_beta.shape[-1:] != (3,) or not np.all(np.isfinite(delta_beta)):
         raise DomainError("delta_beta must be a finite 3-vector")
     if not np.all(t > 0.0):
@@ -99,21 +116,20 @@ def iteration_covariance(delta_beta, n, t) -> Covariance3:
     check_trials(n)
     # Every entry is computed; a zero residual, a bad phase or an overflow is rejected after.
     with np.errstate(all="ignore"):
-        w = np.sqrt(np.vecdot(delta_beta, delta_beta))[..., None, None]
+        w = np.sqrt(np.vecdot(delta_beta, delta_beta))
         x = w * t
-        csc2 = csc_squared(x)
-        nhat = delta_beta[..., None, :] / w
-        p_par = np.swapaxes(nhat, -1, -2) * nhat
-        m = (p_par / (t * t) + w * w * csc2 * (np.eye(3) - p_par)) / (4.0 * n)
+        a = 1.0 / (4.0 * n * t * t)
+        b = w * w * csc_squared(x) / (4.0 * n)
+        u = delta_beta / w[..., None]
         pole = near_pole(x, math.pi)
     if np.any(w == 0.0):
         raise DegenerateInput("residual field vanishes; direction is undefined")
     check_phase(float(np.max(x)))
     if np.any(pole):
         raise DivergentTime(f"w * t = {x[pole][0]:.12g} sits on a multiple of pi; covariance diverges")
-    if not np.all(np.isfinite(m)):
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("iteration covariance is not finite; the field or time is too large")
-    return Covariance3(m=m)
+    return AxialCovariance(a=a, b=b, u=u)
 
 
 def expected_dE2_next(total_time: float, t: float, dE2: float) -> float:

@@ -47,7 +47,7 @@ class QfimMatrix:
 
 @dataclass(frozen=True)
 class Covariance3:
-    """3x3 covariance matrix, or a stack of them of shape (..., 3, 3)."""
+    """3x3 covariance matrix."""
 
     m: np.ndarray
 

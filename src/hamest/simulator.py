@@ -10,10 +10,12 @@ Two measurement backends share the same adaptive loop:
   put weight arbitrarily close to the csc^2 divergence and give the realized
   squared error an infinite mean, which the contraction recursion never
   models; with the mean-field operating point the realized deviation factors
-  follow the control-error law exactly, at every iteration. Its covariance
-  stays finite up to w t = pi, so this backend hides the phase-branch
-  ambiguity that the Bell backend has to resolve. A residual that is exactly
-  zero (a deep schedule can reach one) takes the true field's direction.
+  follow the control-error law exactly, at every iteration. The covariance
+  is axial about the residual direction, so each estimate applies its square
+  root in closed form and no matrix is built. It stays finite up to w t = pi,
+  so this backend hides the phase-branch ambiguity that the Bell backend has
+  to resolve. A residual that is exactly zero (a deep schedule can reach one)
+  takes the true field's direction.
 * "bell" samples Bell-basis outcome counts from the exact probabilities and
   estimates the residual field by maximum likelihood: four frequencies fix
   three parameters, so the estimate inverts them in closed form. L-BFGS,
@@ -209,12 +211,11 @@ def sample_counts(p, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def estimate_step_gaussian(cov, z) -> np.ndarray:
-    """Estimation errors C^{1/2} z from covariances cov (a Covariance3 of
-    shape (..., 3, 3)) and standard normals z of shape (..., 3), with the
-    symmetric square root from an eigendecomposition."""
-    w, v = np.linalg.eigh(cov.m)
-    root = v @ (np.sqrt(np.clip(w, 0.0, None))[..., None] * np.eye(3)) @ np.swapaxes(v, -1, -2)
-    return (root @ np.asarray(z)[..., None])[..., 0]
+    """Estimation errors C^{1/2} z from axial covariances cov (from
+    adaptive.iteration_covariance) and standard normals z of shape (..., 3).
+    C^{1/2} = sqrt(a) P_par + sqrt(b) P_perp, applied in closed form."""
+    root_a, root_b = np.sqrt(cov.a)[..., None], np.sqrt(cov.b)[..., None]
+    return root_b * z + (root_a - root_b) * np.vecdot(cov.u, z)[..., None] * cov.u
 
 
 def _nearest_phase(theta0: float, target: float) -> float:
@@ -297,8 +298,8 @@ def estimate_step_bell(
 
 def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, rng):
     """One measurement of every rep's residual: (estimates, trace_cov, counts).
-    Gaussian: residual + C^{1/2} z, with C along each residual direction at the
-    operating magnitude and z one (R, 3) normal draw from rng; trace_cov is tr C.
+    Gaussian: residual + C^{1/2} z, with C axial about each residual direction at the
+    operating magnitude and z one (R, 3) normal draw from rng; trace_cov is tr C = a + 2 b.
     A residual that is exactly zero takes the direction of config.beta_true.
     Bell: rep by rep, each fits n outcomes sampled from rng toward its prior;
     the counts are the bits of one multinomial call on the stacked n and p.
@@ -316,7 +317,7 @@ def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, rng):
             raise DomainError("residual direction is undefined at zero residual")
         cov = iteration_covariance(direction * (magnitude / norm)[:, None], n, t)
         z = rng.standard_normal(residual.shape)
-        return residual + estimate_step_gaussian(cov, z), np.trace(cov.m, axis1=1, axis2=2), None
+        return residual + estimate_step_gaussian(cov, z), cov.a + 2.0 * cov.b, None
     estimates = np.zeros_like(residual)
     counts = np.zeros((len(residual), 4), dtype=np.int64)
     for r in range(len(residual)):

@@ -1,8 +1,9 @@
 """Independent routes to the information quantities, the full-list Bell
-phase search, the scalar deviation draw and whole-process penalty, the
-per-sample robustness Monte Carlo, the exact law of the whole-process penalty
-and the row-by-row `simulate` document: the references that the tests compare
-the library's production routes against."""
+phase search, the eigendecomposition square root of a Gaussian step, the
+scalar deviation draw and whole-process penalty, the per-sample robustness
+Monte Carlo, the exact law of the whole-process penalty and the row-by-row
+`simulate` document: the references that the tests compare the library's
+production routes against."""
 
 import csv
 import io
@@ -212,6 +213,16 @@ def phase_candidates_full(theta0: float, target: float) -> list:
         cands.append(2.0 * math.pi * j + (math.pi - theta0))
         cands.append(2.0 * math.pi * j + (math.pi + theta0))
     return [c for c in cands if c >= 0.0]
+
+
+def gaussian_step_eigh(c, z) -> np.ndarray:
+    """Estimation errors C^{1/2} z for covariance matrices c of shape (..., 3, 3)
+    and normals z of shape (..., 3), with the symmetric square root from an
+    eigendecomposition. Rounding can leave an eigenvalue slightly negative;
+    it is clipped to 0."""
+    w, v = np.linalg.eigh(c)
+    root = v @ (np.sqrt(np.clip(w, 0.0, None))[..., None] * np.eye(3)) @ np.swapaxes(v, -1, -2)
+    return (root @ np.asarray(z)[..., None])[..., 0]
 
 
 def sample_deviation(rng: np.random.Generator) -> float:

@@ -458,8 +458,8 @@ def test_simulate_bell_below_fit_floor(capsys):
 @pytest.mark.parametrize(
     "extra,digest",
     [
-        ([], "a51af61c425a5914ef923af37d2088ecb408364e50e61040f9a900e28180ae43"),
-        (["--refine"], "d85f7b56161c4e145f32841d18771e19ee72a3470f4b9fb672735030c70861bb"),
+        ([], "fdf1d77ca15d8c635dd63e51ebf0cff822df03d14f7ac18b9be992cf7df8391d"),
+        (["--refine"], "dd157ec173899926a9f94e86cba244765e7566526606e795c00d6a9a16558e24"),
         (["--backend", "bell"], "bed12b528c369f6b1bc9414a7f8308fe8687560be9f932f68a7eb5808b123859"),
         (
             ["--backend", "bell", "--refine"],
@@ -477,8 +477,8 @@ def test_simulate_output_pinned(capsys, extra, digest):
 @pytest.mark.parametrize(
     "extra,digest",
     [
-        ([], "ad44324910e042bd76e99ae95e55d7b5b679ef91d22a214799a4725aa699a3e6"),
-        (["--refine"], "b7383bac315b3db86108672ceb80381520738b4645c0cd55b048ba957b36e810"),
+        ([], "89a1c6006c5faff312420b212ccb61c2f233ee2b96277ba5647aac4b92fc2007"),
+        (["--refine"], "85177c9a271d4d0fe9dbacaedcc84370aa5ecb5d80188321762092ddcef3921d"),
     ],
 )
 def test_simulate_readme_output_pinned(capsys, extra, digest):

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from hamest import adaptive, cli, core, qfim, robustness, simulator
+from hamest import adaptive, cli, core, robustness, simulator
 from hamest.errors import DomainError, MleNonconvergence
 from hamest.util import sample_stream
-from reference_routes import phase_candidates_full, ratio_total, sample_deviation
+from reference_routes import gaussian_step_eigh, phase_candidates_full, ratio_total, sample_deviation
 
 BETA_REFERENCE = (0.8, -0.4, 0.3)
 
@@ -105,26 +105,37 @@ def test_sample_counts_validation(p, n):
 
 
 def test_gaussian_step_reconstruction():
-    # same stream, manual C^{1/2} z with the covariance at the operating point
-    res = np.array([0.3, -0.2, 0.4])
-    operating = res * (0.9 / np.linalg.norm(res))
-    cov = adaptive.iteration_covariance(operating, 200, 1.7)
-    err = simulator.estimate_step_gaussian(cov, sample_stream(3, 1).standard_normal(3))
-    w, v = np.linalg.eigh(cov.m)
-    root = v @ np.diag(np.sqrt(w)) @ v.T
-    expected = root @ sample_stream(3, 1).standard_normal(3)
-    assert_allclose(err, expected, rtol=0.0, atol=0.0)
+    # The closed-form root against the eigendecomposition oracle at phase g0 on random residuals
+    rng = np.random.default_rng(3)
+    res = rng.normal(size=(20_000, 3)) * 10.0 ** rng.uniform(-3.0, 1.0, (20_000, 1))
+    n = rng.integers(1, 10**4, 20_000)
+    cov = adaptive.iteration_covariance(res, n, adaptive.g0() / np.linalg.norm(res, axis=1))
+    z = rng.standard_normal((20_000, 3))
+    gap = np.linalg.norm(simulator.estimate_step_gaussian(cov, z) - gaussian_step_eigh(cov.m, z), axis=1)
+    scale = np.sqrt(np.maximum(cov.a, cov.b)) * np.linalg.norm(z, axis=1)
+    assert np.all(gap <= 16.0 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-8, 2e-9])
+def test_gaussian_step_axial_root_near_pole(delta):
+    # At w t = pi - delta the transverse variance is csc^2 larger; the root along u stays sqrt(a)
+    w, n = 0.9, 200
+    t = (math.pi - delta) / w
+    cov = adaptive.iteration_covariance(w * np.array([0.3, -0.2, 0.4]) / math.sqrt(0.29), n, t)
+    along = simulator.estimate_step_gaussian(cov, cov.u) @ cov.u
+    assert along == pytest.approx(1.0 / (2.0 * t * math.sqrt(n)), rel=1e-5)
 
 
 def test_gaussian_step_batch_matches_single_steps():
-    # One batched root per measurement gives each rep's single-matrix draw, bit for bit.
+    # One batched root per measurement gives each rep's single-call draw, bit for bit.
     rng = np.random.default_rng(7)
     res = rng.uniform(-1.0, 1.0, (25, 3))
-    cov = adaptive.iteration_covariance(res, 300, rng.uniform(0.2, 1.5, 25))
+    t = rng.uniform(0.2, 1.5, 25)
+    cov = adaptive.iteration_covariance(res, 300, t)
     z = rng.standard_normal((25, 3))
     batch = simulator.estimate_step_gaussian(cov, z)
     for i in range(25):
-        single = simulator.estimate_step_gaussian(qfim.Covariance3(m=cov.m[i]), z[i])
+        single = simulator.estimate_step_gaussian(adaptive.iteration_covariance(res[i], 300, t[i]), z[i])
         assert np.array_equal(batch[i], single)
 
 
