@@ -21,7 +21,7 @@ import numpy as np
 from .core import inverse_jacobian
 from .errors import DegenerateInput, DivergentTime, DomainError, NoContraction
 from .qfim import Covariance3
-from .util import check_phase, check_trials, csc_squared, first_outside, near_pole
+from .util import check_phase, check_trials, csc_squared, first_outside, near_pole, row_norms
 
 # The objective has one minimum on (0, pi), at g0 ~ 1.2986: this bracket
 # holds it with the objective larger at both ends.
@@ -116,7 +116,7 @@ def iteration_covariance(delta_beta, n, t) -> AxialCovariance:
     check_trials(n)
     # Every entry is computed; a zero residual, a bad phase or an overflow is rejected after.
     with np.errstate(all="ignore"):
-        w = np.sqrt(np.vecdot(delta_beta, delta_beta))
+        w = row_norms(delta_beta)
         x = w * t
         a = 1.0 / (4.0 * n * t * t)
         b = w * w * csc_squared(x) / (4.0 * n)

@@ -11,6 +11,7 @@ Conventions used throughout the package:
   component real and positive (ties go to the first component).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -63,21 +64,24 @@ class SpectralDecomposition2:
     gap: float
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    # Largest-magnitude component made real positive; tie goes to the first.
-    idx = 0 if abs(v[0]) >= abs(v[1]) else 1
-    phase = v[idx] / abs(v[idx])
-    return v * phase.conjugate()
+def _fix_phase(a: complex, c: complex, norm: float) -> np.ndarray:
+    # (a, c) / norm, its largest-magnitude component made real positive; a tie goes to the first.
+    top = a if abs(a) >= abs(c) else c
+    phase = top.conjugate() / (abs(top) * norm)
+    return np.array([a * phase, c * phase])
 
 
 def spectral_decompose(b) -> SpectralDecomposition2:
-    """Eigendecompose H = b.sigma under the package conventions."""
-    w, v = np.linalg.eigh(pauli_compose(b))
-    # eigh returns ascending eigenvalues; our convention is E0 >= E1.
-    e0, e1 = float(w[1]), float(w[0])
-    v0 = _fix_phase(v[:, 1].astype(complex))
-    v1 = _fix_phase(v[:, 0].astype(complex))
-    return SpectralDecomposition2(e0=e0, e1=e1, v0=v0, v1=v1, gap=e0 - e1)
+    """Eigensystem of H = b.sigma in closed form: E0 = -E1 = |b|, v0 along (a, c) = (1 + n_z, n_x + i n_y)
+    if n_z >= 0, else (n_x - i n_y, 1 - n_z), v1 along (-c*, a*); n = b / |b|, or -z at b = 0."""
+    x, y, z = as_pauli_vector(b).tolist()
+    e = math.hypot(x, y, z)
+    x, y, z = (x / e, y / e, z / e) if e > 0.0 else (0.0, 0.0, -1.0)
+    a, c = (complex(1.0 + z), complex(x, y)) if z >= 0.0 else (complex(x, -y), complex(1.0 - z))
+    norm = math.hypot(a.real, a.imag, c.real, c.imag)
+    v0 = _fix_phase(a, c, norm)
+    v1 = _fix_phase(-c.conjugate(), a.conjugate(), norm)
+    return SpectralDecomposition2(e0=e, e1=-e, v0=v0, v1=v1, gap=2.0 * e)
 
 
 def evolve_unitary(b, t: float) -> np.ndarray:

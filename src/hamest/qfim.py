@@ -5,11 +5,12 @@ For H = f.sigma every generator
     h_i(t) = int_0^t exp(iHs) (d_i H) exp(-iHs) ds
 
 is itself a Pauli vector, h_i = g_i.sigma: conjugation by exp(iHs) turns
-J_i = d_i f about n = f / |f| through the angle -2|f|s, so with w = |f|
+J_i = d_i f about n = f / |f| through the angle -2|f|s, so with w = |f|, x = w t,
+p = t sin(2x) / (2x) and r = t sin(x) sin(x) / x (both ratios are 1 at x = 0)
 
-    g_i = t (n.J_i) n + t sinc(2wt) (J_i - (n.J_i) n) - t sin(wt) sinc(wt) (n x J_i),
+    g_i = (t - p) (n.J_i) n + p J_i - r (n x J_i),   G = J^T R,   R = (t - p) n n^T + p I + r [n]_x,
 
-sinc(x) = sin(x) / x, which needs no branch as w -> 0 (there n = 0).
+with [n]_x v = n x v and the g_i as the rows of G; at w = 0, n = 0 and G = t J^T.
 
 The one production QFIM path is the weighted-state formula
 
@@ -79,14 +80,15 @@ def generator(model: HamiltonianModel, alpha, t: float) -> np.ndarray:
     ev = model_evaluate(model, alpha)
     w = math.hypot(*ev.f)
     check_phase(2.0 * w * t)
-    n = ev.f / w if w > 0.0 else np.zeros(3)
-    rows = ev.jac.T
-    along = np.outer(rows @ n, n)
-    return (
-        t * along
-        + t * np.sinc(2.0 * w * t / math.pi) * (rows - along)
-        - t * math.sin(w * t) * np.sinc(w * t / math.pi) * np.cross(n, rows)
-    )
+    n1, n2, n3 = (ev.f / w).tolist() if w > 0.0 else (0.0, 0.0, 0.0)
+    x = w * t
+    s = math.sin(x)
+    p, r = (t * (math.sin(2.0 * x) / (2.0 * x)), t * s * (s / x)) if x != 0.0 else (t, 0.0)
+    c = t - p
+    rot = [[c * n1 * n1 + p, c * n1 * n2 - r * n3, c * n1 * n3 + r * n2],
+           [c * n2 * n1 + r * n3, c * n2 * n2 + p, c * n2 * n3 - r * n1],
+           [c * n3 * n1 - r * n2, c * n3 * n2 + r * n1, c * n3 * n3 + p]]
+    return ev.jac.T @ np.array(rot)
 
 
 def _check_weight(x: float) -> None:

@@ -52,7 +52,7 @@ import numpy as np
 from .adaptive import g0, iteration_covariance, plan_schedule
 from .core import evolve_unitary
 from .errors import DomainError, MleNonconvergence
-from .util import MAX_TRIALS, check_seed, check_trials, sample_stream
+from .util import MAX_TRIALS, check_seed, check_trials, row_norms, sample_stream
 
 PROBABILITY_LOG_FLOOR = 1e-300
 MLE_MAX_ITERATIONS = 200
@@ -306,13 +306,7 @@ def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, rng):
     """
     if config.backend == "gaussian":
         direction = np.where((residual == 0.0).all(axis=1, keepdims=True), config.beta_true, residual)
-        sq = np.vecdot(direction, direction)
-        norm = np.sqrt(sq)
-        small = sq < sys.float_info.min
-        if np.any(small):
-            # Below about 1e-154 the square loses digits or underflows to 0;
-            # hypot scales as it goes, and a zero row stays 0.
-            norm[small] = np.hypot.reduce(direction[small], axis=1)
+        norm = row_norms(direction)
         if np.any(norm == 0.0):
             raise DomainError("residual direction is undefined at zero residual")
         cov = iteration_covariance(direction * (magnitude / norm)[:, None], n, t)

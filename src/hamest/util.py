@@ -45,10 +45,23 @@ def check_trials(n) -> None:
     """Reject a trial count, or an array of them, that is not an integer in
     [1, MAX_TRIALS]. The simulator holds its counts as floats, so a float
     with an integer value counts as an integer."""
-    # Python comparisons: exact for an int of any size, False for NaN, no warnings.
-    counts = n.ravel().tolist() if isinstance(n, np.ndarray) else [n]
-    if not all(1 <= v <= MAX_TRIALS and v % 1 == 0 for v in counts):
+    # Exact for every numeric dtype, and in Python for an int of any size; NaN and inf fail, with no warning.
+    if isinstance(n, np.ndarray) and n.dtype.kind in "biuf":
+        ok = np.all((1 <= n) & (n <= MAX_TRIALS) & (np.floor(n) == n))
+    else:
+        counts = n.ravel().tolist() if isinstance(n, np.ndarray) else [n]
+        ok = all(1 <= v <= MAX_TRIALS and v % 1 == 0 for v in counts)
+    if not ok:
         raise DomainError("trial count must be an integer in [1, 2^53]")
+
+
+def row_norms(x):
+    """Euclidean norm over the last axis of x: sqrt(x . x), or hypot, which scales as
+    it goes, where x . x is subnormal or overflows (|row| outside about 1e-154 .. 1e154)."""
+    with np.errstate(over="ignore"):
+        sq = np.vecdot(x, x)
+    off = (sq < 2.0**-1022) | (sq == math.inf)
+    return np.where(off, np.hypot.reduce(x, axis=-1), np.sqrt(sq))[()] if np.any(off) else np.sqrt(sq)
 
 
 def fd_step(value):

@@ -15,6 +15,8 @@ which the relation reads (csc^2(dE t / 2) t^2 xi1 + xi2) / (n t^2 xi3). At
 dE = 0, sinc = 1 gives the limit (1 / (4 n t^2) per component at a zero Pauli
 field); the envelope ((dE t / 2)^2 xi1 + xi2) / (n t^2 xi3) and its infimum
 (dE / 2)^2 xi1 / (n xi3) have no field direction there: DegenerateSpectrum.
+With the closed-form eigenvectors of core.spectral_decompose, dE_l = J^T <E_l|sigma|E_l>
+and m = J^T <E0|sigma|E1>, as d_i H = sum_k J[k, i] sigma_k: no 2x2 matrix is formed.
 """
 
 import math
@@ -22,11 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HamiltonianModel, model_evaluate, pauli_compose, spectral_decompose
+from .core import HamiltonianModel, model_evaluate, spectral_decompose
 from .errors import DegenerateSpectrum, DivergentTime, DomainError, SingularQfim
 from .util import check_phase, check_trials, near_pole
-
-PAULI = np.array([pauli_compose(e) for e in np.eye(3)])  # sigma_x, sigma_y, sigma_z
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,17 @@ def spectral_sensitivities(model: HamiltonianModel, alpha) -> SpectralSensitivit
     """Hellmann-Feynman level derivatives and matrix elements <E0|d_i H|E1> at alpha."""
     ev = model_evaluate(model, alpha)
     spec = spectral_decompose(ev.f)
-    w = np.array([spec.v0, spec.v1])
-    # d_i H = sum_k J[k, i] sigma_k and s[i, l, l'] = <E_l|d_i H|E_l'>.
-    dh = (ev.jac.T @ PAULI.reshape(3, 4)).reshape(3, 2, 2)
-    s = w.conj() @ dh @ w.T
-    dE = np.diagonal(s, axis1=1, axis2=2).real.T
-    return SpectralSensitivities(dE=dE, dgap=dE[0] - dE[1], m=s[:, 0, 1], gap=spec.gap)
+    u, v = spec.v0.tolist(), spec.v1.tolist()
+    # Rows <E0|sigma|E0>, <E1|sigma|E1>, <E0|sigma|E1>: row @ J holds the <E_l|d_i H|E_l'>.
+    s = np.array([_pauli_elements(u, u), _pauli_elements(v, v), _pauli_elements(u, v)]) @ ev.jac
+    dE = s[:2].real
+    return SpectralSensitivities(dE=dE, dgap=dE[0] - dE[1], m=s[2], gap=spec.gap)
+
+
+def _pauli_elements(u, v) -> tuple:
+    # (<u|sigma_x|v>, <u|sigma_y|v>, <u|sigma_z|v>) of two 2-vectors of Python complex numbers.
+    a0, a1 = u[0].conjugate(), u[1].conjugate()
+    return (a0 * v[1] + a1 * v[0], 1j * (a1 * v[0] - a0 * v[1]), a0 * v[0] - a1 * v[1])
 
 
 def _cross(u, v) -> tuple:

@@ -1,4 +1,5 @@
-"""Independent routes to the information quantities, the full-list Bell
+"""Independent routes to the information quantities, the eigensolver
+spectral decomposition, the full-list Bell
 phase search, the eigendecomposition square root of a Gaussian step, the
 scalar deviation draw and whole-process penalty, the per-sample robustness
 Monte Carlo, the exact law of the whole-process penalty and the row-by-row
@@ -13,13 +14,12 @@ import math
 import numpy as np
 
 from hamest.cli import SCHEMA_VERSION
-from hamest.core import HamiltonianModel, model_evaluate, pauli_compose, spectral_decompose
+from hamest.core import HamiltonianModel, SpectralDecomposition2, model_evaluate, pauli_compose
 from hamest.errors import DomainError
 from hamest.qfim import QfimMatrix, _validated_qfim, generator
 from hamest.robustness import MC_BLOCK, deviation_params
 from hamest.simulator import ExperimentConfig, bell_probabilities, run_repetitions
 from hamest.util import fd_step, sample_stream
-from hamest.variance import spectral_sensitivities
 
 BELL_PROBABILITY_FLOOR = 1e-14
 
@@ -98,14 +98,46 @@ def qfim_explicit_state(hs, x: float) -> np.ndarray:
     )
 
 
+def _fix_phase(v: np.ndarray) -> np.ndarray:
+    # Largest-magnitude component made real positive; tie goes to the first.
+    idx = 0 if abs(v[0]) >= abs(v[1]) else 1
+    phase = v[idx] / abs(v[idx])
+    return v * phase.conjugate()
+
+
+def spectral_decompose_eigh(b) -> SpectralDecomposition2:
+    """Eigensystem of H = b.sigma from a Hermitian eigensolver on the 2x2
+    matrix, under the package conventions (E0 >= E1, phase rule of core)."""
+    w, v = np.linalg.eigh(pauli_compose(b))
+    # eigh returns ascending eigenvalues; the convention is E0 >= E1.
+    e0, e1 = float(w[1]), float(w[0])
+    v0 = _fix_phase(v[:, 1].astype(complex))
+    v1 = _fix_phase(v[:, 0].astype(complex))
+    return SpectralDecomposition2(e0=e0, e1=e1, v0=v0, v1=v1, gap=e0 - e1)
+
+
+def _spectral_data_eigh(model: HamiltonianModel, alpha):
+    """The eigh spectrum of H(alpha), the gap derivatives d_i and the matrix
+    elements m_i = <E0|d_i H|E1>, each from the explicit 2x2 matrix d_i H."""
+    ev = model_evaluate(model, alpha)
+    spec = spectral_decompose_eigh(ev.f)
+    dgap = np.empty(3)
+    m = np.empty(3, dtype=complex)
+    for i in range(3):
+        dh = pauli_compose(ev.jac[:, i])
+        dgap[i] = (spec.v0.conj() @ dh @ spec.v0).real - (spec.v1.conj() @ dh @ spec.v1).real
+        m[i] = spec.v0.conj() @ dh @ spec.v1
+    return spec, dgap, m
+
+
 def qfim_spectral_form(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
-    """QFIM assembled from spectral sensitivities, with m_i = <E0|d_i H|E1>:
+    """QFIM assembled from the eigh spectral data, with m_i = <E0|d_i H|E1>:
 
         F = t^2 d d^T + 4 t^2 sinc^2(dE t / 2) (Re m Re m^T + Im m Im m^T).
     """
-    s = spectral_sensitivities(model, alpha)
-    osc = 4.0 * t * t * np.sinc(s.gap * t / (2.0 * math.pi)) ** 2
-    m = t * t * np.outer(s.dgap, s.dgap) + osc * (np.outer(s.m.real, s.m.real) + np.outer(s.m.imag, s.m.imag))
+    spec, dgap, mel = _spectral_data_eigh(model, alpha)
+    osc = 4.0 * t * t * np.sinc(spec.gap * t / (2.0 * math.pi)) ** 2
+    m = t * t * np.outer(dgap, dgap) + osc * (np.outer(mel.real, mel.real) + np.outer(mel.imag, mel.imag))
     return _validated_qfim(m)
 
 
@@ -121,14 +153,8 @@ def paper_form_variances(model: HamiltonianModel, alpha, t: float, n: int):
 
     with csc^2 -> 1 for the envelope and xi1 / (n xi3) for the infimum.
     """
-    ev = model_evaluate(model, alpha)
-    spec = spectral_decompose(ev.f)
-    dgap = np.empty(3)
-    overlap = np.empty(3, dtype=complex)
-    for i in range(3):
-        dh = pauli_compose(ev.jac[:, i])
-        dgap[i] = (spec.v0.conj() @ dh @ spec.v0).real - (spec.v1.conj() @ dh @ spec.v1).real
-        overlap[i] = (spec.v0.conj() @ dh @ spec.v1) / (spec.e1 - spec.e0)
+    spec, dgap, m = _spectral_data_eigh(model, alpha)
+    overlap = m / (spec.e1 - spec.e0)
     mu, nu = overlap.real, overlap.imag
     xi1 = np.cross(mu, dgap) ** 2 + np.cross(nu, dgap) ** 2
     xi2 = 16.0 * np.cross(mu, nu) ** 2

@@ -179,6 +179,19 @@ def test_iteration_covariance_errors():
         adaptive.iteration_covariance((1.0, 0.0, 0.0), 5, math.pi)
 
 
+@pytest.mark.parametrize("size", [1e-155, 1e-158, 1e-200])
+def test_iteration_covariance_direction_stays_unit_for_tiny_residuals(size):
+    # |delta_beta|^2 is subnormal or 0 here; the direction u keeps its digits.
+    rng = np.random.default_rng(97)
+    z = rng.standard_normal((2000, 3))
+    delta = size * z / np.hypot.reduce(z, axis=1)[:, None]
+    t = adaptive.g0() / size
+    eps = np.finfo(float).eps
+    u = adaptive.iteration_covariance(delta, 10, t).u
+    assert np.all(np.abs(np.hypot.reduce(u, axis=1) - 1.0) <= 4.0 * eps)
+    assert abs(math.hypot(*adaptive.iteration_covariance(delta[0], 10, t).u) - 1.0) <= 4.0 * eps
+
+
 def test_iteration_covariance_batch_matches_single_calls():
     # A stack of residuals with per-entry n and t gives each entry's own matrix, bit for bit.
     rng = np.random.default_rng(89)

@@ -503,11 +503,11 @@ def test_rows_do_not_depend_on_reps(capsys, extra):
         (
             ["variance-curve", "--model", "pauli", "--alpha", "0.6,0,0.8", "--n", "100",
              "--t-start", "0.1", "--t-stop", "6.0", "--points", "60"],
-            "8d1b1de170ade2638bde6f89fd50fee431d3bba35954b2c065d75d5bd7004398",
+            "f24e6ee56718c78f5399870e9fcfa1ddcce72bd7cf8c8f9079b5b98af26a146c",
         ),
         (
             ["qfim", "--model", "btp", "--alpha", "1.0,0.4,0.3", "--t", "1.0", "--format", "csv"],
-            "6068dd7843868b332618593a87f4717264a735adfe4381b3d02017838d863b86",
+            "ca823146821b8aaa066e7673194b94a90f5a79094bc7d4777a3c00772cd3f02e",
         ),
     ],
 )

@@ -10,9 +10,14 @@ from scipy.linalg import expm
 from hamest import core
 from hamest.errors import DomainError, SingularJacobian
 
+from reference_routes import spectral_decompose_eigh
+
 RECONSTRUCT_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 JACOBIAN_RTOL = 1e-6
+# Closed form against the eigh oracle: a few ulps, in the vectors absolutely
+# and in the eigenvalues relative to |b|.
+EIGH_ATOL = 4e-15
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -118,6 +123,47 @@ def test_spectral_phase_gauge():
             top = v[np.argmax(np.abs(v))]
             assert top.imag == pytest.approx(0.0, abs=RECONSTRUCT_ATOL)
             assert top.real > 0.0
+
+
+def assert_matches_eigh(b):
+    d, ref = core.spectral_decompose(b), spectral_decompose_eigh(np.asarray(b, dtype=float))
+    scale = max(abs(ref.e0), abs(ref.e1))
+    assert abs(d.e0 - ref.e0) <= EIGH_ATOL * scale and abs(d.e1 - ref.e1) <= EIGH_ATOL * scale
+    assert d.e1 == -d.e0 and d.gap == 2.0 * d.e0
+    assert np.abs(d.v0 - ref.v0).max() <= EIGH_ATOL
+    assert np.abs(d.v1 - ref.v1).max() <= EIGH_ATOL
+    return d
+
+
+def test_spectral_matches_eigh_across_magnitudes():
+    rng = np.random.default_rng(9)
+    for _ in range(2000):
+        u = rng.standard_normal(3)
+        assert_matches_eigh(u / np.linalg.norm(u) * 10.0 ** rng.uniform(-300.0, 300.0))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 1e5, 1e300])
+@pytest.mark.parametrize("eps", [0.0, 1e-17, 1e-12, 1e-8, -1e-8, 1e-3])
+def test_spectral_south_pole_branch(scale, eps):
+    # n_z < 0 takes the (n_x - i n_y, 1 - n_z) branch, which keeps its digits at n_z -> -1.
+    d = assert_matches_eigh(scale * np.array([eps, eps, -1.0]))
+    assert abs(np.vdot(d.v0, d.v1)) <= EIGH_ATOL
+    assert np.linalg.norm(d.v0) == pytest.approx(1.0, abs=EIGH_ATOL)
+
+
+@pytest.mark.parametrize("c", [1e-300, -1e-300, 1e-5, 1.0, -1.0, 3.7, -2e150, 1e300])
+def test_spectral_field_along_x_ties_to_first_component(c):
+    # Both components have magnitude 1/sqrt(2): the phase rule fixes the first.
+    d = assert_matches_eigh((c, 0.0, 0.0))
+    for v in (d.v0, d.v1):
+        assert abs(v[0]) == abs(v[1])
+        assert v[0].imag == 0.0 and v[0].real > 0.0
+
+
+def test_spectral_zero_field_convention():
+    # An eigensolver returns the identity's columns at b = 0: v0 = (0, 1), v1 = (1, 0).
+    d = assert_matches_eigh((0.0, 0.0, 0.0))
+    assert d.v0.tolist() == [0.0, 1.0] and d.v1.tolist() == [1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

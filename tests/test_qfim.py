@@ -1,6 +1,7 @@
 """Translation generators, the entangled-scheme QFIM, and information bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,34 @@ def test_generator_commuting_direction():
 def test_generator_t_zero():
     g = generator_matrices(core.get_model("pauli"), (0.3, -0.2, 0.5), 0.0)[1]
     assert_allclose(g, np.zeros((2, 2)), atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "w,t",
+    [(0.7, 0.0), (0.0, 2.0), (0.0, 0.0), (1e-150, 1e-150), (1e-300, 1.0), (1.0, 1e-300), (1e-300, 1e-300)],
+    ids=["t=0", "w=0", "w=t=0", "w=t=1e-150", "w=1e-300", "t=1e-300", "wt-underflows"],
+)
+def test_generator_small_phase_limits(w, t):
+    # sin(2x)/(2x) and sin(x)/x take their limit 1 at x = w t = 0; below
+    # that no ratio is formed, so nothing warns, overflows or divides by 0.
+    pauli, n = core.get_model("pauli"), np.array([0.6, -0.48, 0.64])
+    cases = [(pauli, w * n)]
+    if w > 0.0:
+        cases.append((core.get_model("btp"), np.array([w, 0.4, -0.3])))
+    for model, alpha in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = generator_matrices(model, alpha, t)
+        assert np.all(np.isfinite(g))
+        # |g_i| <= t |J_i|, so the tolerance scales with both.
+        tol = 1e-12 * t * np.abs(core.model_evaluate(model, alpha).jac).max()
+        for i in (1, 2, 3):
+            assert np.abs(g[i - 1] - generator_oracle(model, alpha, i, t)).max() <= tol
+    if w > 0.0:
+        # The rotation part of G = R, r [n]_x with r = t sin(x)^2 / x ~ t x, keeps its digits.
+        cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+        g = qfim.generator(pauli, w * n, t)
+        assert_allclose((g - g.T) / 2.0, t * (w * t) * cross, rtol=1e-12, atol=0.0)
 
 
 def test_generator_matches_quadrature_oracle():

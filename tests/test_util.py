@@ -3,12 +3,22 @@ trial-count rule, FD steps, keyed RNG streams, phase policy."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hamest.errors import DomainError
-from hamest.util import KeyedStream, check_phase, check_trials, csc_squared, fd_step, near_pole, sample_stream
+from hamest.util import (
+    KeyedStream,
+    check_phase,
+    check_trials,
+    csc_squared,
+    fd_step,
+    near_pole,
+    row_norms,
+    sample_stream,
+)
 
 
 def assert_array_matches_scalars(x):
@@ -58,6 +68,51 @@ def test_check_trials_accepts_integer_counts(n):
 def test_check_trials_rejects_other_counts(n):
     with pytest.raises(DomainError, match="trial count must"):
         check_trials(n)
+
+
+@pytest.mark.parametrize(
+    "n,ok",
+    [
+        (math.nan, False),
+        (math.inf, False),
+        (-math.inf, False),
+        (0.0, False),
+        (0.5, False),
+        (2.5, False),
+        (2.0**51 + 0.5, False),
+        (2.0**53, True),
+        (np.int64(2**53 + 1), False),
+        (2.0**53 + 2.0, False),
+        (2**64, False),
+    ],
+    ids=["nan", "inf", "-inf", "0", "0.5", "2.5", "2^51+0.5", "2^53", "int64-2^53+1", "float-2^53+2", "int-2^64"],
+)
+def test_check_trials_array_and_scalar_decide_alike(n, ok):
+    # The vectorized array rule gives the scalar rule's decision, without a
+    # warning, in the value's own dtype (object for an int beyond uint64).
+    dtype = np.asarray(n).dtype
+    arrays = [np.array([n]), np.array([[3, n], [1, 2]], dtype=dtype), np.full(500, n, dtype=dtype)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in [n, *arrays]:
+            if ok:
+                check_trials(value)
+            else:
+                with pytest.raises(DomainError, match="trial count must"):
+                    check_trials(value)
+
+
+def test_row_norms_keep_digits_at_every_scale():
+    # sqrt(x . x) where the square is a normal float; hypot where it is subnormal or overflows.
+    rng = np.random.default_rng(12)
+    u = rng.standard_normal((200, 3))
+    unit = u / np.hypot.reduce(u, axis=1)[:, None]
+    for scale in (1e-300, 1e-200, 1e-158, 1e-155, 1e-150, 1.0, 1e150, 1e155, 1e300):
+        got = row_norms(scale * unit)
+        assert np.all(np.abs(got / scale - 1.0) <= 4.0 * np.finfo(float).eps)
+    assert row_norms(np.zeros((2, 3))).tolist() == [0.0, 0.0]
+    assert row_norms(np.array([3.0, 4.0, 12.0])) == 13.0
+    assert row_norms(np.array([3e-200, 4e-200, 12e-200])) == pytest.approx(13e-200, rel=1e-15)
 
 
 @pytest.mark.parametrize(
