@@ -301,7 +301,7 @@ def _cmd_simulate(args) -> int:
     }
     doc = {
         "command": "simulate",
-        "params": vars(config),
+        "params": {**vars(config), "pi0": None},  # a schema-1 field: refinement targets g0
         "seed": config.seed,
         "rows": [_ROWS, row, _ROWS],
         "summary": {

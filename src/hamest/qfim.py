@@ -22,10 +22,15 @@ F = 4 (G G^T - z^2 g_3 g_3^T), where G stacks the g_i as rows and g_3 is its
 third column. The maximally entangled scheme is the x = 1/2 case, where it
 equals the trace formula 2 Tr(h_i h_j) - Tr(h_i) Tr(h_j); that formula is
 kept as a test oracle only.
+
+Every QfimMatrix checks itself when it is built, whoever builds it: a finite
+3x3 array, symmetric up to rounding and positive semi-definite. It keeps the
+eigenvalues of that one decomposition, so covariance_from_qfim and
+scalar_bound test invertibility without a second one.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,9 +46,36 @@ QFIM_PSD_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class QfimMatrix:
-    """3x3 quantum Fisher information matrix."""
+    """3x3 quantum Fisher information matrix, checked once, when it is built.
+
+    m must be a 3x3 array whose symmetrized entries are finite (DomainError),
+    symmetric within QFIM_SYMMETRY_ATOL (EstimationError), and positive
+    semi-definite within QFIM_PSD_RTOL (EstimationError). It is stored
+    symmetrized, with the eigenvalues of its one eigvalsh for every inversion.
+    """
 
     m: np.ndarray
+    _eigenvalues: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        m = np.asarray(self.m, dtype=float)
+        if m.shape != (3, 3):
+            raise DomainError(f"QFIM must be a 3x3 matrix, got shape {m.shape}")
+        # Finite entries past about 9e307 overflow m + m^T; non-finite ones stay so.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym, asym = 0.5 * (m + m.T), np.max(np.abs(m - m.T))
+        if not np.all(np.isfinite(sym)):
+            raise DomainError("QFIM entries are not finite; the evolution time or field is too large")
+        if asym > QFIM_SYMMETRY_ATOL * max(1.0, np.max(np.abs(m))):
+            raise EstimationError(f"QFIM symmetry violated by {asym:.3e}")
+        eigs = np.linalg.eigvalsh(sym)
+        floor = -QFIM_PSD_RTOL * max(1.0, float(eigs[-1]))
+        if eigs[0] < floor:
+            raise EstimationError(
+                f"QFIM positive semi-definiteness violated: min eigenvalue {eigs[0]:.3e}"
+            )
+        object.__setattr__(self, "m", sym)
+        object.__setattr__(self, "_eigenvalues", eigs)
 
 
 @dataclass(frozen=True)
@@ -51,23 +83,6 @@ class Covariance3:
     """3x3 covariance matrix."""
 
     m: np.ndarray
-
-
-def _validated_qfim(m) -> QfimMatrix:
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise DomainError("QFIM entries are not finite; the evolution time or field is too large")
-    asym = np.max(np.abs(m - m.T))
-    if asym > QFIM_SYMMETRY_ATOL * max(1.0, np.max(np.abs(m))):
-        raise EstimationError(f"QFIM symmetry violated by {asym:.3e}")
-    m = 0.5 * (m + m.T)
-    eigs = np.linalg.eigvalsh(m)
-    floor = -QFIM_PSD_RTOL * max(1.0, float(eigs[-1]))
-    if eigs[0] < floor:
-        raise EstimationError(
-            f"QFIM positive semi-definiteness violated: min eigenvalue {eigs[0]:.3e}"
-        )
-    return QfimMatrix(m=m)
 
 
 def generator(model: HamiltonianModel, alpha, t: float) -> np.ndarray:
@@ -101,9 +116,9 @@ def _weighted_qfim(g, x: float) -> QfimMatrix:
     z = 2x - 1, of the input sqrt(x)|00> + sqrt(1-x)|11>."""
     _check_weight(x)
     z = 2.0 * x - 1.0
-    # An overflow is reported once, as the DomainError of _validated_qfim.
+    # An overflow is reported once, as the DomainError of QfimMatrix.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _validated_qfim(4.0 * (g @ g.T - z * z * np.outer(g[:, 2], g[:, 2])))
+        return QfimMatrix(m=4.0 * (g @ g.T - z * z * np.outer(g[:, 2], g[:, 2])))
 
 
 def _weighted_information(g, x: float) -> tuple[QfimMatrix, float]:
@@ -136,7 +151,7 @@ def weak_commutativity_residual(model: HamiltonianModel, alpha, t: float, x: flo
 
 def _invert_qfim(f: QfimMatrix) -> np.ndarray:
     # core's invertibility rule, with the eigenvalues of the PSD QFIM as its singular values.
-    eigs = np.linalg.eigvalsh(f.m)
+    eigs = f._eigenvalues
     if eigs[0] <= INVERTIBLE_RTOL * max(abs(eigs[-1]), 1e-300):
         raise SingularQfim(
             f"QFIM is not invertible (eigenvalues {eigs[0]:.3e} .. {eigs[-1]:.3e})"
@@ -165,7 +180,7 @@ def reparameterize_qfim(f: QfimMatrix, jac) -> QfimMatrix:
     """F_alpha = J^T F_beta J, with J[i][j] = d beta_i / d alpha_j. The
     reverse map is the same call with core.inverse_jacobian(jac)."""
     jac = np.asarray(jac, dtype=float)
-    return _validated_qfim(jac.T @ f.m @ jac)
+    return QfimMatrix(m=jac.T @ f.m @ jac)
 
 
 def reparameterize_covariance(c: Covariance3, jac) -> Covariance3:

@@ -29,9 +29,10 @@ Iteration 1 runs without a control. Iteration k >= 2 applies the control
 -beta_hat_{k-1} and estimates the remaining residual. The evolution times,
 the planned dE2 of each iteration and the planned endpoint V_m all come from
 adaptive.plan_schedule, seeded with v0 = bound^2. With time_refinement
-enabled, the time for iteration k is re-derived from a fresh estimate at the
-previous settings while holding that iteration's total time budget
-n * t_planned fixed, in a trial count no smaller than the backend's floor.
+enabled, the time for iteration k is re-derived as g0 / omega, the optimal
+phase over the residual strength omega of a fresh estimate at the previous
+settings, while holding that iteration's total time budget n * t_planned
+fixed, in a trial count no smaller than the backend's floor.
 The reps are the batch axis of this loop and of its result: one
 ExperimentTrace of m IterationOutcome records, each array rep-axis first.
 Measurement j, counted in run order (refinement before main), draws for all
@@ -67,10 +68,9 @@ class ExperimentConfig:
 
     beta0_guess defaults to the true field (a well-calibrated prior);
     beta0_bound defaults to |beta0_guess| and seeds the planned schedule
-    through dE2_1 = 4 bound^2. pi0 is the target phase used by time
-    refinement (defaults to the optimal phase g0). extra_trials is the
-    budget of the refinement measurement (defaults to n; a Bell fit takes
-    at least BELL_MIN_TRIALS).
+    through dE2_1 = 4 bound^2. extra_trials is the budget of the time
+    refinement measurement (defaults to n; a Bell fit takes at least
+    BELL_MIN_TRIALS).
     """
 
     beta_true: tuple
@@ -82,7 +82,6 @@ class ExperimentConfig:
     extra_trials: int | None = None
     beta0_guess: tuple | None = None
     beta0_bound: float | None = None
-    pi0: float | None = None
 
     def __post_init__(self):
         beta = np.asarray(self.beta_true, dtype=float)
@@ -121,8 +120,6 @@ class ExperimentConfig:
         for name, size in sizes.items():
             if not size < math.inf:
                 raise DomainError(f"{name} must have 4 * |{name}|^2 finite, got {fields[name]}")
-        if self.pi0 is not None and not 0.0 < self.pi0 < math.pi:
-            raise DomainError("pi0 must lie in (0, pi)")
 
     def resolved_guess(self) -> np.ndarray:
         if self.beta0_guess is not None:
@@ -132,15 +129,7 @@ class ExperimentConfig:
     def resolved_bound(self) -> float:
         if self.beta0_bound is not None:
             return float(self.beta0_bound)
-        guess = self.resolved_guess()
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(guess))
-        # The sum of squares leaves the normal range past about 1e154 and below
-        # about 1e-154; hypot does not, so a bound rejected there keeps its size.
-        return norm if sys.float_info.min <= norm * norm < math.inf else math.hypot(*guess)
-
-    def resolved_pi0(self) -> float:
-        return float(self.pi0) if self.pi0 is not None else g0()
+        return float(row_norms(self.resolved_guess()))
 
     def min_trials(self) -> int:
         """The smallest count a measurement takes: a Bell fit needs BELL_MIN_TRIALS."""
@@ -353,7 +342,7 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> ExperimentTr
             omega_tilde = np.sqrt(np.vecdot(prev_estimate - second, prev_estimate - second))
             refined = omega_tilde > 0.0
             with np.errstate(divide="ignore"):
-                t_k = np.where(refined, config.resolved_pi0() / omega_tilde, t_plan)
+                t_k = np.where(refined, g0() / omega_tilde, t_plan)
             # The same time budget n * t_plan, in a count the backend can measure with.
             n_refined = np.clip(np.round(config.n * t_plan / t_k), config.min_trials(), MAX_TRIALS)
             n_k = np.where(refined, n_refined, n_k)

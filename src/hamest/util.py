@@ -14,18 +14,13 @@ CSC2_SERIES_THRESHOLD = 1e-4
 
 def csc_squared(x):
     """csc^2(x) with the small-argument series 1/x^2 + 1/3 below threshold:
-    a float for a float x, elementwise for an array, bit for bit the same."""
-    if isinstance(x, np.ndarray):
-        # Both branches are evaluated; each entry keeps the one its size selects.
-        with np.errstate(divide="ignore", over="ignore"):
-            s = np.sin(x)
-            return np.where(np.abs(x) < CSC2_SERIES_THRESHOLD, 1.0 / (x * x) + 1.0 / 3.0, 1.0 / (s * s))
-    # A float takes only its own branch: numpy's per-call cost on 0-d arrays
-    # would be about 25 times the arithmetic, and solve_g0 evaluates it in a loop.
-    if abs(x) < CSC2_SERIES_THRESHOLD:
-        return 1.0 / (x * x) + 1.0 / 3.0
-    s = np.sin(x)
-    return float(1.0 / (s * s))
+    elementwise for an array, a float for a float or a 0-d array."""
+    # Both branches are evaluated; each entry keeps the one its size selects.
+    # A float pays numpy's per-call cost too; g0() solves with it once per process.
+    with np.errstate(divide="ignore", over="ignore"):
+        s = np.sin(x)
+        out = np.where(np.abs(x) < CSC2_SERIES_THRESHOLD, 1.0 / (x * x) + 1.0 / 3.0, 1.0 / (s * s))
+    return float(out) if out.ndim == 0 else out
 
 
 def first_outside(x, lo, hi):

@@ -16,7 +16,7 @@ import numpy as np
 from hamest.cli import SCHEMA_VERSION
 from hamest.core import HamiltonianModel, SpectralDecomposition2, model_evaluate, pauli_compose
 from hamest.errors import DomainError
-from hamest.qfim import QfimMatrix, _validated_qfim, generator
+from hamest.qfim import QfimMatrix, generator
 from hamest.robustness import MC_BLOCK, deviation_params
 from hamest.simulator import ExperimentConfig, bell_probabilities, run_repetitions
 from hamest.util import fd_step, sample_stream
@@ -69,7 +69,7 @@ def qfim_trace_formula(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
     for a in range(3):
         for b in range(a, 3):
             m[a, b] = m[b, a] = 2.0 * np.trace(hs[a] @ hs[b]).real - traces[a] * traces[b]
-    return _validated_qfim(m)
+    return QfimMatrix(m=m)
 
 
 def _probe_state(x: float) -> np.ndarray:
@@ -138,7 +138,7 @@ def qfim_spectral_form(model: HamiltonianModel, alpha, t: float) -> QfimMatrix:
     spec, dgap, mel = _spectral_data_eigh(model, alpha)
     osc = 4.0 * t * t * np.sinc(spec.gap * t / (2.0 * math.pi)) ** 2
     m = t * t * np.outer(dgap, dgap) + osc * (np.outer(mel.real, mel.real) + np.outer(mel.imag, mel.imag))
-    return _validated_qfim(m)
+    return QfimMatrix(m=m)
 
 
 def paper_form_variances(model: HamiltonianModel, alpha, t: float, n: int):
@@ -368,7 +368,7 @@ def simulate_reference(args) -> tuple:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",
-        "params": vars(config),
+        "params": {**vars(config), "pi0": None},
         "seed": config.seed,
         "rows": [
             {

@@ -726,6 +726,8 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
         # Prior bounds whose square leaves the normal floats, by default from |beta0| or given.
         ["simulate", "--beta0", "1e-200,0,0", "--n", "1000", "--m", "2", "--seed", "1"],
         ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "2", "--seed", "1", "--bound", "1e-170"],
+        # A finite QFIM, 4 t^2 I, whose symmetrization overflows.
+        ["qfim", "--alpha", "0,0,0", "--t", "6e153"],
     ],
 )
 @pytest.mark.filterwarnings("error")

@@ -326,6 +326,42 @@ def test_covariance_singular_information():
         qfim.covariance_from_qfim(f, 5)
 
 
+@pytest.mark.parametrize(
+    "m,error,match",
+    [
+        ([[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], EstimationError, "symmetry violated"),
+        (np.diag([1.0, -2.0, 3.0]), EstimationError, "semi-definiteness violated"),
+        (np.diag([1.0, math.nan, 3.0]), DomainError, "not finite"),
+        (np.diag([1.0, math.inf, 3.0]), DomainError, "not finite"),
+        (np.eye(2), DomainError, "3x3"),
+        # Finite, but m + m^T overflows.
+        (np.diag([1.7e308, 1.0, 1.0]), DomainError, "not finite"),
+    ],
+)
+def test_qfim_matrix_checks_itself(m, error, match):
+    # A caller's own matrix meets the checks of the production QFIM, so no covariance comes of it.
+    with pytest.raises(error, match=match):
+        qfim.QfimMatrix(m=m)
+    with pytest.raises(error, match=match):
+        qfim.covariance_from_qfim(qfim.QfimMatrix(m=m), 1)
+
+
+def test_one_decomposition_per_qfim(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a):
+        calls.append(1)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    f = qfim.qfim_entangled(core.get_model("btp"), (1.0, 0.4, 0.3), 1.3)
+    qfim.covariance_from_qfim(f, 1)
+    assert len(calls) == 1
+    qfim.scalar_bound(np.eye(3), f, 1)
+    assert len(calls) == 1
+
+
 def test_scalar_bound_identity_weight():
     n, t = 7, 1.3
     f = qfim.qfim_entangled(core.get_model("pauli"), (0.0, 0.0, 0.0), t)

@@ -310,7 +310,6 @@ def test_config_defaults_resolve_to_prior():
     cfg = ref_config()
     assert_allclose(cfg.resolved_guess(), BETA_REFERENCE)
     assert cfg.resolved_bound() == pytest.approx(np.linalg.norm(BETA_REFERENCE), rel=1e-15)
-    assert cfg.resolved_pi0() == adaptive.g0()
     assert cfg.resolved_extra() == cfg.n
 
 
@@ -336,8 +335,6 @@ def test_config_zero_prior_needs_explicit_bound():
         {"extra_trials": 0},
         {"beta0_guess": (1.0,)},
         {"beta0_bound": 0.0},
-        {"pi0": 0.0},
-        {"pi0": math.pi},
         {"seed": 2**64},
         {"beta0_bound": 1e200},
         {"beta_true": (1e200, 0.0, 0.0), "beta0_bound": 1.0},
