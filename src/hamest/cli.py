@@ -9,13 +9,13 @@ penalties (a `single` deviation grid or a `total` Monte Carlo), and
 Output conventions: JSON documents follow one record shape (schema_version,
 command, params, rows, plus command-specific sections) in the layout of
 json.dumps(indent=2) and serialize floats with repr, the shortest round-trip
-form. `simulate` writes its rows straight from the trace's columns into one
-json.dumps template of a row, the same bytes json.dumps gives for the rows
-as dicts. A column that holds the same bits in every rep is written once
-into the template; a column bit-equal to an earlier one, or to an earlier
-float column's negation, reuses that column's strings (sign flipped for the
-negation), so repr runs once per distinct column and rep. Rows are formatted
-and written in chunks of reps, so memory beyond the trace stays bounded.
+form. `simulate` writes its rows straight from the trace's columns: one row is
+dumped once and split at its per-rep numbers, and each rep's strings are
+joined between the pieces, the same bytes json.dumps gives for the rows as
+dicts. A column that holds the same bits in every rep is a shared number in
+the pieces; one bit-equal to an earlier column, or to an earlier float
+column's negation, reuses its strings (sign flipped), so repr runs once per
+distinct column and rep. Rows go out in chunks of reps, so memory stays bounded.
 CSV uses a header row, comma separators, LF line endings, UTF-8.
 Vector-valued flags take comma-separated components (`--alpha 0.1,0.2,0.3`)
 and deviation grids take START:STOP:STEP. A vector whose first component is
@@ -209,7 +209,7 @@ def _bits(column):
 
 
 class _RepColumns:
-    """The sources of the `simulate` row template's placeholders, in
+    """The sources of the placeholders in the `simulate` row text, in
     placeholder order: a column to format with repr, or (j, flip), the
     strings of the formatted column at placeholder j, signs flipped if flip."""
 
@@ -223,7 +223,7 @@ class _RepColumns:
         return j if j is not None and np.array_equal(_bits(self.sources[j]), bits) else None
 
     def add(self, column):
-        """The template entry of one column: a number when every rep holds
+        """The row text's entry for one column: a number when every rep holds
         the same bits, otherwise a placeholder whose source is appended."""
         bits, kind = _bits(column), column.dtype.kind
         if (bits == bits[0]).all():
@@ -252,10 +252,10 @@ class _RepColumns:
 
 
 def _per_rep(value, columns: _RepColumns):
-    """The row template's entry for one field. An array with the rep axis
+    """The row text's entry for one field. An array with the rep axis
     first becomes entries shaped like one rep's, one per column: a column
     whose reps all hold the same bits is a shared number that json.dumps
-    writes into the template once; any other is a placeholder, and its
+    writes into the row text once; any other is a placeholder, and its
     source goes to columns. repr then runs at most once per distinct column
     and rep: a column bit-equal to an earlier one reuses its strings, and a
     float column equal to an earlier one's negation reuses them with the
@@ -312,19 +312,25 @@ def _cmd_simulate(args) -> int:
     }
     head, middle, tail = _json_text(doc).split(json.dumps(_ROWS))
     separator = middle[: middle.index("{")]
-    template = middle[len(separator) : -len(separator)].replace("%", "%%").replace(json.dumps(_LEAF), "%s")
+    # The row text split at its placeholders, each piece followed by a slot: a rep's
+    # string fills each slot but the last, which keeps the separator to the next row.
+    pieces = middle[len(separator) : -len(separator)].split(json.dumps(_LEAF))
+    row_parts = [part for piece in pieces for part in (piece, separator)]
     # A rejected document leaves no CSV, and an unwritable CSV leaves stdout empty.
     if args.csv:
         header = ["rep", "beta_hat_1", "beta_hat_2", "beta_hat_3", "realized_sq_error"]
         rows = zip(range(args.reps), *trace.beta_hat.T.tolist(), trace.realized_sq_error.tolist())
         _write_csv(args.csv, header, rows)
-    # The rows go out in chunks of _CHUNK_REPS reps, so the strings held at
-    # once do not grow with reps. Only a single rep can have no placeholder.
+    # The rows go out in chunks of _CHUNK_REPS reps, one join each, so the strings
+    # held at once do not grow with reps. Only the last chunk drops its separator.
     sys.stdout.write(head)
     for start in range(0, args.reps, _CHUNK_REPS):
-        strings = columns.strings(start, start + _CHUNK_REPS)
-        rows = [template % values for values in zip(*strings)] if strings else [template % ()]
-        sys.stdout.write((separator if start else "") + separator.join(rows))
+        parts = row_parts * min(_CHUNK_REPS, args.reps - start)
+        for j, strings in enumerate(columns.strings(start, start + _CHUNK_REPS)):
+            parts[2 * j + 1 :: len(row_parts)] = strings
+        if start + _CHUNK_REPS >= args.reps:
+            parts.pop()
+        sys.stdout.write("".join(parts))
     sys.stdout.write(tail)
     return 0
 

@@ -37,7 +37,7 @@ def as_pauli_vector(b) -> np.ndarray:
     if np.iscomplexobj(b):
         raise DomainError("Pauli coefficients must be real")
     b = b.astype(float, copy=False)
-    if not np.all(np.isfinite(b)):
+    if not all(map(math.isfinite, b.tolist())):
         raise DomainError("Pauli coefficients must be finite")
     return b
 
@@ -142,7 +142,7 @@ def model_evaluate(model: HamiltonianModel, alpha) -> ModelEvaluation:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (3,):
         raise DomainError(f"expected 3 parameters, got shape {alpha.shape}")
-    if not np.all(np.isfinite(alpha)):
+    if not all(map(math.isfinite, alpha.tolist())):
         raise DomainError("parameters must be finite")
     f = as_pauli_vector(model.pauli_map(alpha))
     if model.jacobian is not None:

@@ -49,9 +49,10 @@ class QfimMatrix:
     """3x3 quantum Fisher information matrix, checked once, when it is built.
 
     m must be a 3x3 array whose symmetrized entries are finite (DomainError),
-    symmetric within QFIM_SYMMETRY_ATOL (EstimationError), and positive
-    semi-definite within QFIM_PSD_RTOL (EstimationError). It is stored
-    symmetrized, with the eigenvalues of its one eigvalsh for every inversion.
+    symmetric within QFIM_SYMMETRY_ATOL (EstimationError), both checks on its
+    nine entries as Python floats, and positive semi-definite within
+    QFIM_PSD_RTOL (EstimationError) by its one eigvalsh. It is stored
+    symmetrized, with those eigenvalues for every inversion.
     """
 
     m: np.ndarray
@@ -61,13 +62,16 @@ class QfimMatrix:
         m = np.asarray(self.m, dtype=float)
         if m.shape != (3, 3):
             raise DomainError(f"QFIM must be a 3x3 matrix, got shape {m.shape}")
-        # Finite entries past about 9e307 overflow m + m^T; non-finite ones stay so.
-        with np.errstate(over="ignore", invalid="ignore"):
-            sym, asym = 0.5 * (m + m.T), np.max(np.abs(m - m.T))
-        if not np.all(np.isfinite(sym)):
+        # m and m^T as nine floats each; finite entries past about 9e307 overflow m + m^T.
+        rows = m.tolist()
+        entries, partners = rows[0] + rows[1] + rows[2], [a for column in zip(*rows) for a in column]
+        sym = [0.5 * (a + b) for a, b in zip(entries, partners)]
+        if not all(map(math.isfinite, sym)):
             raise DomainError("QFIM entries are not finite; the evolution time or field is too large")
-        if asym > QFIM_SYMMETRY_ATOL * max(1.0, np.max(np.abs(m))):
+        asym = max(abs(a - b) for a, b in zip(entries, partners))
+        if asym > QFIM_SYMMETRY_ATOL * max(1.0, max(map(abs, entries))):
             raise EstimationError(f"QFIM symmetry violated by {asym:.3e}")
+        sym = np.array(sym).reshape(3, 3)
         eigs = np.linalg.eigvalsh(sym)
         floor = -QFIM_PSD_RTOL * max(1.0, float(eigs[-1]))
         if eigs[0] < floor:

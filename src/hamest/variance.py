@@ -115,7 +115,7 @@ def xi_coefficients(sens: SpectralSensitivities) -> XiCoefficients:
 
 
 def _check_time_and_trials(t, n: int) -> None:
-    if not np.all(t > 0.0):
+    if not (np.asarray(t) > 0.0).all():
         raise DomainError(f"evolution time must be positive, got {np.min(t)}")
     check_trials(n)
 
@@ -140,7 +140,7 @@ def _variances(xi: XiCoefficients, t, n: int):
     puts dE t on 2 pi k, k >= 1, and those pole flags. A phase dE t that floats
     cannot resolve raises DomainError (util.check_phase)."""
     phase = xi.gap * t
-    check_phase(np.max(phase, initial=0.0))
+    check_phase(np.asarray(phase).max(initial=0.0))
     pole = near_pole(phase, 2.0 * math.pi)
     x = phase / 2.0
     with np.errstate(all="ignore"):

@@ -561,6 +561,8 @@ SIMULATE_CASES = (
         ["--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "2", "--seed", "3", "--reps", "2"],
         # The refined int n_used differs between reps.
         ["--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "3", "--seed", "11", "--reps", "7", "--refine"],
+        # One rep past the real chunk size of 1000: one seam at the default _CHUNK_REPS.
+        ["--beta0", "0.8,-0.4,0.3", "--n", "200", "--m", "1", "--seed", "3", "--reps", "1001"],
     ]
 )
 

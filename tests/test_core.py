@@ -323,3 +323,30 @@ def test_custom_model_uses_fd_jacobian():
     assert_allclose(ev.f, [2.25, -0.3, math.sin(0.7)])
     expected = np.diag([3.0, 1.0, math.cos(0.7)])
     assert_allclose(ev.jac, expected, rtol=1e-6, atol=1e-9)
+
+
+def _alpha_with(k, value):
+    alpha = [0.5, -0.2, 0.3]
+    alpha[k] = value
+    return alpha
+
+
+@pytest.mark.parametrize(
+    "model,alpha,match",
+    [
+        (core.pauli_model(), _alpha_with(k, bad), "parameters must be finite")
+        for k in range(3)
+        for bad in (math.nan, math.inf, -math.inf)
+    ]
+    + [(core.pauli_model(), np.full(shape, 0.5), "expected 3 parameters") for shape in [(2,), (3, 1)]]
+    + [
+        (core.custom_model(lambda a: np.array([1.0, math.nan, 0.0])), (0.5, -0.2, 0.3), "must be finite"),
+        (core.custom_model(lambda a: np.array([1.0, 0.0, -math.inf])), (0.5, -0.2, 0.3), "must be finite"),
+        (core.custom_model(lambda a: np.array([1.0, 0.0, 1j])), (0.5, -0.2, 0.3), "must be real"),
+        (core.custom_model(lambda a: np.ones(4)), (0.5, -0.2, 0.3), "expected a 3-vector"),
+    ],
+)
+def test_model_evaluate_checks_its_inputs(model, alpha, match):
+    # The parameters are checked before the map runs, and the map's Pauli vector after it.
+    with pytest.raises(DomainError, match=match):
+        core.model_evaluate(model, alpha)

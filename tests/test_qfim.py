@@ -336,6 +336,8 @@ def test_covariance_singular_information():
         (np.eye(2), DomainError, "3x3"),
         # Finite, but m + m^T overflows.
         (np.diag([1.7e308, 1.0, 1.0]), DomainError, "not finite"),
+        # Finite, with a finite m + m^T, but m - m^T overflows.
+        ([[1.0, 1.7e308, 0.0], [-1.7e308, 1.0, 0.0], [0.0, 0.0, 1.0]], EstimationError, "symmetry violated"),
     ],
 )
 def test_qfim_matrix_checks_itself(m, error, match):
@@ -344,6 +346,23 @@ def test_qfim_matrix_checks_itself(m, error, match):
         qfim.QfimMatrix(m=m)
     with pytest.raises(error, match=match):
         qfim.covariance_from_qfim(qfim.QfimMatrix(m=m), 1)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-5, 1.0, 1e5, 1e150, 1e300])
+def test_qfim_matrix_stores_the_symmetrized_bits(scale):
+    # The checks read the entries as floats; what is stored is 0.5 (m + m^T)
+    # and the eigvalsh of it, bit for bit.
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        a = rng.normal(size=(3, 3))
+        m = scale * (a @ a.T + 0.1 * np.eye(3))
+        # An asymmetry inside QFIM_SYMMETRY_ATOL, so m is accepted but not symmetric.
+        m = m + 1e-12 * np.abs(m).max() * rng.uniform(-1.0, 1.0, (3, 3))
+        assert not np.array_equal(m, m.T)
+        f = qfim.QfimMatrix(m=m)
+        sym = 0.5 * (m + m.T)
+        assert f.m.shape == (3, 3) and f.m.tobytes() == sym.tobytes()
+        assert f._eigenvalues.tobytes() == np.linalg.eigvalsh(sym).tobytes()
 
 
 def test_one_decomposition_per_qfim(monkeypatch):
