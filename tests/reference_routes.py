@@ -2,9 +2,10 @@
 spectral decomposition, the full-list Bell
 phase search, the eigendecomposition square root of a Gaussian step, the
 scalar deviation draw and whole-process penalty, the per-sample robustness
-Monte Carlo, the exact law of the whole-process penalty and the row-by-row
-`simulate` document: the references that the tests compare the library's
-production routes against."""
+Monte Carlo, the summary statistics of the penalties in draw order, the
+exact law of the whole-process penalty and the row-by-row `simulate`
+document: the references that the tests compare the library's production
+routes against."""
 
 import csv
 import io
@@ -17,7 +18,7 @@ from hamest.cli import SCHEMA_VERSION
 from hamest.core import HamiltonianModel, SpectralDecomposition2, model_evaluate, pauli_compose
 from hamest.errors import DomainError
 from hamest.qfim import QfimMatrix, generator
-from hamest.robustness import MC_BLOCK, deviation_params
+from hamest.robustness import MC_BLOCK, _deviation_factors, deviation_params
 from hamest.simulator import ExperimentConfig, bell_probabilities, run_repetitions
 from hamest.util import fd_step, sample_stream
 
@@ -295,6 +296,28 @@ def robustness_ratios_per_sample(m: int, samples: int, seed: int) -> np.ndarray:
             devs = [(z1 * z1 + p.a * (z2 * z2 + z3 * z3)) / p.s for z1, z2, z3 in zs.tolist()]
             ratios.append(ratio_total([1.0, *devs]))
     return np.array(ratios)
+
+
+def summary_statistics_reference(ratios: np.ndarray) -> tuple:
+    """(mean, deciles, p_below_one) of ratios in draw order by numpy's own
+    routines: np.mean, np.quantile at the nine decile levels, and the mean of
+    the mask r < 1. None of them reorders ratios."""
+    deciles = np.quantile(ratios, np.arange(0.1, 0.95, 0.1))
+    return float(np.mean(ratios)), tuple(deciles.tolist()), float(np.mean(ratios < 1.0))
+
+
+def robustness_summary_reference(m: int, samples: int, seed: int) -> tuple:
+    """summary_statistics_reference of robustness_mc's ratios, drawn block by
+    block as it draws them: a full (MC_BLOCK, m - 1, 3) block from
+    sample_stream(seed, b), its first rows for a short last block, and the
+    product of the D_k^(1 / 2^(m - k + 1)) as exp of a dot of logs."""
+    p = deviation_params()
+    exponents = np.array([1.0 / 2.0 ** (m - k + 1) for k in range(2, m + 1)])
+    blocks = []
+    for b, start in enumerate(range(0, samples, MC_BLOCK)):
+        z = sample_stream(seed, b).standard_normal((MC_BLOCK, m - 1, 3))[: samples - start]
+        blocks.append(np.exp(np.vecdot(np.log(_deviation_factors(z, p)), exponents)))
+    return summary_statistics_reference(np.concatenate(blocks))
 
 
 def _log_deviation_density(x: np.ndarray) -> np.ndarray:

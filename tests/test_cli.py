@@ -401,6 +401,24 @@ def test_robustness_total_deterministic(capsys):
     assert threaded == first
 
 
+@pytest.mark.parametrize(
+    "m,samples,digest",
+    [
+        (2, 10_000, "9ff6224c537fd7dc9a4ea2bc9067ff0cb3b34e505a29546a30e544235860ca94"),
+        (3, 10_000, "ffee84e1af5aeac006f4ebb029216892270a24892065853622fa77b111da3b72"),
+        (4, 10_000, "168d6622c6b9e5ca8216d9e902c2fd46d20934cc4c1fd0e071fa8a10ffeaf2a0"),
+        # a short last block of 12345 - 3 * 4096 = 57 samples
+        (3, 12_345, "c3ff8dc7ce36938fda95578402ac540613ba430c3ad441a7060af1b894c91b7f"),
+        (3, 1_000_000, "28f6b8939b1355cdf2b9ac0476771be9c7fa097868c8d197b071b530c619586a"),
+    ],
+)
+def test_robustness_total_output_pinned(capsys, m, samples, digest):
+    argv = ["robustness", "total", "--m", str(m), "--samples", str(samples), "--seed", "42"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_robustness_total_seed_required():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["robustness", "total", "--m", "3", "--samples", "10000"])

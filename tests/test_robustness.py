@@ -1,6 +1,7 @@
 """Deviation-factor law, per-iteration and whole-process penalties, MC driver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from scipy import integrate
 from hamest import adaptive, robustness
 from hamest.errors import DomainError
 from hamest.util import KeyedStream
-from reference_routes import penalty_law, ratio_total, robustness_ratios_per_sample, sample_deviation
+from reference_routes import (
+    penalty_law,
+    ratio_total,
+    robustness_ratios_per_sample,
+    robustness_summary_reference,
+    sample_deviation,
+    summary_statistics_reference,
+)
 
 DEVIATION_WEIGHT = 1.8177518730791193  # g0^2 csc^2(g0)
 DEVIATION_VARIANCE = 0.7081609204640834  # (2 + 4 a^2) / s^2
@@ -311,10 +319,69 @@ def test_mc_draws_once_per_block(monkeypatch):
 @pytest.mark.parametrize("m", [2, 5])
 def test_mc_matches_per_sample_reference(m):
     s = robustness.robustness_mc(m, 10_000, 11)
-    ratios = robustness_ratios_per_sample(m, 10_000, 11)
-    assert s.mean == pytest.approx(ratios.mean(), rel=1e-12)
-    assert_allclose(s.deciles, np.quantile(ratios, np.arange(0.1, 0.95, 0.1)), rtol=1e-12, atol=0.0)
-    assert s.p_below_one == np.mean(ratios < 1.0)
+    mean, deciles, p_below_one = summary_statistics_reference(robustness_ratios_per_sample(m, 10_000, 11))
+    assert s.mean == pytest.approx(mean, rel=1e-12)
+    assert_allclose(s.deciles, deciles, rtol=1e-12, atol=0.0)
+    assert s.p_below_one == p_below_one
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("seed", [0, 11, 2**63 + 5])
+@pytest.mark.parametrize("samples", [10_001, 3 * robustness.MC_BLOCK + 57, 5 * robustness.MC_BLOCK - 1])
+def test_mc_summary_bitwise_equals_numpy_statistics_in_draw_order(m, seed, samples):
+    # The mean before the in-place sort, the count below 1 and the deciles read
+    # off the sorted ratios all keep the bits of numpy's routines on the ratios
+    # in draw order.
+    s = robustness.robustness_mc(m, samples, seed)
+    mean, deciles, p_below_one = robustness_summary_reference(m, samples, seed)
+    assert _bits([s.mean, s.p_below_one, *s.deciles]) == _bits([mean, p_below_one, *deciles])
+
+
+def test_mc_ratio_of_exactly_one_is_not_below_one(monkeypatch):
+    # z = (1, 1, 1) makes every D = (1 + 2a) / (2a + 1) exactly 1, so every
+    # ratio is 1.0 and none lies strictly below one.
+    monkeypatch.setattr(KeyedStream, "standard_normal", lambda self, seed, index, shape: np.ones(shape))
+    s = robustness.robustness_mc(3, 10_000, 1)
+    assert (s.mean, s.p_below_one, s.deciles) == (1.0, 0.0, (1.0,) * 9)
+
+
+def _decile_cases():
+    rng = np.random.default_rng(20261020)
+    for n in rng.integers(10_000, 50_001, size=4).tolist():
+        yield pytest.param(rng.lognormal(-0.2, 0.6, n), id=f"lognormal-{n}")
+    for n in (10_001, 100_001):
+        yield pytest.param(rng.random(n), id=f"uniform-{n}")
+    yield pytest.param(np.round(rng.normal(0.0, 1.0, 30_011), 1), id="ties")
+    # Adjacent order statistics of a short array are far apart, so the two
+    # lerp branches round differently at some of its deciles.
+    for n in rng.integers(2, 200, size=8).tolist():
+        yield pytest.param(rng.random(n), id=f"short-{n}")
+    yield pytest.param(np.full(12_345, 0.7), id="constant")
+
+
+@pytest.mark.parametrize("values", list(_decile_cases()))
+def test_sorted_deciles_bitwise_equal_np_quantile(values):
+    expected = np.quantile(values, np.arange(0.1, 0.95, 0.1))
+    assert _bits(robustness._sorted_deciles(np.sort(values))) == _bits(expected)
+
+
+def test_mc_peak_memory_holds_one_array_of_ratios():
+    # The ratios themselves plus a few blocks of normals: any full-size copy
+    # of the ratios (a partitioned copy, a mask, a sorted copy) exceeds it.
+    m, samples = 4, 10**6
+    robustness.robustness_mc(m, 10_000, 5)  # fill the cached constants untraced
+    block = 8 * robustness.MC_BLOCK * 3 * (m - 1)
+    tracemalloc.start()
+    try:
+        robustness.robustness_mc(m, samples, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * samples + 4 * block
 
 
 def test_exact_penalty_law_at_two_iterations():
