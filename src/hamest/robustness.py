@@ -32,7 +32,8 @@ MC_BLOCK = 4096
 # numpy 2.4), so about 0.84 GB here by extrapolation.
 MC_MAX_SAMPLES = 10**8
 # Largest iteration count: 2^(m - 1), the inverse weight of D_2, stays a float,
-# and one block of normals takes MC_BLOCK * 3 * (m - 1) floats, 100 MB at 1024.
+# and one block of normals takes MC_BLOCK * 3 * (m - 1) floats, 100 MB at 1024;
+# with the factors formed beside them, `robustness total --m 1024` peaked at 260 MB RSS.
 MC_MAX_ITERATIONS = 1024
 # The levels of the nine deciles that robustness_mc reports.
 _DECILE_LEVELS = np.arange(0.1, 0.95, 0.1).tolist()

@@ -70,30 +70,14 @@ def check_seed(seed):
         raise DomainError("seed must be an integer in [0, 2^64)")
 
 
-class _Key(np.random.bit_generator.ISeedSequence):
-    """A Philox key posing as a seed sequence: Philox asks it for two uint64
-    words and gets the key's words back unchanged."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
 def sample_stream(seed, index):
     """RNG stream keyed by (seed, index); index numbers a simulator measurement
     or a Monte Carlo block. The generator is counter-based, so streams for distinct
     keys are independent and each can be redrawn on its own, in any order.
 
-    The key reaches Philox through a seed-sequence object, not its key=
-    argument: key= first seeds a SeedSequence from OS entropy and then
-    discards it, which took about two thirds of the construction (12-14 us
-    against 5 us per stream on a 2-vCPU x86-64 host, numpy 2.4.6). The
-    state and the draws are those of np.random.Philox(key=[seed, index])."""
-    return np.random.Generator(np.random.Philox(_Key(np.array([seed, index], dtype=np.uint64))))
+    The key is passed as a uint64 array: numpy converts a Python list such as
+    [2**64 - 1, 0] with a warning and to a different key."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 class KeyedStream:
@@ -111,11 +95,11 @@ POLE_PHASE_ATOL = 1e-9
 PHASE_SPACING_LIMIT = 2.0 * math.pi * 1e-6
 
 
-def near_pole(x, period, tol=POLE_PHASE_ATOL):
-    """True where x is within tol of k*period for some integer k >= 1: a bool
+def near_pole(x, period):
+    """True where x is within POLE_PHASE_ATOL of k*period for some integer k >= 1: a bool
     for a float x, a boolean mask for an array."""
     k = (x / period + 0.5) // 1.0
-    return (k >= 1) & (abs(x - k * period) < tol)
+    return (k >= 1) & (abs(x - k * period) < POLE_PHASE_ATOL)
 
 
 def check_phase(x: float) -> None:

@@ -72,9 +72,12 @@ def spectral_sensitivities(model: HamiltonianModel, alpha) -> SpectralSensitivit
     spec = spectral_decompose(ev.f)
     u, v = spec.v0.tolist(), spec.v1.tolist()
     # Rows <E0|sigma|E0>, <E1|sigma|E1>, <E0|sigma|E1>: row @ J holds the <E_l|d_i H|E_l'>.
-    s = np.array([_pauli_elements(u, u), _pauli_elements(v, v), _pauli_elements(u, v)]) @ ev.jac
-    dE = s[:2].real
-    return SpectralSensitivities(dE=dE, dgap=dE[0] - dE[1], m=s[2], gap=spec.gap)
+    # A huge or infinite J gives inf or NaN here; xi_coefficients rejects it.
+    with np.errstate(all="ignore"):
+        s = np.array([_pauli_elements(u, u), _pauli_elements(v, v), _pauli_elements(u, v)]) @ ev.jac
+        dE = s[:2].real
+        dgap = dE[0] - dE[1]
+    return SpectralSensitivities(dE=dE, dgap=dgap, m=s[2], gap=spec.gap)
 
 
 def _pauli_elements(u, v) -> tuple:

@@ -258,6 +258,12 @@ def test_expected_at_optimum_equals_recursion():
 def test_expected_validation():
     with pytest.raises(DomainError):
         adaptive.expected_dE2_next(0.5, 1.0, 4.0)  # T < t
+    with pytest.raises(DomainError, match="gap-squared uncertainty must be positive"):
+        adaptive.expected_dE2_next(10.0, 1.0, 0.0)
+    with pytest.raises(DomainError, match="evolution time must be positive"):
+        adaptive.expected_dE2_next(10.0, 0.0, 4.0)
+    with pytest.raises(DivergentTime):
+        adaptive.expected_dE2_next(10.0, math.pi, 4.0)  # w t = pi
 
 
 def test_optimal_time_values():
@@ -289,6 +295,11 @@ def test_recursion_contracts_with_single_trial():
 
 def test_recursion_hundred_trials():
     assert adaptive.recursion(1.0, 100) == pytest.approx(6.872017903857487e-3, rel=1e-12)
+
+
+def test_recursion_domain():
+    with pytest.raises(DomainError, match="gap-squared uncertainty must be positive"):
+        adaptive.recursion(0.0, 100)
 
 
 def test_recursion_matches_schedule_power():
@@ -372,6 +383,8 @@ def test_schedule_validation():
         adaptive.plan_schedule(1.0, 10, target_v=2.0)
     with pytest.raises(DomainError):
         adaptive.plan_schedule(-1.0, 10, target_m=2)
+    with pytest.raises(DomainError, match="iteration count must be >= 1"):
+        adaptive.plan_schedule(1.0, 1000, target_m=0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +405,11 @@ def test_baseline_is_zero_residual_limit():
     cov, _ = adaptive.optimal_control_baseline(n, t)
     limit = adaptive.iteration_covariance(1e-7 * direction, n, t)
     assert np.abs(limit.m - cov.m).max() < 1e-4 * np.abs(cov.m).max()
+
+
+def test_baseline_domain():
+    with pytest.raises(DomainError, match="evolution time must be positive"):
+        adaptive.optimal_control_baseline(10, 0.0)
 
 
 def test_baseline_heisenberg_scaling():
@@ -464,6 +482,8 @@ def test_bounds_kappa_and_singular():
     assert b.kappa == pytest.approx(2.0, rel=1e-14)
     with pytest.raises(SingularJacobian):
         adaptive.alpha_variance_bounds(np.diag([1.0, 1.0, 0.0]), 1.0, 1.0)
+    with pytest.raises(DomainError, match="variance scales must be positive"):
+        adaptive.alpha_variance_bounds(np.eye(3), 0.0, 1.0)
 
 
 def test_bounds_at_a_weak_btp_field():

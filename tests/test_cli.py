@@ -151,6 +151,10 @@ def test_qfim_malformed_triple_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["qfim", "--alpha", "1,2", "--t", "1"])
     assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["qfim", "--alpha", "a,b,c", "--t", "1"])
+    assert excinfo.value.code == 2
+    assert "not a numeric triple: 'a,b,c'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +435,14 @@ def test_robustness_mode_required():
     assert excinfo.value.code == 2
 
 
-def test_robustness_bad_grid_spec():
+def test_robustness_bad_grid_spec(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["robustness", "single", "--grid", "1.0:2.0"])
     assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["robustness", "single", "--grid", "a:b:c"])
+    assert excinfo.value.code == 2
+    assert "not a numeric range: 'a:b:c'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

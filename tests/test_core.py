@@ -72,6 +72,12 @@ def test_pauli_vector_only(bad):
         core.evolve_unitary(bad, 1.0)
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_evolve_unitary_rejects_non_finite_time(t):
+    with pytest.raises(DomainError, match="time must be finite"):
+        core.evolve_unitary((0.3, 0.2, 0.5), t)
+
+
 # ---------------------------------------------------------------------------
 # spectral_decompose
 

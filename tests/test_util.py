@@ -10,6 +10,7 @@ import pytest
 
 from hamest.errors import DomainError
 from hamest.util import (
+    POLE_PHASE_ATOL,
     KeyedStream,
     check_phase,
     check_trials,
@@ -132,13 +133,18 @@ def test_sample_stream_keyed_determinism():
     assert not np.array_equal(a, d)
 
 
-@pytest.mark.parametrize("seed,index", [(0, 0), (12, 7), (3, 99_999), (2**64 - 1, 2**64 - 1)])
+@pytest.mark.parametrize(
+    "seed,index", [(0, 0), (12, 7), (3, 99_999), (2**64 - 1, 2**64 - 1), (2**64 - 1, 0), (0, 2**64 - 1)]
+)
 def test_sample_stream_is_the_philox_keyed_stream(seed, index):
-    # sample_stream passes its key through a seed-sequence object, not key=;
-    # the state and the draws are Philox(key=[seed, index])'s all the same.
-    ours, reference = sample_stream(seed, index), np.random.Generator(np.random.Philox(key=[seed, index]))
+    # The pin: numpy's Philox keyed by the uint64 words (seed, index), counter at zero.
+    # The key is an array; numpy converts the list [2**64 - 1, 0] to another key.
+    key = np.array([seed, index], dtype=np.uint64)
+    ours, reference = sample_stream(seed, index), np.random.Generator(np.random.Philox(key=key))
     state = [json.dumps(g.bit_generator.state, default=np.ndarray.tolist) for g in (ours, reference)]
     assert state[0] == state[1]
+    assert ours.bit_generator.state["state"]["key"].tolist() == [seed, index]
+    assert not ours.bit_generator.state["state"]["counter"].any()
     assert np.array_equal(ours.standard_normal(1000).view(np.uint64), reference.standard_normal(1000).view(np.uint64))
     p = [0.1, 0.2, 0.3, 0.4]
     assert np.array_equal(ours.multinomial(12345, p), reference.multinomial(12345, p))
@@ -165,17 +171,25 @@ def test_keyed_stream_has_no_state_leakage():
 
 
 @pytest.mark.parametrize(
-    "x,period,tol,expected",
+    "x,period,expected",
     [
-        (0.1, math.pi, 0.2, False),
-        (math.pi - 1e-9, math.pi, 1e-6, True),
-        (2.0 * math.pi + 1e-7, math.pi, 1e-6, True),
-        (1.5, math.pi, 0.1, False),
-        (0.0, math.pi, 1.0, False),
+        (math.pi - 0.5 * POLE_PHASE_ATOL, math.pi, True),
+        (math.pi - 2.0 * POLE_PHASE_ATOL, math.pi, False),
+        (2.0 * math.pi + 0.5 * POLE_PHASE_ATOL, math.pi, True),
+        (2.0 * math.pi + 2.0 * POLE_PHASE_ATOL, math.pi, False),
+        (4.0 * math.pi - 0.5 * POLE_PHASE_ATOL, 2.0 * math.pi, True),
+        (4.0 * math.pi - 2.0 * POLE_PHASE_ATOL, 2.0 * math.pi, False),
+        (1.5, math.pi, False),
+        # k = 0 is no pole, however close x is to it.
+        (0.0, math.pi, False),
+        (0.5 * POLE_PHASE_ATOL, math.pi, False),
     ],
+    ids=["inside-pi", "outside-pi", "inside-2pi", "outside-2pi", "inside-4pi", "outside-4pi", "between",
+         "zero", "near-zero"],
 )
-def test_near_pole(x, period, tol, expected):
-    assert near_pole(x, period, tol) is expected
+def test_near_pole(x, period, expected):
+    # Half the tolerance from a pole is on it, twice the tolerance is off it.
+    assert near_pole(x, period) is expected
 
 
 @pytest.mark.parametrize("period", [math.pi, 2.0 * math.pi])

@@ -245,6 +245,27 @@ def test_overflowing_variance_raises_domain_error():
         variance.variance_curve(model, alpha, [1.0, 1e200], 8)
 
 
+def _eye_with(entry):
+    jac = np.eye(3)
+    jac[1, 2] = entry
+    return jac
+
+
+@pytest.mark.parametrize(
+    "jac", [np.full((3, 3), 1e308), _eye_with(math.inf), _eye_with(math.nan)], ids=["huge", "inf", "nan"]
+)
+@pytest.mark.parametrize("route", ["estimator_variances", "variance_curve"])
+@pytest.mark.filterwarnings("error")
+def test_non_finite_sensitivities_raise_domain_error_without_warning(jac, route):
+    model = core.HamiltonianModel("fixed-jacobian", lambda a: np.asarray(a, dtype=float), lambda a: jac)
+    alpha = (0.3, 0.2, 0.5)
+    with pytest.raises(DomainError, match="xi coefficients are not finite"):
+        if route == "estimator_variances":
+            variance.estimator_variances(model, alpha, 1.0, 100)
+        else:
+            variance.variance_curve(model, alpha, [1.0, 2.0], 100)
+
+
 @pytest.mark.parametrize("field", [1e80, 1e150])
 @pytest.mark.filterwarnings("error")
 def test_btp_variances_scale_with_the_field(field):
