@@ -112,7 +112,7 @@ def _check_grid_size(points) -> None:
 
 
 def _check_threads(args) -> None:
-    """Validate --threads for every command, kept for compatibility: commands run serially."""
+    """Validate --threads for every command, kept for compatibility: it sets no thread count."""
     if args.threads is not None and args.threads < 1:
         raise DomainError("thread count must be >= 1")
 

@@ -1,11 +1,11 @@
 """Independent routes to the information quantities, the eigensolver
 spectral decomposition, the full-list Bell
 phase search, the eigendecomposition square root of a Gaussian step, the
-scalar deviation draw and whole-process penalty, the per-sample robustness
-Monte Carlo, the summary statistics of the penalties in draw order, the
-exact law of the whole-process penalty and the row-by-row `simulate`
-document: the references that the tests compare the library's production
-routes against."""
+deviation factor of one draw or of a batch, the whole-process penalty, the
+per-sample robustness Monte Carlo, the summary statistics of the penalties
+in draw order, the exact law of the whole-process penalty and the row-by-row
+`simulate` document: the references that the tests compare the library's
+production routes against."""
 
 import csv
 import io
@@ -18,7 +18,7 @@ from hamest.cli import SCHEMA_VERSION
 from hamest.core import HamiltonianModel, SpectralDecomposition2, model_evaluate, pauli_compose
 from hamest.errors import DomainError
 from hamest.qfim import QfimMatrix, generator
-from hamest.robustness import MC_BLOCK, _deviation_factors, deviation_params
+from hamest.robustness import MC_BLOCK, deviation_params
 from hamest.simulator import ExperimentConfig, bell_probabilities, run_repetitions
 from hamest.util import fd_step, sample_stream
 
@@ -252,6 +252,13 @@ def gaussian_step_eigh(c, z) -> np.ndarray:
     return (root @ np.asarray(z)[..., None])[..., 0]
 
 
+def deviation_factors(z: np.ndarray) -> np.ndarray:
+    """D = (z0^2 + a (z1^2 + z2^2)) / s over the last axis of standard normals z,
+    written out as sample_deviation writes it for one draw."""
+    p = deviation_params()
+    return (z[..., 0] * z[..., 0] + p.a * (z[..., 1] * z[..., 1] + z[..., 2] * z[..., 2])) / p.s
+
+
 def sample_deviation(rng: np.random.Generator) -> float:
     """One deviation factor D = (z1^2 + a (z2^2 + z3^2)) / s from three
     standard normals of rng: the draw that robustness_mc makes in blocks."""
@@ -311,12 +318,11 @@ def robustness_summary_reference(m: int, samples: int, seed: int) -> tuple:
     block as it draws them: a full (MC_BLOCK, m - 1, 3) block from
     sample_stream(seed, b), its first rows for a short last block, and the
     product of the D_k^(1 / 2^(m - k + 1)) as exp of a dot of logs."""
-    p = deviation_params()
     exponents = np.array([1.0 / 2.0 ** (m - k + 1) for k in range(2, m + 1)])
     blocks = []
     for b, start in enumerate(range(0, samples, MC_BLOCK)):
         z = sample_stream(seed, b).standard_normal((MC_BLOCK, m - 1, 3))[: samples - start]
-        blocks.append(np.exp(np.vecdot(np.log(_deviation_factors(z, p)), exponents)))
+        blocks.append(np.exp(np.vecdot(np.log(deviation_factors(z)), exponents)))
     return summary_statistics_reference(np.concatenate(blocks))
 
 

@@ -1,6 +1,9 @@
 """Deviation-factor law, per-iteration and whole-process penalties, MC driver."""
 
 import math
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ from hamest import adaptive, robustness
 from hamest.errors import DomainError
 from hamest.util import KeyedStream
 from reference_routes import (
+    deviation_factors,
     penalty_law,
     ratio_total,
     robustness_ratios_per_sample,
@@ -28,9 +32,7 @@ SAMPLE_SEED = 2718
 
 @pytest.fixture(scope="module")
 def deviation_draws():
-    rng = np.random.default_rng(SAMPLE_SEED)
-    params = robustness.deviation_params()
-    return robustness._deviation_factors(rng.standard_normal((SAMPLE_COUNT, 3)), params)
+    return deviation_factors(np.random.default_rng(SAMPLE_SEED).standard_normal((SAMPLE_COUNT, 3)))
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +100,7 @@ def test_batched_draws_equal_sequential_draws():
     # The tests draw their large samples in one batch; it must equal sample_deviation draw by draw.
     rng = np.random.default_rng(SAMPLE_SEED)
     sequential = np.array([sample_deviation(rng) for _ in range(20_000)])
-    rng = np.random.default_rng(SAMPLE_SEED)
-    params = robustness.deviation_params()
-    batched = robustness._deviation_factors(rng.standard_normal((20_000, 3)), params)
+    batched = deviation_factors(np.random.default_rng(SAMPLE_SEED).standard_normal((20_000, 3)))
     assert sequential.tobytes() == batched.tobytes()
 
 
@@ -313,7 +313,8 @@ def test_mc_draws_once_per_block(monkeypatch):
     monkeypatch.setattr(KeyedStream, "standard_normal", counting)
     robustness.robustness_mc(3, 10_000, 1)
     block = robustness.MC_BLOCK
-    assert keyed == [(1, 0, (block, 2, 3)), (1, 1, (block, 2, 3)), (1, 2, (10_000 - 2 * block, 2, 3))]
+    # The caller and the helper thread claim blocks in either order.
+    assert sorted(keyed) == [(1, 0, (block, 2, 3)), (1, 1, (block, 2, 3)), (1, 2, (10_000 - 2 * block, 2, 3))]
 
 
 @pytest.mark.parametrize("m", [2, 5])
@@ -329,9 +330,24 @@ def _bits(values) -> list:
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
-@pytest.mark.parametrize("m", [2, 3, 5])
-@pytest.mark.parametrize("seed", [0, 11, 2**63 + 5])
-@pytest.mark.parametrize("samples", [10_001, 3 * robustness.MC_BLOCK + 57, 5 * robustness.MC_BLOCK - 1])
+@pytest.fixture(scope="module")
+def mc_helper():
+    """A helper thread of this module's own, started even where the process may run on one CPU."""
+    return robustness._Helper()
+
+
+MC_CASES = pytest.mark.parametrize(
+    "samples, seed, m",
+    [
+        (samples, seed, m)
+        for samples in (10_001, 3 * robustness.MC_BLOCK + 57, 5 * robustness.MC_BLOCK - 1)
+        for seed in (0, 11, 2**63 + 5)
+        for m in (2, 3, 5)
+    ],
+)
+
+
+@MC_CASES
 def test_mc_summary_bitwise_equals_numpy_statistics_in_draw_order(m, seed, samples):
     # The mean before the in-place sort, the count below 1 and the deciles read
     # off the sorted ratios all keep the bits of numpy's routines on the ratios
@@ -339,6 +355,120 @@ def test_mc_summary_bitwise_equals_numpy_statistics_in_draw_order(m, seed, sampl
     s = robustness.robustness_mc(m, samples, seed)
     mean, deciles, p_below_one = robustness_summary_reference(m, samples, seed)
     assert _bits([s.mean, s.p_below_one, *s.deciles]) == _bits([mean, p_below_one, *deciles])
+
+
+@MC_CASES
+def test_mc_summary_bitwise_equal_with_and_without_the_helper(m, seed, samples, mc_helper, monkeypatch):
+    monkeypatch.setattr(robustness, "_helper", lambda: None)
+    alone = robustness.robustness_mc(m, samples, seed)
+    monkeypatch.setattr(robustness, "_helper", lambda: mc_helper)
+    shared = robustness.robustness_mc(m, samples, seed)
+    assert _bits([shared.mean, shared.p_below_one, *shared.deciles]) == _bits(
+        [alone.mean, alone.p_below_one, *alone.deciles]
+    )
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_mc_block_error_propagates_from_either_thread(failing, mc_helper, monkeypatch):
+    # The caller holds block 0 until the helper has started block 1, so each
+    # thread draws one of them; the error of either reaches the caller as it
+    # was raised, and the helper serves the next call.
+    monkeypatch.setattr(robustness, "_helper", lambda: mc_helper)
+    samples = 5 * robustness.MC_BLOCK - 1
+    expected = robustness.robustness_mc(3, samples, 4)
+    draw = KeyedStream.standard_normal
+    helper_started = threading.Event()
+    threads = {}
+    error = RuntimeError(f"block {failing} failed")
+
+    def failing_draw(self, seed, index, shape):
+        threads[index] = threading.get_ident()
+        if index == 1:
+            helper_started.set()
+        elif index == 0:
+            assert helper_started.wait(30), "the helper never drew block 1"
+        if index == failing:
+            raise error
+        return draw(self, seed, index, shape)
+
+    monkeypatch.setattr(KeyedStream, "standard_normal", failing_draw)
+    with pytest.raises(RuntimeError) as raised:
+        robustness.robustness_mc(3, samples, 4)
+    assert raised.value is error
+    assert threads[0] == threading.get_ident() != threads[1]
+    monkeypatch.setattr(KeyedStream, "standard_normal", draw)
+    assert robustness.robustness_mc(3, samples, 4) == expected
+
+
+def test_mc_concurrent_callers_share_one_helper(mc_helper, monkeypatch):
+    # More callers than CPUs hand their blocks to the one helper while the
+    # interpreter switches threads as often as it can: each caller still gets
+    # its summary bit for bit, and each block key is drawn exactly once.
+    cases = [(m, 5 * robustness.MC_BLOCK - 1, 40 + m) for m in (2, 3, 4, 5)]
+    monkeypatch.setattr(robustness, "_helper", lambda: None)
+    expected = [robustness.robustness_mc(*case) for case in cases]
+    monkeypatch.setattr(robustness, "_helper", lambda: mc_helper)
+    draw = KeyedStream.standard_normal
+    keyed = []
+
+    def counting(self, seed, index, shape):
+        keyed.append((seed, index))
+        return draw(self, seed, index, shape)
+
+    monkeypatch.setattr(KeyedStream, "standard_normal", counting)
+    rounds = 5
+    results = [[] for _ in cases]
+
+    def call(i):
+        for _ in range(rounds):
+            results[i].append(robustness.robustness_mc(*cases[i]))
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert results == [[summary] * rounds for summary in expected]
+    assert sorted(keyed) == sorted((seed, b) for _, _, seed in cases for b in range(5) for _ in range(rounds))
+
+
+def _send_summary(conn, m, samples, seed):
+    conn.send(robustness.robustness_mc(m, samples, seed))
+    conn.close()
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+@pytest.mark.parametrize("helper", ["process", "inherited"])
+def test_mc_fork_child_returns_the_parents_summary(helper, mc_helper, monkeypatch):
+    # A fork child inherits the helper object but not its thread. With the
+    # process's own helper it starts a new thread; handed the inherited object,
+    # whose thread never runs, its caller draws every block itself. A hang
+    # fails the test on the timeout instead of stalling the suite.
+    if helper == "inherited":
+        monkeypatch.setattr(robustness, "_helper", lambda: mc_helper)
+    args = (4, 3 * robustness.MC_BLOCK + 57, 8)
+    parent = robustness.robustness_mc(*args)
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    child = fork.Process(target=_send_summary, args=(send, *args))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the fork child sent no summary in 60 s"
+        summary = receive.recv()
+        child.join(30)
+    finally:
+        if child.is_alive():
+            child.terminate()
+            child.join(30)
+    assert summary == parent
+    assert child.exitcode == 0
 
 
 def test_mc_ratio_of_exactly_one_is_not_below_one(monkeypatch):

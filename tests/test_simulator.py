@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from hamest import adaptive, cli, core, robustness, simulator
+from hamest import adaptive, cli, core, simulator
 from hamest.errors import DomainError, MleNonconvergence
 from hamest.util import sample_stream
-from reference_routes import gaussian_step_eigh, phase_candidates_full, ratio_total, sample_deviation
+from reference_routes import deviation_factors, gaussian_step_eigh, phase_candidates_full, ratio_total, sample_deviation
 
 BETA_REFERENCE = (0.8, -0.4, 0.3)
 
@@ -503,9 +503,7 @@ def test_iteration_deviation_factors_follow_law():
     # d_factor of iterations 2..m against the control-error law, two-sample KS
     cfg = simulator.ExperimentConfig(beta_true=BETA_REFERENCE, m=3, n=1000, seed=42)
     trace = simulator.run_repetitions(cfg, 10_000)
-    ref_rng = sample_stream(999, 0)
-    params = robustness.deviation_params()
-    reference = robustness._deviation_factors(ref_rng.standard_normal((200_000, 3)), params)
+    reference = deviation_factors(sample_stream(999, 0).standard_normal((200_000, 3)))
     for k in (1, 2):
         factors = trace.iterations[k].d_factor
         assert stats.ks_2samp(factors, reference).statistic < 0.012
