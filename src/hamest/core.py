@@ -29,15 +29,16 @@ INVERTIBLE_RTOL = 1e-12
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
-def as_pauli_vector(b) -> np.ndarray:
-    """Validate and return b as a finite real float 3-vector."""
+def as_pauli_vector(b, stack: bool = False) -> np.ndarray:
+    """Validate and return b as a finite real float 3-vector, or with stack=True
+    as a stack of them, shape (..., 3)."""
     b = np.asarray(b)
-    if b.shape != (3,):
+    if b.shape != (3,) and not (stack and b.shape[-1:] == (3,)):
         raise DomainError(f"expected a 3-vector of Pauli coefficients, got shape {b.shape}")
     if np.iscomplexobj(b):
         raise DomainError("Pauli coefficients must be real")
     b = b.astype(float, copy=False)
-    if not all(map(math.isfinite, b.tolist())):
+    if not (all(map(math.isfinite, b.tolist())) if b.ndim == 1 else np.isfinite(b).all()):
         raise DomainError("Pauli coefficients must be finite")
     return b
 
@@ -48,9 +49,11 @@ def pauli_compose(b) -> np.ndarray:
 
 
 def _compose(b: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[b[2], b[0] - 1j * b[1]], [b[0] + 1j * b[1], -b[2]]], dtype=complex
-    )
+    # b.sigma for b of shape (..., 3): (..., 2, 2), entrywise the same ops for every row.
+    x, y, z = b[..., 0], b[..., 1], b[..., 2]
+    top = np.stack([z.astype(complex), x - 1j * y], axis=-1)
+    bottom = np.stack([x + 1j * y, (-z).astype(complex)], axis=-1)
+    return np.stack([top, bottom], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -84,18 +87,24 @@ def spectral_decompose(b) -> SpectralDecomposition2:
     return SpectralDecomposition2(e0=e, e1=-e, v0=v0, v1=v1, gap=2.0 * e)
 
 
-def evolve_unitary(b, t: float) -> np.ndarray:
+def evolve_unitary(b, t) -> np.ndarray:
     """exp(-i*t*b.sigma) = cos(||b||t)*I - i*sin(||b||t)/||b|| * b.sigma;
-    when ||b||*|t| < 1e-8 the limits cos -> 1 and sin(x)/x -> 1 apply.
+    where ||b||*|t| < 1e-8 the limits cos -> 1 and sin(x)/x -> 1 apply.
+
+    b of shape (..., 3) and t of shape (...) give (..., 2, 2); each row has
+    the bits of its own 3-vector call, and a 3-vector gives one 2x2 matrix.
     """
-    b = as_pauli_vector(b)
-    if not np.isfinite(t):
+    b = as_pauli_vector(b, stack=True)
+    if not np.isfinite(t).all():
         raise DomainError("time must be finite")
-    bn = float(np.linalg.norm(b))
-    if bn * abs(t) < EVOLVE_SERIES_THRESHOLD:
-        return IDENTITY_2 - 1j * t * _compose(b)
-    x = bn * t
-    return np.cos(x) * IDENTITY_2 - 1j * (np.sin(x) / bn) * _compose(b)
+    # np.linalg.norm's bits: the square root of the same dot product, row by row.
+    bn = np.sqrt(np.vecdot(b, b))
+    with np.errstate(over="ignore"):
+        x = bn * t
+    series = bn * np.abs(t) < EVOLVE_SERIES_THRESHOLD
+    cos = np.where(series, 1.0, np.cos(x))
+    coef = np.where(series, t, np.sin(x) / np.where(series, 1.0, bn))
+    return cos[..., None, None] * IDENTITY_2 - (1j * coef)[..., None, None] * _compose(b)
 
 
 def central_difference_jacobian(pauli_map: Callable, alpha: np.ndarray) -> np.ndarray:

@@ -18,9 +18,12 @@ Two measurement backends share the same adaptive loop:
   takes the true field's direction.
 * "bell" samples Bell-basis outcome counts from the exact probabilities and
   estimates the residual field by maximum likelihood: four frequencies fix
-  three parameters, so the estimate inverts them in closed form. L-BFGS,
-  given the likelihood's closed-form score, stops there after one evaluation
-  and returns the inversion. The Bell probabilities are even in every
+  three parameters, so each rep's estimate inverts them in closed form. One
+  L-BFGS call on the stacked reps of the measurement then checks those
+  points against the summed likelihood's closed-form score. It returns them
+  after one evaluation unless a score component reaches its tolerance, as
+  it can for a small residual (m >= 2, or a tiny field), since the score
+  grows as 1/|residual|; then the reps share its steps. The Bell probabilities are even in every
   component of the residual, so the likelihood has an eight-fold sign
   degeneracy plus a phase-branch degeneracy; both are resolved toward the
   prior for the iteration.
@@ -35,9 +38,13 @@ settings, while holding that iteration's total time budget n * t_planned
 fixed, in a trial count no smaller than the backend's floor.
 The reps are the batch axis of this loop and of its result: one
 ExperimentTrace of m IterationOutcome records, each array rep-axis first.
+Each measurement works on all reps at once, on either backend.
 Measurement j, counted in run order (refinement before main), draws for all
-reps from the one stream (seed, j) in rep order: row r does not depend on the
-rep count, and a run with a smaller m is a prefix of a larger one.
+reps from the one stream (seed, j) in rep order: row r's draws do not depend
+on the rep count, and a run with a smaller m is a prefix of a larger one.
+Row r's estimates do not depend on it either, except where the L-BFGS call
+of a Bell measurement takes a step: its reps share the line search, so their
+estimates can move in the last bits with the rep count.
 
 scipy.optimize is imported inside the Bell fit, on its first call, so that
 importing hamest and running every other command never loads scipy.
@@ -58,7 +65,8 @@ from .util import MAX_TRIALS, check_seed, check_trials, row_norms, sample_stream
 PROBABILITY_LOG_FLOOR = 1e-300
 MLE_MAX_ITERATIONS = 200
 BELL_MIN_TRIALS = 100
-# Largest repetition count: `simulate` peak memory grows by about 0.8 kB per rep, 0.12 GB at the cap.
+# Largest repetition count. `simulate` peak memory grows by about 0.8 kB per Gaussian rep, 0.12 GB at
+# the cap, and 1.1 kB per Bell rep, 0.19 GB at the cap: the stacked fit's L-BFGS workspace grows with 3 R.
 MAX_REPS = 10**5
 
 
@@ -169,34 +177,33 @@ class ExperimentTrace:
     realized_sq_error: np.ndarray
 
 
-def bell_probabilities(delta_beta, t: float) -> np.ndarray:
+def bell_probabilities(delta_beta, t) -> np.ndarray:
     """Bell-basis outcome probabilities after evolving one half of a
     maximally entangled pair under the residual field for time t.
 
-    Outcome order: (Phi+, Psi+, Psi-, Phi-).
+    Outcome order: (Phi+, Psi+, Psi-, Phi-). Residuals of shape (..., 3) and
+    times of shape (...) give (..., 4), row by row the bits of one rep.
     """
     u = evolve_unitary(delta_beta, t)
-    amps = np.array(
-        [
-            (u[0, 0] + u[1, 1]) / 2.0,
-            (u[0, 1] + u[1, 0]) / 2.0,
-            (u[0, 1] - u[1, 0]) / 2.0,
-            (u[0, 0] - u[1, 1]) / 2.0,
-        ]
-    )
+    u00, u01, u10, u11 = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    amps = np.stack([(u00 + u11) / 2.0, (u01 + u10) / 2.0, (u01 - u10) / 2.0, (u00 - u11) / 2.0], axis=-1)
     p = np.abs(amps) ** 2
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
-def sample_counts(p, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial draw of n Bell-outcome totals, shape (4,), from probabilities p."""
+def sample_counts(p, n, rng: np.random.Generator) -> np.ndarray:
+    """Multinomial draws of n Bell-outcome totals from probabilities p of shape
+    (..., 4): counts of p's shape, from one rng.multinomial call on the
+    stacked n and p, whose rows are the draws of one row at a time in order."""
     p = np.asarray(p, dtype=float)
-    if p.shape != (4,) or np.any(p < 0.0):
+    if p.shape[-1:] != (4,) or np.any(p < 0.0):
         raise DomainError("p must be four nonnegative probabilities")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise DomainError(f"probabilities sum to {p.sum():.12g}, not 1")
+    total = p.sum(axis=-1, keepdims=True)
+    off = np.abs(total - 1.0) > 1e-9
+    if off.any():
+        raise DomainError(f"probabilities sum to {total[off][0]:.12g}, not 1")
     check_trials(n)
-    return rng.multinomial(n, p / p.sum())
+    return rng.multinomial(n, p / total)
 
 
 def estimate_step_gaussian(cov, z) -> np.ndarray:
@@ -216,59 +223,88 @@ def _nearest_phase(theta0: float, target: float) -> float:
     return 2.0 * math.pi * (j // 2) + (math.pi * (j % 2) + reflection)
 
 
-def _invert_bell_counts(counts: np.ndarray, t: float, prior: np.ndarray) -> np.ndarray:
+def _invert_bell_counts(counts: np.ndarray, t, prior: np.ndarray) -> np.ndarray:
     """Closed-form maximum-likelihood residual from Bell-outcome counts: the
     phase |x| t is pi j +/- theta0 with sin^2 theta0 = 1 - p0 and |x_i| goes
     as sqrt(p_i). The likelihood is invariant under per-component sign flips
     and these reflections, so the result takes the phase nearest |prior| t and
-    the prior's signs (+ at zero): the equal-likelihood pattern nearest it."""
-    phat = counts / counts.sum()
-    s2 = float(phat[1] + phat[2] + phat[3])
-    prior_norm = float(np.linalg.norm(prior))
-    theta = _nearest_phase(math.asin(min(1.0, math.sqrt(s2))), prior_norm * t)
-    if theta == 0.0:
-        return np.zeros(3)
-    unit = np.sqrt(phat[1:] / s2) if s2 > 0.0 else np.abs(prior) / prior_norm
-    return (theta / t) * unit * np.where(prior >= 0.0, 1.0, -1.0)
+    the prior's signs (+ at zero): the equal-likelihood pattern nearest it.
+
+    Counts (..., 4), times (...) and priors (..., 3) give residuals (..., 3).
+    Every step is elementwise but the phase, which math.asin and
+    _nearest_phase take rep by rep in Python floats."""
+    phat = counts / counts.sum(axis=-1, keepdims=True)
+    s2 = phat[..., 1] + phat[..., 2] + phat[..., 3]
+    prior_norm = np.sqrt(np.vecdot(prior, prior))
+    target = np.broadcast_to(prior_norm * t, s2.shape)
+    theta = np.reshape([
+        _nearest_phase(math.asin(min(1.0, math.sqrt(s))), g)
+        for s, g in zip(s2.ravel().tolist(), target.ravel().tolist())
+    ], s2.shape)
+    # s2 = 0 takes the prior's direction. A row with theta = 0 is zero, whatever its
+    # quotients give: 0 / 0, or a prior norm that underflows to 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = np.where((s2 > 0.0)[..., None], np.sqrt(phat[..., 1:] / s2[..., None]),
+                        np.abs(prior) / prior_norm[..., None])
+        x = (theta / t)[..., None] * unit * np.where(prior >= 0.0, 1.0, -1.0)
+    return np.where((theta == 0.0)[..., None], 0.0, x)
 
 
-def _bell_nll(x: np.ndarray, counts: np.ndarray, t: float):
-    """Negative log-likelihood of Bell-outcome counts at residual x, and its
-    score. With p = (cos^2 phi, sin^2 phi x_i^2 / w^2), w = |x|, phi = w t and
-    S = c_1 + c_2 + c_3, the score is
+def _bell_nll(x: np.ndarray, counts: np.ndarray, t):
+    """Negative log-likelihood of a stack of reps' Bell-outcome counts
+    (R, 4) at residuals x, flattened to (3 R,) as L-BFGS holds them, with
+    times t (R,): the sum of the reps' values, and their scores, flattened
+    the same way. A single rep is a stack of one. With
+    p = (cos^2 phi, sin^2 phi x_i^2 / w^2), w = |x|, phi = w t and
+    S = c_1 + c_2 + c_3, a rep's score is
     -2 [c_j / x_j + (t (S cot phi - c_0 tan phi) - S / w) x_j / w],
     with c_j / x_j taken as 0 where c_j = 0."""
+    x, counts, t = np.reshape(x, (-1, 3)), np.reshape(counts, (-1, 4)), np.reshape(t, -1)
     p = np.clip(bell_probabilities(x, t), PROBABILITY_LOG_FLOOR, None)
-    # hypot scales as it goes: x @ x underflows for the tiny residuals of a deep schedule.
-    w = math.hypot(*x)
-    phi = w * t
-    s = float(counts[1:].sum())
-    radial = t * (s / math.tan(phi) - counts[0] * math.tan(phi)) - s / w
-    per_axis = np.divide(counts[1:], x, out=np.zeros(3), where=counts[1:] != 0.0)
-    return -float(counts @ np.log(p)), -2.0 * (per_axis + radial * x / w)
+    # row_norms scales where x . x underflows, for the tiny residuals of a deep schedule.
+    w = row_norms(x)
+    tan = np.tan(w * t)
+    s = counts[:, 1:].sum(axis=1)
+    # S / tan phi and S / w overflow to inf, without a warning, as phi or w goes to 0.
+    with np.errstate(divide="ignore", over="ignore"):
+        cot_term, s_over_w = s / tan, s / w
+    radial = t * (cot_term - counts[:, 0] * tan) - s_over_w
+    per_axis = np.divide(counts[:, 1:], x, out=np.zeros_like(x), where=counts[:, 1:] != 0.0)
+    score = -2.0 * (per_axis + radial[:, None] * x / w[:, None])
+    return -float(np.vecdot(counts, np.log(p)).sum()), score.ravel()
 
 
-def _fit_bell_counts(counts: np.ndarray, t: float, prior: np.ndarray) -> np.ndarray:
-    """Maximum-likelihood residual from Bell-outcome counts: the closed-form
-    inversion, which L-BFGS checks against the likelihood's score. The model
-    is saturated, so the score there is at the rounding level and L-BFGS
-    returns the inversion after one evaluation."""
+def _fit_bell_counts(counts: np.ndarray, t, prior: np.ndarray) -> np.ndarray:
+    """Maximum-likelihood residuals of a stack of reps from their Bell-outcome
+    counts (R, 4), times (R,) and priors (R, 3); a single rep (4,) is a stack
+    of one. The reps' closed-form inversions start one L-BFGS call on the
+    stacked reps whose inversion is not zero, with the summed likelihood and
+    its score; the zero rows keep their inversion. The sum leaves each
+    component's score as it is, so the gradient tolerance applies per
+    component. The model is saturated, so each rep's score at its inversion
+    is at the rounding level, and L-BFGS returns the inversions after one
+    evaluation, unless a component reaches the tolerance. That can happen
+    for a small residual (m >= 2, or a tiny field), since the score grows as
+    1/|x|; the live reps then share its steps and line search."""
     x0 = _invert_bell_counts(counts, t, prior)
-    if not x0.any():
+    live = x0.any(axis=-1)
+    if not live.any():
         return x0
 
     # Imported here, not at module level: scipy.optimize takes most of hamest's import time.
     import scipy.optimize
 
     res = scipy.optimize.minimize(
-        _bell_nll, x0, args=(counts, t), jac=True, method="L-BFGS-B",
-        options={"maxiter": MLE_MAX_ITERATIONS},
+        _bell_nll, x0[live].ravel(), args=(counts[live], np.broadcast_to(t, live.shape)[live]), jac=True,
+        method="L-BFGS-B", options={"maxiter": MLE_MAX_ITERATIONS},
     )
     if res.status == 1:
         raise MleNonconvergence(
             f"likelihood fit did not converge within {MLE_MAX_ITERATIONS} iterations"
         )
-    return np.copysign(res.x, x0)
+    x = x0.copy()
+    x[live] = np.copysign(res.x.reshape(-1, 3), x0[live])
+    return x
 
 
 def estimate_step_bell(
@@ -290,8 +326,9 @@ def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, rng):
     Gaussian: residual + C^{1/2} z, with C axial about each residual direction at the
     operating magnitude and z one (R, 3) normal draw from rng; trace_cov is tr C = a + 2 b.
     A residual that is exactly zero takes the direction of config.beta_true.
-    Bell: rep by rep, each fits n outcomes sampled from rng toward its prior;
-    the counts are the bits of one multinomial call on the stacked n and p.
+    Bell: one bell_probabilities call on the (R, 3) residuals, one multinomial
+    draw from rng on the stacked n and p, and one stacked fit of the counts,
+    each rep toward its prior.
     """
     if config.backend == "gaussian":
         direction = np.where((residual == 0.0).all(axis=1, keepdims=True), config.beta_true, residual)
@@ -301,12 +338,8 @@ def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, rng):
         cov = iteration_covariance(direction * (magnitude / norm)[:, None], n, t)
         z = rng.standard_normal(residual.shape)
         return residual + estimate_step_gaussian(cov, z), cov.a + 2.0 * cov.b, None
-    estimates = np.zeros_like(residual)
-    counts = np.zeros((len(residual), 4), dtype=np.int64)
-    for r in range(len(residual)):
-        counts[r] = sample_counts(bell_probabilities(residual[r], t[r]), int(n[r]), rng)
-        estimates[r] = _fit_bell_counts(counts[r].astype(float), t[r], prior[r])
-    return estimates, None, counts
+    counts = sample_counts(bell_probabilities(residual, t), n.astype(np.int64), rng)
+    return _fit_bell_counts(counts.astype(float), t, prior), None, counts
 
 
 def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> ExperimentTrace:

@@ -885,7 +885,7 @@ NUMERIC_COMMANDS = st.builds(_argv, st.one_of(
     # that about a third of its calls reach the fits.
     st.tuples(st.sampled_from([["simulate", "--backend=bell"], ["simulate", "--backend=bell", "--refine"]]), _flags(
         beta0=_vector(), n=st.integers(50, 10**4), m=st.integers(1, 4), seed=st.integers(0, 2**64 - 1),
-        reps=st.integers(1, 8), extra_trials=st.none() | st.integers(1, 10**4),
+        reps=st.integers(1, 64), extra_trials=st.none() | st.integers(1, 10**4),
         bound=st.none() | _number("1.0"), guess=st.none() | _vector(), csv=_OUT,
     )),
 ), st.none() | st.integers(0, 29))

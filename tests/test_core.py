@@ -227,6 +227,31 @@ def test_evolve_small_norm_branch():
     assert_allclose(u, expm(-1j * core.pauli_compose(b)), atol=1e-14)
 
 
+def test_evolve_stack_is_row_by_row():
+    # (R, 3) fields and (R,) times give, bit for bit, the matrices of one
+    # 3-vector at a time: rows in the series branch, at t = 0, at a zero
+    # field and at negative t among them. Leading axes broadcast.
+    rng = np.random.default_rng(19)
+    b = rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-12.0, 3.0, (2000, 1))
+    t = rng.uniform(-20.0, 20.0, 2000)
+    b[:10], t[10:20] = 0.0, 0.0
+    series = np.linalg.norm(b, axis=1) * np.abs(t) < core.EVOLVE_SERIES_THRESHOLD
+    assert 100 < series.sum() < 1000 and (t < 0.0).sum() > 500
+    u = core.evolve_unitary(b, t)
+    assert u.shape == (2000, 2, 2)
+    rows = np.array([core.evolve_unitary(bb, tt) for bb, tt in zip(b, t.tolist())])
+    assert u.tobytes() == rows.tobytes()
+    assert core.evolve_unitary(b[:20].reshape(4, 5, 3), t[:20].reshape(4, 5)).tobytes() == rows[:20].tobytes()
+
+
+@pytest.mark.parametrize("row,t", [((np.nan, 0.0, 0.0), 1.0), ((0.1, 0.2, 0.3), math.inf)])
+def test_evolve_stack_rejects_one_bad_row(row, t):
+    b, times = np.full((5, 3), 0.3), np.full(5, 2.0)
+    b[2], times[2] = row, t
+    with pytest.raises(DomainError, match="must be finite"):
+        core.evolve_unitary(b, times)
+
+
 # ---------------------------------------------------------------------------
 # models
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,57 @@ def test_sample_counts_degenerate_distribution():
 def test_sample_counts_validation(p, n):
     with pytest.raises(DomainError):
         simulator.sample_counts(p, n, sample_stream(0, 0))
+
+
+def residual_stack(rng, rows):
+    """(rows, 3) residuals over 1e-12 .. 1e3 in size and (rows,) times, some
+    negative, with zero residuals and zero times among them: about a fifth
+    of the rows fall in the series branch of evolve_unitary."""
+    b = rng.normal(size=(rows, 3)) * 10.0 ** rng.uniform(-12.0, 3.0, (rows, 1))
+    t = rng.uniform(-20.0, 20.0, rows)
+    b[:10] = 0.0
+    t[10:20] = 0.0
+    return b, t
+
+
+def test_probabilities_stack_is_row_by_row():
+    # A stack gives, bit for bit, the probabilities of one rep at a time.
+    b, t = residual_stack(np.random.default_rng(29), 2000)
+    p = simulator.bell_probabilities(b, t)
+    assert p.shape == (2000, 4)
+    rows = np.array([simulator.bell_probabilities(bb, tt) for bb, tt in zip(b, t.tolist())])
+    assert p.tobytes() == rows.tobytes()
+
+
+def test_sample_counts_stack_is_one_multinomial():
+    # One draw on the stacked n and p: the rows one multinomial(n, p) call
+    # gives, which are the draws of one row at a time from the same stream.
+    rng = np.random.default_rng(31)
+    b, t = residual_stack(rng, 50)
+    p = simulator.bell_probabilities(b, t)
+    n = rng.integers(100, 10**6, 50)
+    drawn = simulator.sample_counts(p, n, sample_stream(5, 0))
+    assert drawn.shape == (50, 4)
+    assert np.array_equal(drawn.sum(axis=1), n)
+    assert np.array_equal(drawn, sample_stream(5, 0).multinomial(n, p / p.sum(axis=1, keepdims=True)))
+    one_stream = sample_stream(5, 0)
+    assert np.array_equal(drawn, [simulator.sample_counts(pp, nn, one_stream) for pp, nn in zip(p, n.tolist())])
+
+
+@pytest.mark.parametrize(
+    "row,n,message",
+    [
+        ((0.5, 0.5, 0.1, -0.1), 10, "nonnegative"),
+        ((0.25, 0.25, 0.25, 0.25 + 2e-9), 10, "probabilities sum to 1.000000002, not 1"),
+        ((0.25, 0.25, 0.25, 0.25), 0, "trial count"),
+    ],
+    ids=["negative", "sum-off", "zero-trials"],
+)
+def test_sample_counts_stack_rejects_one_bad_row(row, n, message):
+    p, counts = np.full((6, 4), 0.25), np.full(6, 10)
+    p[3], counts[3] = row, n
+    with pytest.raises(DomainError, match=message):
+        simulator.sample_counts(p, counts, sample_stream(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +293,83 @@ def test_nearest_phase_is_a_nearest_candidate(theta0, target):
 def test_fit_stays_at_the_closed_form_inversion():
     # The Bell model is saturated, so the inversion is the likelihood maximum:
     # its score is at the rounding level, and L-BFGS returns it bit for bit on
-    # 300 of criterion 12's draws.
+    # 300 of criterion 12's draws, fitted as one stack and one rep at a time.
     delta_beta, t, n = np.array([0.012, -0.007, 0.009]), 5.0, 100_000
     p = simulator.bell_probabilities(delta_beta, t)
-    for r in range(300):
-        counts = simulator.sample_counts(p, n, sample_stream(2024, r)).astype(float)
-        closed = simulator._invert_bell_counts(counts, t, delta_beta)
-        fit = simulator._fit_bell_counts(counts, t, delta_beta)
-        assert np.array_equal(fit, closed)
-        assert np.array_equal(np.sign(fit), np.sign(delta_beta))
+    counts = np.array([simulator.sample_counts(p, n, sample_stream(2024, r)) for r in range(300)], dtype=float)
+    closed = np.array([simulator._invert_bell_counts(c, t, delta_beta) for c in counts])
+    times, priors = np.full(300, t), np.broadcast_to(delta_beta, (300, 3))
+    assert np.array_equal(simulator._invert_bell_counts(counts, times, priors), closed)
+    fit = simulator._fit_bell_counts(counts, times, priors)
+    assert np.array_equal(fit, closed)
+    assert np.array_equal(np.sign(fit), np.broadcast_to(np.sign(delta_beta), (300, 3)))
+    for c, x in zip(counts[:20], closed[:20]):
+        assert np.array_equal(simulator._fit_bell_counts(c, t, delta_beta), x)
+
+
+def test_stacked_fit_polishes_only_the_live_rows(monkeypatch):
+    # All-Phi+ rows under a zero prior invert to zero and stay out of the one
+    # L-BFGS call, which sees the live rows only; every row keeps its inversion.
+    seen = []
+    minimize = scipy.optimize.minimize
+
+    def recording(fun, x0, args, **kwargs):
+        seen.append((x0, *args))
+        return minimize(fun, x0, args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    delta_beta, t = np.array([0.012, -0.007, 0.009]), 5.0
+    p = simulator.bell_probabilities(delta_beta, t)
+    counts = np.array([simulator.sample_counts(p, 100_000, sample_stream(2024, r)) for r in range(8)], dtype=float)
+    zero = np.array([True, False, False, True, True, False, True, False])
+    counts[zero] = [100_000.0, 0.0, 0.0, 0.0]
+    priors = np.where(zero[:, None], 0.0, delta_beta)
+    times = np.full(8, t)
+    fit = simulator._fit_bell_counts(counts, times, priors)
+    assert np.array_equal(fit, simulator._invert_bell_counts(counts, times, priors))
+    assert not fit[zero].any() and fit[~zero].all()
+    [(x0, live_counts, live_times)] = seen
+    assert x0.shape == (3 * int((~zero).sum()),)
+    assert np.array_equal(live_counts, counts[~zero]) and np.array_equal(live_times, times[~zero])
+
+
+def test_stacked_fit_warns_nowhere_single_reps_do_not():
+    # Extreme residuals, phases and counts, each fitted alone with warnings
+    # as errors. The rows that raise nothing alone raise nothing as one
+    # stack, and the stacked likelihood raises nothing at points where a
+    # score quotient overflows (a phase of 1e-320 puts S / tan phi past
+    # the largest float).
+    rng = np.random.default_rng(37)
+    rows = []
+    for scale in (1e-170, 1e-100, 1.0, 1e150):
+        for phase in (1e-9, 0.5, math.pi / 2.0, 3.0, 40.0):
+            for n in (100, 2**53):
+                x = rng.normal(size=3) * scale
+                t = phase / math.hypot(*x)
+                rows.append((rng.multinomial(n, simulator.bell_probabilities(x, t)).astype(float), t, x))
+    clean = []
+    for row in rows:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                simulator._fit_bell_counts(*row)
+            except (Warning, DomainError):
+                continue
+        clean.append(row)
+    assert len(clean) >= 0.75 * len(rows)
+    counts, times, priors = (np.array(column) for column in zip(*clean, strict=True))
+    points = [(x * scale, c, 1e-320 / (scale * math.hypot(*x)))
+              for x, c in zip(rng.uniform(0.1, 1.0, (4, 3)), ([1e5, 1, 2, 3], [0, 5, 0, 7], [1e5, 0, 0, 0], [9, 9, 9, 9]))
+              for scale in (1e-3, 1.0, 1e3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulator._fit_bell_counts(counts, times, priors)
+        # All Phi+ under a prior whose norm underflows: the phase is 0, so the row is zero.
+        assert not simulator._invert_bell_counts(np.array([[100.0, 0.0, 0.0, 0.0]]), 1.0, np.full((1, 3), 1e-170)).any()
+        for x, c, t in points:
+            simulator._bell_nll(x, np.array(c, dtype=float), t)
+        x, c, t = (np.array(column, dtype=float) for column in zip(*points, strict=True))
+        simulator._bell_nll(x.ravel(), c, t)
 
 
 @pytest.mark.parametrize("side", ["below", "above"])
@@ -273,9 +393,9 @@ def test_score_matches_central_differences(side):
         assert np.max(np.abs(score - central)) <= 1e-7 * np.max(np.abs(score))
 
 
-def test_bell_fit_samples_and_evaluates_once_per_rep(monkeypatch):
-    # The bell-fit benchmark's field: one probability call samples the counts
-    # and one evaluates the seed, where the score stops L-BFGS.
+def test_bell_fit_samples_and_evaluates_once_per_measurement(monkeypatch):
+    # The bell-fit benchmark's field: one probability call on the stacked reps
+    # samples the counts and one evaluates the seeds, where the score stops L-BFGS.
     calls = []
     probabilities = simulator.bell_probabilities
 
@@ -285,9 +405,8 @@ def test_bell_fit_samples_and_evaluates_once_per_rep(monkeypatch):
 
     monkeypatch.setattr(simulator, "bell_probabilities", counted)
     cfg = simulator.ExperimentConfig(beta_true=(0.05, -0.03, 0.04), m=1, n=100_000, backend="bell", seed=4)
-    reps = 20
-    simulator.run_repetitions(cfg, reps)
-    assert len(calls) <= 2 * reps
+    simulator.run_repetitions(cfg, 20)
+    assert len(calls) <= 2 * cfg.m
 
 
 def test_all_phi_plus_counts_fit_zero_without_a_polish(monkeypatch):
@@ -434,7 +553,8 @@ def test_one_stream_per_measurement(monkeypatch, backend, refine, reps):
     def recording_counts(p, n, rng):
         drawn = sample(p, n, rng)
         key = next(key for key, g in made if g is rng)
-        counts.setdefault(key, []).append((np.asarray(p) / np.sum(p), n, drawn))
+        assert key not in counts
+        counts[key] = (np.asarray(p) / np.sum(p, axis=-1, keepdims=True), n, drawn)
         return drawn
 
     monkeypatch.setattr(simulator, "sample_stream", recording_stream)
@@ -449,9 +569,10 @@ def test_one_stream_per_measurement(monkeypatch, backend, refine, reps):
         for key, z in zip(keys, normals, strict=True):
             assert np.array_equal(z, sample_stream(*key).standard_normal((reps, 3)))
         return
+    # One batched draw per measurement, on the stacked n and p.
     assert list(counts) == keys
-    for key, draws in counts.items():
-        p, n, drawn = (np.array(column) for column in zip(*draws, strict=True))
+    for key, (p, n, drawn) in counts.items():
+        assert drawn.shape == (reps, 4)
         assert np.array_equal(drawn, sample_stream(*key).multinomial(n, p))
 
 
@@ -531,23 +652,25 @@ def test_refined_process_follows_total_penalty_law():
 
 
 def test_nonconvergent_fit_aborts(monkeypatch):
-    # A fit that fails at iteration 1 aborts the run: the error reaches the
-    # caller unchanged instead of becoming a zero-estimate trace.
+    # A stacked fit that fails at iteration 1 aborts the run: the error
+    # reaches the caller unchanged instead of becoming a zero-estimate trace.
     def explode(counts, t, prior):
+        assert counts.shape == (2, 4)
         raise MleNonconvergence("forced")
 
     monkeypatch.setattr(simulator, "_fit_bell_counts", explode)
     cfg = ref_config(backend="bell", n=200, seed=1)
     with pytest.raises(MleNonconvergence, match="^forced$"):
-        simulator.run_repetitions(cfg, 1)
+        simulator.run_repetitions(cfg, 2)
 
 
 def test_nonconvergent_fit_ends_the_run(monkeypatch, capsys, tmp_path):
-    # A fit that does not converge at iteration 2 ends the whole run: the
-    # library raises, and the CLI exits 3 with one line and no output.
+    # A stacked fit that does not converge at iteration 2 ends the whole run:
+    # the library raises, and the CLI exits 3 with one line and no output.
     fit = simulator._fit_bell_counts
 
     def fail_at_iteration_2(counts, t, prior):
+        assert counts.shape == (3, 4)
         if not np.any(prior):
             raise MleNonconvergence("forced")
         return fit(counts, t, prior)
