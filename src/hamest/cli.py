@@ -4,7 +4,10 @@ Subcommands map one-to-one onto the library layers: `qfim` and
 `variance-curve` evaluate the single-shot information quantities, `schedule`
 plans the adaptive iteration sequence, `robustness` quantifies control-error
 penalties (a `single` deviation grid or a `total` Monte Carlo), and
-`simulate` runs the full protocol.
+`simulate` runs the full protocol. This module imports core, qfim and
+adaptive, which the first g0() loads anyway; `variance-curve`, `robustness`
+and `simulate` each import their own layer when they run, so a process loads
+only the layers of the commands it runs.
 
 Output conventions: JSON documents follow one record shape (schema_version,
 command, params, rows, plus command-specific sections) in the layout of
@@ -39,11 +42,10 @@ import sys
 
 import numpy as np
 
-from . import adaptive, robustness, variance
+from . import adaptive
 from .core import get_model
 from .errors import DomainError, EstimationError, SingularQfim
 from .qfim import _weighted_information, covariance_from_qfim, generator, scalar_bound
-from .simulator import ExperimentConfig, run_repetitions
 
 SCHEMA_VERSION = 1
 # Largest time or deviation grid a command evaluates: 8 MB per float column.
@@ -156,6 +158,8 @@ def _cmd_qfim(args) -> int:
 
 
 def _cmd_variance_curve(args) -> int:
+    from . import variance
+
     model = get_model(args.model)
     if args.points < 2:
         raise DomainError("need at least 2 grid points")
@@ -185,6 +189,8 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_robustness_single(args) -> int:
+    from . import robustness
+
     start, stop, step = args.grid
     _check_grid_size((stop + 0.5 * step - start) / step)
     grid = np.arange(start, stop + 0.5 * step, step)
@@ -195,6 +201,8 @@ def _cmd_robustness_single(args) -> int:
 
 
 def _cmd_robustness_total(args) -> int:
+    from . import robustness
+
     summary = robustness.robustness_mc(args.m, args.samples, args.seed)
     rows = [("mean", summary.mean), ("p_below_one", summary.p_below_one)]
     rows += [(f"decile_{decile}", value) for decile, value in zip(range(10, 100, 10), summary.deciles)]
@@ -270,6 +278,8 @@ def _per_rep(value, columns: _RepColumns):
 
 
 def _cmd_simulate(args) -> int:
+    from .simulator import ExperimentConfig, run_repetitions
+
     config = ExperimentConfig(
         beta_true=args.beta0,
         m=args.m,

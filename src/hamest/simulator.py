@@ -47,7 +47,9 @@ of a Bell measurement takes a step: its reps share the line search, so their
 estimates can move in the last bits with the rep count.
 
 scipy.optimize is imported inside the Bell fit, on its first call, so that
-importing hamest and running every other command never loads scipy.
+importing hamest and running every other command never loads scipy. The
+rng annotations are strings, so importing this module does not load
+numpy.random either: util.sample_stream loads it with the first stream.
 """
 
 import itertools
@@ -191,7 +193,7 @@ def bell_probabilities(delta_beta, t) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def sample_counts(p, n, rng: np.random.Generator) -> np.ndarray:
+def sample_counts(p, n, rng: "np.random.Generator") -> np.ndarray:
     """Multinomial draws of n Bell-outcome totals from probabilities p of shape
     (..., 4): counts of p's shape, from one rng.multinomial call on the
     stacked n and p, whose rows are the draws of one row at a time in order."""
@@ -308,7 +310,7 @@ def _fit_bell_counts(counts: np.ndarray, t, prior: np.ndarray) -> np.ndarray:
 
 
 def estimate_step_bell(
-    delta_beta_true, n: int, t: float, prior, rng: np.random.Generator
+    delta_beta_true, n: int, t: float, prior, rng: "np.random.Generator"
 ) -> np.ndarray:
     """Sample n Bell-basis outcomes under the true residual and return the
     maximum-likelihood estimate, degeneracies resolved toward the prior."""
