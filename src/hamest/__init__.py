@@ -16,6 +16,7 @@ __version__ = "0.1.0"
 # Each export and the layer that defines it.
 _LAYER_EXPORTS = {
     "core": (
+        "Covariance3",
         "HamiltonianModel",
         "ModelEvaluation",
         "SpectralDecomposition2",
@@ -41,7 +42,6 @@ _LAYER_EXPORTS = {
         "SingularQfim",
     ),
     "qfim": (
-        "Covariance3",
         "QfimMatrix",
         "covariance_from_qfim",
         "generator",

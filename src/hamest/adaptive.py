@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import inverse_jacobian
+from .core import Covariance3, inverse_jacobian
 from .errors import DegenerateInput, DivergentTime, DomainError, NoContraction
-from .qfim import Covariance3
 from .util import check_phase, check_trials, csc_squared, first_outside, near_pole, row_norms
 
 # The objective has one minimum on (0, pi), at g0 ~ 1.2986: this bracket

@@ -4,8 +4,8 @@ Subcommands map one-to-one onto the library layers: `qfim` and
 `variance-curve` evaluate the single-shot information quantities, `schedule`
 plans the adaptive iteration sequence, `robustness` quantifies control-error
 penalties (a `single` deviation grid or a `total` Monte Carlo), and
-`simulate` runs the full protocol. This module imports core, qfim and
-adaptive, which the first g0() loads anyway; `variance-curve`, `robustness`
+`simulate` runs the full protocol. This module imports core and adaptive,
+which the first g0() loads anyway, and qfim; `variance-curve`, `robustness`
 and `simulate` each import their own layer when they run, so a process loads
 only the layers of the commands it runs.
 

@@ -172,6 +172,13 @@ def inverse_jacobian(jac) -> np.ndarray:
     return np.linalg.inv(jac)
 
 
+@dataclass(frozen=True)
+class Covariance3:
+    """3x3 covariance matrix."""
+
+    m: np.ndarray
+
+
 def _btp_map(alpha):
     b_amp, theta, phi = alpha
     if b_amp <= 0.0:

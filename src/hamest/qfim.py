@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import INVERTIBLE_RTOL, HamiltonianModel, inverse_jacobian, model_evaluate
+from .core import INVERTIBLE_RTOL, Covariance3, HamiltonianModel, inverse_jacobian, model_evaluate
 from .errors import DomainError, EstimationError, SingularQfim
 from .util import check_phase, check_trials
 
@@ -80,13 +80,6 @@ class QfimMatrix:
             )
         object.__setattr__(self, "m", sym)
         object.__setattr__(self, "_eigenvalues", eigs)
-
-
-@dataclass(frozen=True)
-class Covariance3:
-    """3x3 covariance matrix."""
-
-    m: np.ndarray
 
 
 def generator(model: HamiltonianModel, alpha, t: float) -> np.ndarray:

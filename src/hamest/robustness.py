@@ -13,18 +13,18 @@ ahead of the ideal plan. It keeps one array of penalties and summarizes it
 in place: the mean in draw order, then one sort, from which the deciles
 (numpy's linear rule) and the count below 1 are read.
 
-robustness_mc draws its blocks on the calling thread and, where the process
-may run on two or more CPUs, on one helper thread that lives as long as the
-process: numpy releases the GIL while it fills the normals and runs the log
-and exp loops, and each block has its own keyed stream and its own slice of
-the penalties. The summary is read only after the last block, so it keeps every
-bit whatever thread drew which block.
+robustness_mc draws block 0 on the calling thread and, where the process may
+run on two or more CPUs, shares the rest with one helper thread, the worker of
+a process-wide ThreadPoolExecutor: numpy releases the GIL while it fills the
+normals and runs the log and exp loops, and each block has its own keyed
+stream and its own slice of the penalties. The summary is read only after the
+last block, so it keeps every bit whatever thread drew which block.
 """
 
 import math
 import os
 import threading
-from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +43,8 @@ MC_BLOCK = 4096
 MC_MAX_SAMPLES = 10**8
 # Largest iteration count: 2^(m - 1), the inverse weight of D_2, stays a float,
 # and one block of normals takes MC_BLOCK * 3 * (m - 1) floats, 100 MB at 1024.
-# With two blocks in flight, each with its factors formed beside its normals,
-# `robustness total --m 1024 --samples 10000` peaked at 271-283 MB RSS.
+# With two blocks in flight, the caller's and the helper's, each with its factors
+# beside its normals, `robustness total --m 1024 --samples 10000` peaked at 271-283 MB RSS.
 MC_MAX_ITERATIONS = 1024
 # The levels of the nine deciles that robustness_mc reports.
 _DECILE_LEVELS = np.arange(0.1, 0.95, 0.1).tolist()
@@ -143,104 +143,31 @@ def _sorted_deciles(s: np.ndarray) -> tuple:
     return tuple(deciles)
 
 
-class _Blocks:
-    """Blocks 0 .. count - 1 of one robustness_mc call, which the calling thread
-    and the helper thread claim in turn from one counter. Block 0 is the
-    caller's. The caller waits only for blocks the helper has claimed, so a
-    helper that never runs (its thread is gone in a fork child, say) leaves
-    the caller to draw every block itself."""
-
-    def __init__(self, count, draw):
-        self._turn = threading.Condition(threading.Lock())
-        self._draw = draw
-        self._count = count
-        self._next = 1
-        self._helping = 0  # blocks the helper has claimed and not yet drawn
-        self._error = None
-
-    def _claim(self, by_helper):
-        with self._turn:
-            b = self._next
-            if b >= self._count:
-                return None
-            self._next = b + 1
-            self._helping += by_helper
-            return b
-
-    def help(self):
-        """Draw unclaimed blocks on the helper thread. The first exception a
-        block raises stops the claims and goes to the caller, which raises it."""
-        while (b := self._claim(True)) is not None:
-            error = None
-            try:
-                self._draw(b)
-            except BaseException as exc:  # raised again on the calling thread by run()
-                error = exc
-            with self._turn:
-                self._helping -= 1
-                if error is not None:
-                    self._error, self._next = error, self._count
-                self._turn.notify()
-
-    def run(self):
-        """Draw block 0, then unclaimed blocks, on the calling thread; return when
-        every block the helper claimed is drawn, raising what a block raised."""
-        try:
-            b = 0
-            while b is not None:
-                self._draw(b)
-                b = self._claim(False)
-        finally:
-            with self._turn:
-                self._next = self._count
-                self._turn.wait_for(lambda: not self._helping)
-            self._draw = None  # a job still queued for the helper keeps no ratios
-        if self._error is not None:
-            raise self._error
+# One executor with one worker, made on first use, so a call has at most two
+# blocks in flight. A fork child, whose copy of the worker is dead, drops it.
+_POOL = None
+_POOL_START = threading.Lock()
 
 
-class _Helper:
-    """A daemon thread that helps each _Blocks handed to it, in turn."""
-
-    def __init__(self):
-        self._ready = threading.Condition(threading.Lock())
-        self._jobs = deque()
-        self._thread = threading.Thread(target=self._serve, name="hamest-mc-helper", daemon=True)
-        self._thread.start()
-
-    def is_alive(self):
-        return self._thread.is_alive()
-
-    def submit(self, blocks):
-        with self._ready:
-            self._jobs.append(blocks)
-            self._ready.notify()
-
-    def _serve(self):
-        while True:
-            with self._ready:
-                self._ready.wait_for(lambda: self._jobs)
-                blocks = self._jobs.popleft()
-            blocks.help()
+def _drop_pool():
+    global _POOL, _POOL_START
+    _POOL, _POOL_START = None, threading.Lock()
 
 
-# The process's one helper: at most two blocks are in flight in a call, which
-# keeps the peak memory of robustness_mc within its tested bound.
-_HELPER = None
-_HELPER_START = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _helper():
-    """The helper thread, started on first use and again in a fork child (whose
-    copy of the thread is dead), or None where the process may run on one CPU."""
-    global _HELPER
+def _pool():
+    """The helper's executor, or None where the process may run on one CPU."""
+    global _POOL
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if cpus < 2:
         return None
-    with _HELPER_START:
-        if _HELPER is None or not _HELPER.is_alive():
-            _HELPER = _Helper()
-        return _HELPER
+    with _POOL_START:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hamest-mc-helper")
+        return _POOL
 
 
 def robustness_mc(m: int, samples: int, seed: int) -> RobustnessSummary:
@@ -285,11 +212,35 @@ def robustness_mc(m: int, samples: int, seed: int) -> RobustnessSummary:
         d /= p.s
         np.exp(np.vecdot(np.log(d, out=d), exponents), out=ratios[start:stop])
 
-    blocks = _Blocks(-(-samples // MC_BLOCK), draw_block)
-    helper = _helper()
-    if helper is not None:
-        helper.submit(blocks)
-    blocks.run()
+    # Blocks 1 .. B - 1, which the caller and the helper claim in turn.
+    blocks = iter(range(1, -(-samples // MC_BLOCK)))
+    claim = threading.Lock()
+
+    def drain():
+        while True:
+            with claim:
+                b = next(blocks, None)
+            if b is None:
+                return
+            draw_block(b)
+
+    pool = _pool()
+    try:
+        job = None if pool is None else pool.submit(drain)
+    except RuntimeError:  # the interpreter is shutting down, or no thread starts
+        job = None
+    try:
+        draw_block(0)
+        drain()
+    finally:
+        with claim:  # leave no block to claim, so a running job stops after its current one
+            for _ in blocks:
+                pass
+        # A job that never started (on a fork child's dead worker, say) is
+        # cancelled, not awaited; result() raises what the helper raised.
+        if job is not None and not job.cancel():
+            job.result()
+        draw_block = None  # a cancelled job, still queued for the helper, keeps no ratios
     # numpy's pairwise sum over the ratios in draw order, before the sort.
     mean = float(ratios.mean())
     ratios.sort()

@@ -13,16 +13,16 @@ from hamest import adaptive
 # The public exports, by the layer that defines each.
 EXPORTS = {
     "core": [
-        "HamiltonianModel", "ModelEvaluation", "SpectralDecomposition2", "btp_model", "custom_model",
-        "evolve_unitary", "get_model", "inverse_jacobian", "model_evaluate", "pauli_compose", "pauli_model",
-        "spectral_decompose",
+        "Covariance3", "HamiltonianModel", "ModelEvaluation", "SpectralDecomposition2", "btp_model",
+        "custom_model", "evolve_unitary", "get_model", "inverse_jacobian", "model_evaluate", "pauli_compose",
+        "pauli_model", "spectral_decompose",
     ],
     "errors": [
         "DegenerateInput", "DegenerateSpectrum", "DivergentTime", "DomainError", "EstimationError",
         "MleNonconvergence", "NoContraction", "SingularJacobian", "SingularQfim",
     ],
     "qfim": [
-        "Covariance3", "QfimMatrix", "covariance_from_qfim", "generator", "qfim_entangled",
+        "QfimMatrix", "covariance_from_qfim", "generator", "qfim_entangled",
         "qfim_weighted_initial", "reparameterize_covariance", "reparameterize_qfim", "scalar_bound",
         "weak_commutativity_residual",
     ],
@@ -107,13 +107,17 @@ def test_exports_are_resolved_on_every_access(monkeypatch):
 
 
 def test_import_loads_only_the_layers_it_uses():
-    # A fresh interpreter: the import, the first g0() and the CLI module load
-    # neither simulator, robustness nor variance, nor numpy.random or scipy.
-    # A `robustness total` call then loads robustness (and numpy.random, for
-    # its streams) and still not simulator.
+    # A fresh interpreter: the import and the first g0() load neither qfim,
+    # simulator, robustness nor variance, nor numpy.random, concurrent.futures
+    # or scipy; the CLI module adds qfim. A `robustness total` call then loads
+    # robustness (with numpy.random, for its streams, and concurrent.futures,
+    # for its helper) and still not simulator.
     script = """
 import contextlib, io, json, sys
-watched = ["hamest.simulator", "hamest.robustness", "hamest.variance", "numpy.random", "scipy"]
+watched = [
+    "hamest.qfim", "hamest.simulator", "hamest.robustness", "hamest.variance", "numpy.random",
+    "concurrent.futures", "scipy",
+]
 loaded = {}
 import hamest
 loaded["import"] = [m for m in watched if m in sys.modules]
@@ -132,8 +136,8 @@ print(json.dumps({"loaded": loaded, "layers": layers}))
     assert doc["loaded"] == {
         "import": [],
         "g0": [],
-        "cli": [],
-        "total": ["hamest.robustness", "numpy.random"],
+        "cli": ["hamest.qfim"],
+        "total": ["hamest.qfim", "hamest.robustness", "numpy.random", "concurrent.futures"],
     }
 
 

@@ -2,9 +2,13 @@
 
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,8 +336,8 @@ def _bits(values) -> list:
 
 @pytest.fixture(scope="module")
 def mc_helper():
-    """A helper thread of this module's own, started even where the process may run on one CPU."""
-    return robustness._Helper()
+    """A helper executor of this module's own, used even where the process may run on one CPU."""
+    return ThreadPoolExecutor(1)
 
 
 MC_CASES = pytest.mark.parametrize(
@@ -359,9 +363,9 @@ def test_mc_summary_bitwise_equals_numpy_statistics_in_draw_order(m, seed, sampl
 
 @MC_CASES
 def test_mc_summary_bitwise_equal_with_and_without_the_helper(m, seed, samples, mc_helper, monkeypatch):
-    monkeypatch.setattr(robustness, "_helper", lambda: None)
+    monkeypatch.setattr(robustness, "_pool", lambda: None)
     alone = robustness.robustness_mc(m, samples, seed)
-    monkeypatch.setattr(robustness, "_helper", lambda: mc_helper)
+    monkeypatch.setattr(robustness, "_pool", lambda: mc_helper)
     shared = robustness.robustness_mc(m, samples, seed)
     assert _bits([shared.mean, shared.p_below_one, *shared.deciles]) == _bits(
         [alone.mean, alone.p_below_one, *alone.deciles]
@@ -373,7 +377,7 @@ def test_mc_block_error_propagates_from_either_thread(failing, mc_helper, monkey
     # The caller holds block 0 until the helper has started block 1, so each
     # thread draws one of them; the error of either reaches the caller as it
     # was raised, and the helper serves the next call.
-    monkeypatch.setattr(robustness, "_helper", lambda: mc_helper)
+    monkeypatch.setattr(robustness, "_pool", lambda: mc_helper)
     samples = 5 * robustness.MC_BLOCK - 1
     expected = robustness.robustness_mc(3, samples, 4)
     draw = KeyedStream.standard_normal
@@ -405,9 +409,9 @@ def test_mc_concurrent_callers_share_one_helper(mc_helper, monkeypatch):
     # interpreter switches threads as often as it can: each caller still gets
     # its summary bit for bit, and each block key is drawn exactly once.
     cases = [(m, 5 * robustness.MC_BLOCK - 1, 40 + m) for m in (2, 3, 4, 5)]
-    monkeypatch.setattr(robustness, "_helper", lambda: None)
+    monkeypatch.setattr(robustness, "_pool", lambda: None)
     expected = [robustness.robustness_mc(*case) for case in cases]
-    monkeypatch.setattr(robustness, "_helper", lambda: mc_helper)
+    monkeypatch.setattr(robustness, "_pool", lambda: mc_helper)
     draw = KeyedStream.standard_normal
     keyed = []
 
@@ -438,30 +442,32 @@ def test_mc_concurrent_callers_share_one_helper(mc_helper, monkeypatch):
     assert sorted(keyed) == sorted((seed, b) for _, _, seed in cases for b in range(5) for _ in range(rounds))
 
 
-def _send_summary(conn, m, samples, seed):
-    conn.send(robustness.robustness_mc(m, samples, seed))
+def _send_summary(conn, parent_pool, m, samples, seed):
+    conn.send((robustness.robustness_mc(m, samples, seed), robustness._pool() is parent_pool))
     conn.close()
 
 
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 @pytest.mark.parametrize("helper", ["process", "inherited"])
 def test_mc_fork_child_returns_the_parents_summary(helper, mc_helper, monkeypatch):
-    # A fork child inherits the helper object but not its thread. With the
-    # process's own helper it starts a new thread; handed the inherited object,
-    # whose thread never runs, its caller draws every block itself. A hang
-    # fails the test on the timeout instead of stalling the suite.
+    # A fork child inherits the executor but not its worker thread. The
+    # process's own executor is dropped in the child, which makes its own;
+    # handed the inherited executor, whose job never starts, its caller draws
+    # every block itself. A hang fails the test on the timeout instead of
+    # stalling the suite.
     if helper == "inherited":
-        monkeypatch.setattr(robustness, "_helper", lambda: mc_helper)
+        monkeypatch.setattr(robustness, "_pool", lambda: mc_helper)
     args = (4, 3 * robustness.MC_BLOCK + 57, 8)
     parent = robustness.robustness_mc(*args)
+    parent_pool = robustness._pool()
     fork = multiprocessing.get_context("fork")
     receive, send = fork.Pipe(duplex=False)
-    child = fork.Process(target=_send_summary, args=(send, *args))
+    child = fork.Process(target=_send_summary, args=(send, parent_pool, *args))
     child.start()
     send.close()
     try:
         assert receive.poll(60), "the fork child sent no summary in 60 s"
-        summary = receive.recv()
+        summary, same_pool = receive.recv()
         child.join(30)
     finally:
         if child.is_alive():
@@ -469,6 +475,34 @@ def test_mc_fork_child_returns_the_parents_summary(helper, mc_helper, monkeypatc
             child.join(30)
     assert summary == parent
     assert child.exitcode == 0
+    # The child's own executor is a new one; on one CPU there is none.
+    assert same_pool == (helper == "inherited" or parent_pool is None)
+
+
+def test_mc_helper_lives_for_the_process():
+    # Calls reuse the one helper thread: they start no thread and leave none.
+    robustness.robustness_mc(2, 10_000, 1)
+    count = threading.active_count()
+    for seed in range(50):
+        robustness.robustness_mc(2, 10_000, seed)
+    assert threading.active_count() == count
+    helpers = [t for t in threading.enumerate() if t.name.startswith("hamest-mc-helper")]
+    assert len(helpers) == (robustness._pool() is not None)
+
+
+def test_mc_runs_on_the_caller_once_the_interpreter_shuts_down():
+    # An atexit handler runs after the executors have stopped taking jobs: its
+    # call draws every block on the calling thread and returns the same summary.
+    script = """
+import atexit
+from hamest import robustness
+expected = robustness.robustness_mc(3, 20_000, 1)
+atexit.register(lambda: print(robustness.robustness_mc(3, 20_000, 1) == expected))
+"""
+    src = str(Path(robustness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
 
 def test_mc_ratio_of_exactly_one_is_not_below_one(monkeypatch):
