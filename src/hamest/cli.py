@@ -5,7 +5,7 @@ Subcommands map one-to-one onto the library layers: `qfim` and
 plans the adaptive iteration sequence, `robustness` quantifies control-error
 penalties (a `single` deviation grid or a `total` Monte Carlo), and
 `simulate` runs the full protocol. This module imports core and adaptive,
-which the first g0() loads anyway, and qfim; `variance-curve`, `robustness`
+which the first g0() loads anyway; `qfim`, `variance-curve`, `robustness`
 and `simulate` each import their own layer when they run, so a process loads
 only the layers of the commands it runs.
 
@@ -45,7 +45,6 @@ import numpy as np
 from . import adaptive
 from .core import get_model
 from .errors import DomainError, EstimationError, SingularQfim
-from .qfim import _weighted_information, covariance_from_qfim, generator, scalar_bound
 
 SCHEMA_VERSION = 1
 # Largest time or deviation grid a command evaluates: 8 MB per float column.
@@ -120,6 +119,8 @@ def _check_threads(args) -> None:
 
 
 def _cmd_qfim(args) -> int:
+    from .qfim import _weighted_information, covariance_from_qfim, generator, scalar_bound
+
     model = get_model(args.model)
     # One generator build gives both the QFIM and the commutativity residual.
     f, residual = _weighted_information(generator(model, args.alpha, args.t), args.weight)

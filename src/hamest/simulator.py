@@ -11,11 +11,14 @@ Two measurement backends share the same adaptive loop:
   squared error an infinite mean, which the contraction recursion never
   models; with the mean-field operating point the realized deviation factors
   follow the control-error law exactly, at every iteration. The covariance
-  is axial about the residual direction, so each estimate applies its square
-  root in closed form and no matrix is built. It stays finite up to w t = pi,
-  so this backend hides the phase-branch ambiguity that the Bell backend has
-  to resolve. A residual that is exactly zero (a deep schedule can reach one)
-  takes the true field's direction.
+  is axial about the residual direction: its weights a and b come from the
+  operating magnitude itself and its axis u from the residual direction, so
+  in a plain run every rep of an iteration shares the bits of a, b and
+  tr C. Each estimate applies the square root in closed form and no matrix
+  is built. It stays finite up to w t = pi, so this backend hides the
+  phase-branch ambiguity that the Bell backend has to resolve. A residual
+  that is exactly zero (a deep schedule can reach one) takes the true
+  field's direction.
 * "bell" samples Bell-basis outcome counts from the exact probabilities and
   estimates the residual field by maximum likelihood: four frequencies fix
   three parameters, so each rep's estimate inverts them in closed form. One
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import g0, iteration_covariance, plan_schedule
+from .adaptive import AxialCovariance, g0, iteration_covariance, plan_schedule
 from .core import evolve_unitary
 from .errors import DomainError, MleNonconvergence
 from .util import MAX_TRIALS, check_seed, check_trials, row_norms, sample_stream
@@ -280,16 +283,18 @@ def _fit_bell_counts(counts: np.ndarray, t, prior: np.ndarray) -> np.ndarray:
     """Maximum-likelihood residuals of a stack of reps from their Bell-outcome
     counts (R, 4), times (R,) and priors (R, 3); a single rep (4,) is a stack
     of one. The reps' closed-form inversions start one L-BFGS call on the
-    stacked reps whose inversion is not zero, with the summed likelihood and
-    its score; the zero rows keep their inversion. The sum leaves each
-    component's score as it is, so the gradient tolerance applies per
+    stacked reps whose inversion has a normal squared norm, with the summed
+    likelihood and its score. The other rows keep their inversion: one whose
+    x . x is zero or subnormal (util.row_norms' rule, |x| below about 1e-154),
+    where L-BFGS's first step could leave the float range. The sum leaves
+    each component's score as it is, so the gradient tolerance applies per
     component. The model is saturated, so each rep's score at its inversion
     is at the rounding level, and L-BFGS returns the inversions after one
     evaluation, unless a component reaches the tolerance. That can happen
     for a small residual (m >= 2, or a tiny field), since the score grows as
     1/|x|; the live reps then share its steps and line search."""
     x0 = _invert_bell_counts(counts, t, prior)
-    live = x0.any(axis=-1)
+    live = np.vecdot(x0, x0) >= 2.0**-1022
     if not live.any():
         return x0
 
@@ -325,9 +330,12 @@ def estimate_step_bell(
 
 def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, rng):
     """One measurement of every rep's residual: (estimates, trace_cov, counts).
-    Gaussian: residual + C^{1/2} z, with C axial about each residual direction at the
-    operating magnitude and z one (R, 3) normal draw from rng; trace_cov is tr C = a + 2 b.
-    A residual that is exactly zero takes the direction of config.beta_true.
+    Gaussian: residual + C^{1/2} z, with z one (R, 3) normal draw from rng and
+    C axial: a and b from one iteration_covariance call at (magnitude, 0, 0),
+    whose norm is the magnitude exactly, and u the unit residual direction.
+    trace_cov is tr C = a + 2 b, one value per iteration in a plain run, where
+    every rep has the planned magnitude, t and n. A residual that is exactly
+    zero takes the direction of config.beta_true.
     Bell: one bell_probabilities call on the (R, 3) residuals, one multinomial
     draw from rng on the stacked n and p, and one stacked fit of the counts,
     each rep toward its prior.
@@ -337,7 +345,8 @@ def _measure(config: ExperimentConfig, residual, n, t, magnitude, prior, rng):
         norm = row_norms(direction)
         if np.any(norm == 0.0):
             raise DomainError("residual direction is undefined at zero residual")
-        cov = iteration_covariance(direction * (magnitude / norm)[:, None], n, t)
+        axial = iteration_covariance(magnitude[:, None] * (1.0, 0.0, 0.0), n, t)
+        cov = AxialCovariance(a=axial.a, b=axial.b, u=direction / norm[:, None])
         z = rng.standard_normal(residual.shape)
         return residual + estimate_step_gaussian(cov, z), cov.a + 2.0 * cov.b, None
     counts = sample_counts(bell_probabilities(residual, t), n.astype(np.int64), rng)

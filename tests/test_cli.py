@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import hamest
-from hamest import adaptive, cli, qfim, robustness, variance
+from hamest import adaptive, cli, qfim, robustness, simulator, variance
 from hamest.core import get_model
 from hamest.errors import EstimationError
 from hamest.qfim import covariance_from_qfim, qfim_entangled, scalar_bound
@@ -484,8 +484,8 @@ def test_simulate_bell_below_fit_floor(capsys):
 @pytest.mark.parametrize(
     "extra,digest",
     [
-        ([], "fdf1d77ca15d8c635dd63e51ebf0cff822df03d14f7ac18b9be992cf7df8391d"),
-        (["--refine"], "dd157ec173899926a9f94e86cba244765e7566526606e795c00d6a9a16558e24"),
+        ([], "18637825274f6880707daa7eb8bbb298a2df57b648da194b00ce93cff620e22e"),
+        (["--refine"], "83e283984e6b69cf41b43e98b64acf9509401d70111ba67550b92ec2346a831d"),
         (["--backend", "bell"], "bed12b528c369f6b1bc9414a7f8308fe8687560be9f932f68a7eb5808b123859"),
         (
             ["--backend", "bell", "--refine"],
@@ -503,8 +503,8 @@ def test_simulate_output_pinned(capsys, extra, digest):
 @pytest.mark.parametrize(
     "extra,digest",
     [
-        ([], "89a1c6006c5faff312420b212ccb61c2f233ee2b96277ba5647aac4b92fc2007"),
-        (["--refine"], "85177c9a271d4d0fe9dbacaedcc84370aa5ecb5d80188321762092ddcef3921d"),
+        ([], "008f35c30a13b500b91c387cbde07fce94b6ab39736c5203008f4e023f9edce9"),
+        (["--refine"], "2816ecc4d9f1580b19c390bef158be745d2e310f7953262ad7961b8c61bc8ef3"),
     ],
 )
 def test_simulate_readme_output_pinned(capsys, extra, digest):
@@ -566,6 +566,54 @@ def test_simulate_planned_v_m_is_the_schedule_value(capsys, beta, n, m):
     v_m = adaptive.plan_schedule(bound * bound, n, target_m=m).v_m
     assert doc["rows"][0]["planned_v_m"] == v_m
     assert doc["summary"]["planned_v_m"] == v_m
+
+
+@pytest.mark.parametrize(
+    "beta,n,m,reps", [((0.8, -0.4, 0.3), 1000, 4, 500)] + [(*run, 40) for run in _random_runs(6, 41)]
+)
+def test_plain_gaussian_reps_share_each_iteration_covariance(beta, n, m, reps):
+    # Without refinement every rep of iteration k is measured at the planned
+    # magnitude sqrt(dE2_planned) / 2, time and count, so t, n_used and
+    # trace_cov each hold one value, and trace_cov is a + 2 b at that magnitude
+    # bit for bit. Each d_factor is the realized residual over the trace it
+    # was drawn with.
+    trace = simulator.run_repetitions(simulator.ExperimentConfig(beta_true=beta, m=m, n=n, seed=4), reps)
+    prev_trace_cov = None
+    for it in trace.iterations:
+        for column in (it.t, it.n_used, it.trace_cov):
+            assert len(set(column.tolist())) == 1
+        cov = adaptive.iteration_covariance(np.array([math.sqrt(it.dE2_planned) / 2.0, 0.0, 0.0]), n, it.t[0])
+        assert it.trace_cov[0] == cov.a + 2.0 * cov.b
+        if prev_trace_cov is None:
+            assert np.array_equal(it.d_factor, 4.0 * it.residual_norm_sq / it.dE2_planned)
+        else:
+            assert np.array_equal(it.d_factor, it.residual_norm_sq / prev_trace_cov)
+        prev_trace_cov = it.trace_cov
+
+
+@pytest.mark.parametrize(
+    "extra,placeholders,formatted", [([], 36, {"f": 23, "i": 1}), (["--refine"], 45, {"f": 29, "i": 4})]
+)
+def test_readme_simulate_formats_only_its_per_rep_columns(capsys, monkeypatch, extra, placeholders, formatted):
+    # The README Gaussian run: a plain run's t, n_used and trace_cov are shared
+    # numbers, so repr runs on 24 columns of 500 reps (rep and 23 floats); the
+    # refined run's differ between reps, 33 columns (rep, 3 n_used, 29 floats).
+    # A column that picks up per-rep rounding noise fails here.
+    made = []
+
+    class Recording(cli._RepColumns):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(cli, "_RepColumns", Recording)
+    argv = ["simulate", "--beta0", "0.8,-0.4,0.3", "--n", "1000", "--m", "4", "--seed", "11", "--reps", "500"]
+    code, _, _ = run_cli(capsys, *argv, *extra)
+    assert code == 0
+    [columns] = made
+    kinds = [source.dtype.kind for source in columns.sources if isinstance(source, np.ndarray)]
+    assert len(columns.sources) == placeholders
+    assert {kind: kinds.count(kind) for kind in set(kinds)} == formatted
 
 
 SIMULATE_CASES = (
@@ -683,7 +731,7 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
     def explode(model, alpha, t):
         raise EstimationError("forced")
 
-    monkeypatch.setattr(cli, "generator", explode)
+    monkeypatch.setattr(qfim, "generator", explode)
     code, _, err = run_cli(capsys, "qfim", "--alpha", "0,0,0", "--t", "2")
     assert code == 3
     assert err.startswith("internal error:")

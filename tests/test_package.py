@@ -107,11 +107,11 @@ def test_exports_are_resolved_on_every_access(monkeypatch):
 
 
 def test_import_loads_only_the_layers_it_uses():
-    # A fresh interpreter: the import and the first g0() load neither qfim,
-    # simulator, robustness nor variance, nor numpy.random, concurrent.futures
-    # or scipy; the CLI module adds qfim. A `robustness total` call then loads
+    # A fresh interpreter: the import, the first g0() and the CLI module load
+    # neither qfim, simulator, robustness nor variance, nor numpy.random,
+    # concurrent.futures or scipy. A `robustness total` call then loads
     # robustness (with numpy.random, for its streams, and concurrent.futures,
-    # for its helper) and still not simulator.
+    # for its helper) and still not simulator; a `qfim` call adds qfim.
     script = """
 import contextlib, io, json, sys
 watched = [
@@ -129,6 +129,9 @@ loaded["cli"] = [m for m in watched if m in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     assert hamest.cli.main("robustness total --m 2 --samples 10000 --seed 1".split()) == 0
 loaded["total"] = [m for m in watched if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert hamest.cli.main("qfim --alpha 0.8,-0.4,0.3 --t 2.0".split()) == 0
+loaded["qfim"] = [m for m in watched if m in sys.modules]
 print(json.dumps({"loaded": loaded, "layers": layers}))
 """
     doc = json.loads(_run_fresh(script))
@@ -136,8 +139,9 @@ print(json.dumps({"loaded": loaded, "layers": layers}))
     assert doc["loaded"] == {
         "import": [],
         "g0": [],
-        "cli": ["hamest.qfim"],
-        "total": ["hamest.qfim", "hamest.robustness", "numpy.random", "concurrent.futures"],
+        "cli": [],
+        "total": ["hamest.robustness", "numpy.random", "concurrent.futures"],
+        "qfim": ["hamest.qfim", "hamest.robustness", "numpy.random", "concurrent.futures"],
     }
 
 

@@ -372,6 +372,28 @@ def test_stacked_fit_warns_nowhere_single_reps_do_not():
         simulator._bell_nll(x.ravel(), c, t)
 
 
+def test_fit_keeps_the_inversion_where_its_squared_norm_underflows():
+    # The ten rows at scale 1e-170 of the test above (the same draws): x . x
+    # underflows there, and L-BFGS's first step from such a point left the
+    # float range in 8 of them, so the fit raised DomainError on valid counts.
+    # Those rows stay out of the L-BFGS stack and keep their closed-form
+    # inversion, alone and stacked, with no warning.
+    rng = np.random.default_rng(37)
+    rows = []
+    for phase in (1e-9, 0.5, math.pi / 2.0, 3.0, 40.0):
+        for n in (100, 2**53):
+            x = rng.normal(size=3) * 1e-170
+            t = phase / math.hypot(*x)
+            rows.append((rng.multinomial(n, simulator.bell_probabilities(x, t)).astype(float), t, x))
+    counts, times, priors = (np.array(column) for column in zip(*rows, strict=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for row in rows:
+            assert np.array_equal(simulator._fit_bell_counts(*row), simulator._invert_bell_counts(*row))
+        fit = simulator._fit_bell_counts(counts, times, priors)
+    assert np.array_equal(fit, simulator._invert_bell_counts(counts, times, priors))
+
+
 @pytest.mark.parametrize("side", ["below", "above"])
 def test_score_matches_central_differences(side):
     # Random points away from the optimum: mixed signs, one zero count, and
