@@ -119,7 +119,7 @@ def _check_threads(args) -> None:
 
 
 def _cmd_qfim(args) -> int:
-    from .qfim import _weighted_information, covariance_from_qfim, generator, scalar_bound
+    from .qfim import _weighted_information, covariance_from_qfim, generator
 
     model = get_model(args.model)
     # One generator build gives both the QFIM and the commutativity residual.
@@ -127,7 +127,7 @@ def _cmd_qfim(args) -> int:
     cov = bound = singular_reason = None
     try:
         cov = covariance_from_qfim(f, 1).m
-        bound = scalar_bound(np.eye(3), f, 1)
+        bound = float(np.trace(cov))  # Tr F^{-1}: scalar_bound(I, f, 1), bit for bit
     except SingularQfim as exc:
         singular_reason = str(exc)
     if args.format == "csv":

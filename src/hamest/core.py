@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, SingularJacobian
-from .util import fd_step
+from .util import fd_step, row_norms
 
 # Below ||b||*|t| = 1e-8 the sin(x)/x form of the propagator switches to its
 # series limit to avoid cancellation.
@@ -97,8 +97,8 @@ def evolve_unitary(b, t) -> np.ndarray:
     b = as_pauli_vector(b, stack=True)
     if not np.isfinite(t).all():
         raise DomainError("time must be finite")
-    # np.linalg.norm's bits: the square root of the same dot product, row by row.
-    bn = np.sqrt(np.vecdot(b, b))
+    # row_norms scales where b . b overflows or is subnormal (|b| outside about 1e-154 .. 1e154).
+    bn = row_norms(b)
     with np.errstate(over="ignore"):
         x = bn * t
     series = bn * np.abs(t) < EVOLVE_SERIES_THRESHOLD

@@ -219,12 +219,12 @@ def estimate_step_gaussian(cov, z) -> np.ndarray:
     return root_b * z + (root_a - root_b) * np.vecdot(cov.u, z)[..., None] * cov.u
 
 
-def _nearest_phase(theta0: float, target: float) -> float:
+def _nearest_phase(theta0, target):
     """The phase pi j +/- theta0 >= 0 nearest target >= 0, for theta0 in
-    [0, pi/2]: j = round(target / pi), half to even, and + theta0 where
-    target >= pi j. Built as 2 pi (j // 2) + (pi (j % 2) +/- theta0)."""
-    j = round(target / math.pi)
-    reflection = theta0 if target >= math.pi * j else -theta0
+    [0, pi/2], elementwise: j = round(target / pi), half to even, and + theta0
+    where target >= pi j. Built as 2 pi (j // 2) + (pi (j % 2) +/- theta0)."""
+    j = np.round(target / math.pi)
+    reflection = np.where(target >= math.pi * j, theta0, -theta0)
     return 2.0 * math.pi * (j // 2) + (math.pi * (j % 2) + reflection)
 
 
@@ -235,19 +235,16 @@ def _invert_bell_counts(counts: np.ndarray, t, prior: np.ndarray) -> np.ndarray:
     and these reflections, so the result takes the phase nearest |prior| t and
     the prior's signs (+ at zero): the equal-likelihood pattern nearest it.
 
-    Counts (..., 4), times (...) and priors (..., 3) give residuals (..., 3).
-    Every step is elementwise but the phase, which math.asin and
-    _nearest_phase take rep by rep in Python floats."""
+    Counts (..., 4), times (...) and priors (..., 3) give residuals (..., 3):
+    every step takes all reps at once, the phase's math.asin mapped over them."""
     phat = counts / counts.sum(axis=-1, keepdims=True)
     s2 = phat[..., 1] + phat[..., 2] + phat[..., 3]
-    prior_norm = np.sqrt(np.vecdot(prior, prior))
-    target = np.broadcast_to(prior_norm * t, s2.shape)
-    theta = np.reshape([
-        _nearest_phase(math.asin(min(1.0, math.sqrt(s))), g)
-        for s, g in zip(s2.ravel().tolist(), target.ravel().tolist())
-    ], s2.shape)
+    prior_norm = row_norms(prior)
+    # fmin, like min, takes 1 over NaN (counts summing to 0); np.arcsin can differ from math.asin by an ulp.
+    theta0 = np.reshape(list(map(math.asin, np.fmin(np.sqrt(s2), 1.0).ravel().tolist())), s2.shape)
+    theta = _nearest_phase(theta0, prior_norm * t)
     # s2 = 0 takes the prior's direction. A row with theta = 0 is zero, whatever its
-    # quotients give: 0 / 0, or a prior norm that underflows to 0.
+    # quotients give: 0 / 0 at a zero prior.
     with np.errstate(divide="ignore", invalid="ignore"):
         unit = np.where((s2 > 0.0)[..., None], np.sqrt(phat[..., 1:] / s2[..., None]),
                         np.abs(prior) / prior_norm[..., None])
@@ -383,7 +380,7 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> ExperimentTr
                 config, prev_residual, np.full(reps, float(config.resolved_extra())), prev_t,
                 prev_magnitude, prev_estimate, next(streams),
             )
-            omega_tilde = np.sqrt(np.vecdot(prev_estimate - second, prev_estimate - second))
+            omega_tilde = row_norms(prev_estimate - second)
             refined = omega_tilde > 0.0
             with np.errstate(divide="ignore"):
                 t_k = np.where(refined, g0() / omega_tilde, t_plan)
@@ -402,7 +399,7 @@ def run_adaptive_experiment(config: ExperimentConfig, reps: int) -> ExperimentTr
         history.append(IterationOutcome(
             k=k, control=control, t=t_k, n_used=n_k.astype(np.int64), dE2_planned=dE2_plan,
             residual_norm_sq=res_sq, trace_cov=trace_cov, d_factor=d_factor, counts=counts,
-            beta_hat=beta_hat, error_norm=np.sqrt(np.vecdot(err, err)),
+            beta_hat=beta_hat, error_norm=row_norms(err),
         ))
         prev_residual, prev_t, prev_magnitude = residual, t_k, magnitude
         prev_estimate, prev_trace_cov = estimate, trace_cov

@@ -121,6 +121,25 @@ def test_probabilities_stack_is_row_by_row():
     assert p.tobytes() == rows.tobytes()
 
 
+def test_huge_field_evolves_without_overflow():
+    # |b| = 1e155 squares past the float range; the norm scales instead, so the
+    # phase-1 propagator is the unit field's to a few ulps, with no warning.
+    huge, t = np.array([1e155, 0.0, 0.0]), 1e-155
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = core.evolve_unitary(huge, t)
+        p = simulator.bell_probabilities(huge, t)
+    assert_allclose(u, core.evolve_unitary([1.0, 0.0, 0.0], 1.0), rtol=0.0, atol=4.0 * np.finfo(float).eps)
+    assert np.all(np.isfinite(p)) and abs(p.sum() - 1.0) <= 4.0 * np.finfo(float).eps
+    # Among ordinary rows it changes none of their bits.
+    b, times = residual_stack(np.random.default_rng(31), 50)
+    b[25], times[25] = huge, t
+    ordinary = np.arange(50) != 25
+    stack = core.evolve_unitary(b, times)
+    assert stack[ordinary].tobytes() == core.evolve_unitary(b[ordinary], times[ordinary]).tobytes()
+    assert stack[25].tobytes() == u.tobytes()
+
+
 def test_sample_counts_stack_is_one_multinomial():
     # One draw on the stacked n and p: the rows one multinomial(n, p) call
     # gives, which are the draws of one row at a time from the same stream.
@@ -249,10 +268,12 @@ def test_nearest_phase_is_the_full_list_nearest():
     # the nearest of every Bell-fit phase candidate.
     half_pi = math.pi / 2.0
     rng = np.random.default_rng(41)
+    pairs = []
     for _ in range(2000):
         theta0, target = rng.uniform(0.0, half_pi), math.exp(rng.uniform(math.log(1e-3), math.log(3e3)))
         nearest = _nearest(phase_candidates_full(theta0, target), target)
         assert simulator._nearest_phase(theta0, target) == nearest
+        pairs.append((theta0, target))
     # Targets on block edges, quarter points and exact midpoints between
     # candidates: ties in real arithmetic, which rounding may break either way.
     cases = [
@@ -266,6 +287,11 @@ def test_nearest_phase_is_the_full_list_nearest():
         phase = simulator._nearest_phase(theta0, target)
         assert phase in full
         assert abs(phase - target) <= abs(_nearest(full, target) - target) + 8.0 * math.ulp(target + math.pi)
+        pairs.append((theta0, target))
+    # One array call over every pair gives the per-pair phases, bit for bit.
+    theta0s, targets = np.array(pairs).T
+    per_pair = np.array([simulator._nearest_phase(a, g) for a, g in pairs])
+    assert simulator._nearest_phase(theta0s, targets).tobytes() == per_pair.tobytes()
     # The tie rule: target / pi = j + 1/2 rounds j half to even, and a target
     # at pi j takes + theta0.
     assert simulator._nearest_phase(0.3, 2.5 * math.pi) == 2.0 * math.pi + 0.3
@@ -305,6 +331,15 @@ def test_fit_stays_at_the_closed_form_inversion():
     assert np.array_equal(np.sign(fit), np.broadcast_to(np.sign(delta_beta), (300, 3)))
     for c, x in zip(counts[:20], closed[:20]):
         assert np.array_equal(simulator._fit_bell_counts(c, t, delta_beta), x)
+    # The stacked inversion is the per-row one too at s2 = 0 (all Phi+) and
+    # s2 = 1 (no Phi+), and at targets |prior| t on multiples of pi/2.
+    edge = ([100.0, 0.0, 0.0, 0.0], [0.0, 30.0, 50.0, 20.0], [0.0, 0.0, 0.0, 100.0], [40.0, 20.0, 30.0, 10.0])
+    units = ([1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0])
+    rows = [(c, k * (math.pi / 2.0), u) for c in edge for k in range(1, 9) for u in units]
+    rows += zip(counts[:12], times[:12], priors[:12])
+    edge_counts, edge_times, edge_priors = (np.array(column) for column in zip(*rows))
+    per_row = np.array([simulator._invert_bell_counts(*row) for row in zip(edge_counts, edge_times, edge_priors)])
+    assert simulator._invert_bell_counts(edge_counts, edge_times, edge_priors).tobytes() == per_row.tobytes()
 
 
 def test_stacked_fit_polishes_only_the_live_rows(monkeypatch):

@@ -1,13 +1,15 @@
 """Numeric helpers: csc^2 and its series branch for floats and arrays, the
-trial-count rule, FD steps, keyed RNG streams, phase policy."""
+trial-count rule, the one array norm, FD steps, keyed RNG streams, phase policy."""
 
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hamest
 from hamest.errors import DomainError
 from hamest.util import (
     POLE_PHASE_ATOL,
@@ -114,6 +116,16 @@ def test_row_norms_keep_digits_at_every_scale():
     assert row_norms(np.zeros((2, 3))).tolist() == [0.0, 0.0]
     assert row_norms(np.array([3.0, 4.0, 12.0])) == 13.0
     assert row_norms(np.array([3e-200, 4e-200, 12e-200])) == pytest.approx(13e-200, rel=1e-15)
+
+
+def test_row_norms_is_the_only_array_norm():
+    # One home for the Euclidean norm of an array: a bare sqrt of a dot
+    # product overflows where row_norms scales.
+    package = Path(hamest.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "util.py":
+            text = path.read_text(encoding="utf-8")
+            assert "np.sqrt(np.vecdot(" not in text and "np.linalg.norm(" not in text, path.name
 
 
 @pytest.mark.parametrize(
